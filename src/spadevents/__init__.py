@@ -8,29 +8,27 @@ baseline, reporting accuracy and data-rate reduction.
 
 __version__ = "0.1.0"
 
-from .core import (DepthFrame, Event, EventStream, Recording, StreamKind, TimeSurface,
-                   decode_aer, encode_aer)
+from .core import EventStream, Recording, StreamKind, TimeSurface, decode_aer, encode_aer
 from .dataio import (DatasetManifest, SynthConfig, augment, load_manifest, load_recording,
-                     save_manifest, save_recording, split, synth_generate)
+                     save_manifest, save_recording, split_indices, synth_generate)
 from .eventgen import (FirstAndParams, GateBank, count_ratio_demo, datarate_stats,
                        firstand_convert, onoff_convert, oobu_convert, read_stream,
                        write_stream)
 from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                     feast_infer, feast_train, load_features, save_features)
 from .classify import (ClassifierWeights, EvalReport, PoolConfig, pool_1d, pool_2d,
-                       predict, recording_vote, select_region, train_classifier)
-from .pipeline import PipelineSpec, run_pipeline
+                       predict_batch, recording_vote, region_from_activity, train_classifier)
+from .pipeline import PipelineParams, PipelineSpec, run_pipeline
 
 __all__ = [
-    "DepthFrame", "Event", "EventStream", "Recording", "StreamKind", "TimeSurface",
-    "decode_aer", "encode_aer",
+    "EventStream", "Recording", "StreamKind", "TimeSurface", "decode_aer", "encode_aer",
     "DatasetManifest", "SynthConfig", "augment", "load_manifest", "load_recording",
-    "save_manifest", "save_recording", "split", "synth_generate",
+    "save_manifest", "save_recording", "split_indices", "synth_generate",
     "FirstAndParams", "GateBank", "count_ratio_demo", "datarate_stats",
     "firstand_convert", "onoff_convert", "oobu_convert", "read_stream", "write_stream",
     "BinaryFeatureSet", "ContinuousFeatureSet", "FeastParams", "binarize",
     "feast_infer", "feast_train", "load_features", "save_features",
     "ClassifierWeights", "EvalReport", "PoolConfig", "pool_1d", "pool_2d",
-    "predict", "recording_vote", "select_region", "train_classifier",
-    "PipelineSpec", "run_pipeline",
+    "predict_batch", "recording_vote", "region_from_activity", "train_classifier",
+    "PipelineParams", "PipelineSpec", "run_pipeline",
 ]

@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import TimeSurface
 from .dataio import split_indices
 
 DEFAULT_ACTIVITY_FRACTION = 0.1
@@ -80,14 +79,6 @@ def region_from_activity(activity: np.ndarray,
     col_ok = np.nonzero(cols >= activity_fraction * cols.max())[0]
     return Region(x0=int(col_ok[0]), y0=int(row_ok[0]),
                   x1=int(col_ok[-1]) + 1, y1=int(row_ok[-1]) + 1)
-
-
-def select_region(surface: TimeSurface, t_now: int, window_us: int,
-                  activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> Region:
-    """Active target region of a surface: polarity-summed binary readout
-    bounded by thresholded row and column marginals."""
-    activity = surface.binary(t_now, window_us).sum(axis=0)
-    return region_from_activity(activity, activity_fraction)
 
 
 # ---------------------------------------------------------------------------
@@ -243,15 +234,8 @@ def train_classifier(inputs: np.ndarray, targets: np.ndarray,
     return acc.solve()
 
 
-def predict(weights: ClassifierWeights, u: np.ndarray) -> int:
-    """argmax of W @ u; scores tie toward the lowest class index."""
-    if u.shape[-1] != weights.matrix.shape[1]:
-        raise ValueError(f"input length {u.shape[-1]} does not match classifier "
-                         f"width {weights.matrix.shape[1]}")
-    return int(np.argmax(weights.matrix @ u))
-
-
 def predict_batch(weights: ClassifierWeights, inputs: np.ndarray) -> np.ndarray:
+    """Row-wise argmax of W @ u; scores tie toward the lowest class index."""
     if inputs.shape[1] != weights.matrix.shape[1]:
         raise ValueError(f"input length {inputs.shape[1]} does not match classifier "
                          f"width {weights.matrix.shape[1]}")

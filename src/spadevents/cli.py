@@ -17,23 +17,23 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .classify import PoolConfig, evaluate_samples
+from .classify import PoolConfig
 from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
                      make_config)
 from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
                      load_manifest_recordings, ratio_demo_synth_config, save_manifest,
                      save_recording, split_indices, synth_generate, SynthConfig,
                      write_dataset)
-from .eventgen import FirstAndParams, count_ratio_demo, datarate_stats, write_stream
+from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features, feast_train, binarize
-from .pipeline import (ConversionParams, PipelineSpec, build_sample_set, convert_all,
-                       infer_feature_streams, make_feast_params, prepare_binary_features,
-                       run_pipeline, trial_seeds)
+from .pipeline import (PipelineParams, PipelineSpec, convert_all, evaluate_sources,
+                       pipeline_sources, run_pipeline, trial_seeds)
 from .svgchart import write_line_chart
 
 
@@ -79,17 +79,6 @@ def write_run_record(out: Path, command: str, cfg: ExperimentConfig, extra: dict
 # ---------------------------------------------------------------------------
 
 
-def conversion_from_config(cfg: ExperimentConfig) -> ConversionParams:
-    cap = cfg.firstand_fifo_capacity if cfg.firstand_fifo_capacity > 0 else None
-    return ConversionParams(
-        firstand=FirstAndParams(success_threshold=cfg.firstand_success_threshold,
-                                fifo_capacity_per_pulse=cap),
-        change_threshold=cfg.change_threshold,
-        uni_count_threshold=cfg.uni_count_threshold,
-        bi_count_threshold=cfg.bi_count_threshold,
-        on_is_increase=cfg.on_is_increase)
-
-
 def synth_config_from(cfg: ExperimentConfig) -> SynthConfig:
     return SynthConfig(n_classes=cfg.synth_classes,
                        recordings_per_class=cfg.synth_recordings_per_class,
@@ -120,23 +109,13 @@ def load_dataset(cfg: ExperimentConfig):
     return recordings, n_classes
 
 
-def pipeline_spec_from(cfg: ExperimentConfig, kind: str, feature_mode: str,
-                       n_neurons: int, pool_size: int, pool_method: str) -> PipelineSpec:
+def pipeline_spec_from(cfg: ExperimentConfig, kind: str, feature_mode: str, n_neurons: int,
+                       pool: PoolConfig | None = None) -> PipelineSpec:
+    """The cell's spec; every PipelineParams field is copied from cfg."""
+    shared = {f.name: getattr(cfg, f.name) for f in fields(PipelineParams)}
     return PipelineSpec(kind=kind, feature_mode=feature_mode, n_neurons=n_neurons,
-                        pool=PoolConfig(method=pool_method, size=pool_size),
-                        conversion=conversion_from_config(cfg),
-                        window_us=cfg.feast_window_us,
-                        activity_fraction=cfg.activity_fraction,
-                        ridge_lambda=cfg.ridge_lambda,
-                        train_fraction=cfg.train_fraction,
-                        sample_every=cfg.sample_every(kind),
-                        roi_side=cfg.feast_roi_side,
-                        n_active=cfg.feast_active_bits,
-                        mix_rate=cfg.feast_mix_rate,
-                        shrink_step=cfg.feast_shrink_step,
-                        grow_step=cfg.feast_grow_step,
-                        seed=cfg.seed,
-                        retrain_per_trial=cfg.retrain_per_trial)
+                        pool=pool if pool is not None else PoolConfig(),
+                        sample_every=cfg.sample_every(kind), **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +179,8 @@ def cmd_import(args) -> int:
 def cmd_convert(args) -> int:
     cfg = resolve_config(args)
     recordings, _ = load_dataset(cfg)
-    conv = conversion_from_config(cfg)
     with staged_output(args.out) as out:
-        streams = convert_all(recordings, args.kind, conv, jobs=cfg.jobs)
+        streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
         with open(out / "datarate.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["recording_id", "frame_bytes", "event_bytes", "fold_reduction"])
@@ -219,17 +197,14 @@ def cmd_convert(args) -> int:
 def cmd_train_features(args) -> int:
     cfg = resolve_config(args)
     recordings, _ = load_dataset(cfg)
-    conv = conversion_from_config(cfg)
-    streams = convert_all(recordings, args.kind, conv, jobs=cfg.jobs)
+    streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
     if args.use_all:
         train_idx = np.arange(len(streams))
     else:
         train_idx, _ = split_indices(len(streams), cfg.train_fraction,
                                      trial_seeds(cfg.seed, 1)[0])
-    params = make_feast_params(streams[0], args.neurons, roi_side=cfg.feast_roi_side,
-                               window_us=cfg.feast_window_us, mix_rate=cfg.feast_mix_rate,
-                               shrink_step=cfg.feast_shrink_step,
-                               grow_step=cfg.feast_grow_step, seed=cfg.seed)
+    spec = pipeline_spec_from(cfg, args.kind, "trained", args.neurons)
+    params = spec.feast_params(streams[0].polarity_count)
     trained = feast_train([streams[i] for i in train_idx], params)
     n_active = min(cfg.feast_active_bits, params.weight_length)
     with staged_output(args.out) as out:
@@ -247,10 +222,10 @@ def cmd_evaluate(args) -> int:
     cfg = resolve_config(args)
     recordings, n_classes = load_dataset(cfg)
     spec = pipeline_spec_from(cfg, args.kind, args.feature_mode, args.neurons,
-                              args.pool_size, args.pool_method)
+                              PoolConfig(method=args.pool_method, size=args.pool_size))
     streams = None
     if args.kind != "frames":
-        streams = convert_all(recordings, args.kind, conversion_from_config(cfg), jobs=cfg.jobs)
+        streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
     report = run_pipeline(recordings, spec, n_classes,
                           trial_seeds(cfg.seed, cfg.n_trials), jobs=cfg.jobs, streams=streams)
     if streams is not None:
@@ -274,52 +249,27 @@ def cmd_evaluate(args) -> int:
 def sweep_rows(recordings, n_classes: int, cfg: ExperimentConfig) -> list[dict]:
     """Evaluate every (kind, feature mode, N, L, method) cell of the config.
 
-    Streams are converted once per kind and feature streams once per
+    Streams are converted once per kind and feature sources built once per
     (kind, mode, N); pooling cells reuse them.  Row order is the
     deterministic loop order, independent of cfg.jobs.
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
-    conv = conversion_from_config(cfg)
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
     rows = []
     for kind in cfg.kinds:
         if kind == "frames":
-            cells = [("raw", 0, recordings)]
+            streams, cells = None, [("raw", 0)]
         else:
-            streams = convert_all(recordings, kind, conv, jobs=cfg.jobs)
-            cells = []
-            for mode in cfg.feature_modes:
-                if mode == "raw":
-                    cells.append(("raw", 0, streams))
-                    continue
-                for n_neurons in cfg.neuron_counts:
-                    params = make_feast_params(streams[0], n_neurons,
-                                               roi_side=cfg.feast_roi_side,
-                                               window_us=cfg.feast_window_us,
-                                               mix_rate=cfg.feast_mix_rate,
-                                               shrink_step=cfg.feast_shrink_step,
-                                               grow_step=cfg.feast_grow_step,
-                                               seed=cfg.seed)
-                    train_idx = None
-                    if mode == "trained":
-                        train_idx, _ = split_indices(len(streams), cfg.train_fraction, seeds[0])
-                    features = prepare_binary_features(
-                        streams, mode, params,
-                        n_active=min(cfg.feast_active_bits, params.weight_length),
-                        train_indices=train_idx)
-                    cells.append((mode, n_neurons,
-                                  infer_feature_streams(streams, features,
-                                                        window_us=cfg.feast_window_us,
-                                                        jobs=cfg.jobs)))
-        for mode, n_neurons, sources in cells:
+            streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
+            cells = [(mode, n_neurons) for mode in cfg.feature_modes
+                     for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)]
+        for mode, n_neurons in cells:
+            base = pipeline_spec_from(cfg, kind, mode, n_neurons)
+            groups = pipeline_sources(recordings, base, seeds, cfg.jobs, streams)
             for pool_size in cfg.pool_sizes:
                 for method in cfg.pool_methods:
-                    samples = build_sample_set(
-                        sources, labels, PoolConfig(method=method, size=pool_size),
-                        sample_every=cfg.sample_every(kind), window_us=cfg.feast_window_us,
-                        activity_fraction=cfg.activity_fraction, jobs=cfg.jobs)
-                    report = evaluate_samples(samples, n_classes, seeds,
-                                              cfg.ridge_lambda, cfg.train_fraction)
+                    spec = replace(base, pool=PoolConfig(method=method, size=pool_size))
+                    report = evaluate_sources(groups, labels, spec, n_classes, cfg.jobs)
                     for t in report.trials:
                         rows.append({"kind": kind, "feature_mode": mode,
                                      "n_neurons": n_neurons, "pool_size": pool_size,
@@ -415,8 +365,7 @@ def cmd_demo_ratio(args) -> int:
             raise ValueError(f"ratio demo needs a 3-class dataset, manifest has {n_classes}")
     else:
         _, recordings = synth_generate(ratio_demo_synth_config(seed=cfg.seed))
-    conv = conversion_from_config(cfg)
-    streams = convert_all(recordings, "oobu", conv, jobs=cfg.jobs)
+    streams = convert_all(recordings, "oobu", cfg, jobs=cfg.jobs)
     result = count_ratio_demo(streams, [rec.class_id for rec in recordings])
     payload = {
         "on_off": {"accuracy": result.on_off_accuracy,
@@ -435,7 +384,6 @@ def cmd_demo_ratio(args) -> int:
 def cmd_datarate(args) -> int:
     cfg = resolve_config(args)
     recordings, _ = load_dataset(cfg)
-    conv = conversion_from_config(cfg)
     kinds = [k for k in cfg.kinds if k != "frames"]
     with staged_output(args.out) as out:
         with open(out / "datarate.csv", "w", newline="") as fh:
@@ -444,7 +392,7 @@ def cmd_datarate(args) -> int:
                              "fold_reduction"])
             means = {}
             for kind in kinds:
-                streams = convert_all(recordings, kind, conv, jobs=cfg.jobs)
+                streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
                 folds = []
                 for rec, stream in zip(recordings, streams):
                     stats = datarate_stats(rec, stream)

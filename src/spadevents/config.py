@@ -12,9 +12,15 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, field
 from pathlib import Path
 
+from .classify import SAMPLE_EVERY_EVENTS, SAMPLE_EVERY_FRAMES
+from .pipeline import PipelineParams
+
 
 @dataclass
-class ExperimentConfig:
+class ExperimentConfig(PipelineParams):
+    """Dataset, sweep axes and run settings on top of the per-cell
+    PipelineParams (conversion, feature layer and readout keys)."""
+
     # dataset source: a manifest path, or synthetic generation when empty
     manifest: str = ""
     n_classes: int = 0                 # 0 = derive from the manifest/synth config
@@ -37,34 +43,13 @@ class ExperimentConfig:
     pool_sizes: list = field(default_factory=lambda: [1, 2, 3, 4, 6, 8, 12, 16, 24])
     pool_methods: list = field(default_factory=lambda: ["1d", "2d"])
 
-    # frame-to-event conversion
-    firstand_success_threshold: int = 6
-    firstand_fifo_capacity: int = 0    # events per pulse; 0 = unlimited
-    change_threshold: int = 2
-    uni_count_threshold: int = 2
-    bi_count_threshold: int = 1
-    on_is_increase: bool = True
-
-    # feature layer
-    feast_roi_side: int = 5
-    feast_window_us: int = 2000
-    feast_mix_rate: float = 0.001
-    feast_shrink_step: float = 0.002
-    feast_grow_step: float = 0.004
-    feast_active_bits: int = 32
-    retrain_per_trial: bool = False
-
     # classification
-    ridge_lambda: float = 0.1
-    train_fraction: float = 0.9
     n_trials: int = 5
-    sample_every_frames: int = 8
-    sample_every_firstand: int = 51
-    sample_every_onoff: int = 74
-    sample_every_oobu: int = 201
-    activity_fraction: float = 0.1
+    sample_every_frames: int = SAMPLE_EVERY_FRAMES
+    sample_every_firstand: int = SAMPLE_EVERY_EVENTS["firstand"]
+    sample_every_onoff: int = SAMPLE_EVERY_EVENTS["onoff"]
+    sample_every_oobu: int = SAMPLE_EVERY_EVENTS["oobu"]
 
-    seed: int = 0
     jobs: int = 1
 
     def sample_every(self, kind: str) -> int:

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import NamedTuple
 
 import numpy as np
 
@@ -56,27 +55,6 @@ KIND_POLARITIES = {
 }
 
 
-@dataclass(frozen=True)
-class DepthFrame:
-    """One laser pulse worth of time-of-flight codes, row-major uint16."""
-
-    codes: np.ndarray
-
-    def __post_init__(self):
-        codes = np.asarray(self.codes, dtype=np.uint16)
-        if codes.ndim != 2 or codes.shape[0] < 1 or codes.shape[1] < 1:
-            raise ValueError(f"depth frame must be a non-empty 2D grid, got shape {codes.shape}")
-        object.__setattr__(self, "codes", codes)
-
-    @property
-    def height(self) -> int:
-        return self.codes.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.codes.shape[1]
-
-
 @dataclass
 class Recording:
     """A stack of depth frames from consecutive laser pulses.
@@ -113,18 +91,6 @@ class Recording:
     @property
     def width(self) -> int:
         return self.frames.shape[2]
-
-    def frame(self, k: int) -> DepthFrame:
-        return DepthFrame(self.frames[k])
-
-
-class Event(NamedTuple):
-    """One event: grid location, microsecond timestamp, stream-kind polarity."""
-
-    x: int
-    y: int
-    t: int
-    polarity: int
 
 
 @dataclass
@@ -191,12 +157,6 @@ def make_events(t, y, x, p) -> np.ndarray:
     out["x"] = x
     out["p"] = p
     return out
-
-
-def canonical_sort(events: np.ndarray) -> np.ndarray:
-    """Return events sorted by (t, y, x, p); stable, copies."""
-    order = np.lexsort((events["p"], events["x"], events["y"], events["t"]))
-    return events[order]
 
 
 # ---------------------------------------------------------------------------
@@ -316,9 +276,6 @@ class TimeSurface:
             raise ValueError(f"polarity {polarity} out of range 0..{self.polarity_count - 1}")
         self._buf[polarity, y + self._pad, x + self._pad] = t
 
-    def update_event(self, event) -> None:
-        self.update(int(event["x"]), int(event["y"]), int(event["p"]), int(event["t"]))
-
     def update_many(self, events: np.ndarray) -> None:
         """Apply a time-sorted batch of events.
 
@@ -365,8 +322,3 @@ class TimeSurface:
         lit = ((t_now - sub) < window_us) & (sub != NEVER)
         patch[:, y0 - y + r:y1 - y + r, x0 - x + r:x1 - x + r] = lit
         return patch
-
-    def copy(self) -> "TimeSurface":
-        dup = TimeSurface(self.grid_width, self.grid_height, self.polarity_count, roi_pad=self._pad)
-        dup._buf = self._buf.copy()
-        return dup

@@ -83,12 +83,15 @@ def load_recording(path, recording_id: str | None = None) -> Recording:
     """Read a SPDREC01 file; recording_id defaults to the file stem."""
     width, height, frame_count, pulse_period, class_id = read_recording_header(path)
     expected = frame_count * height * width * 2
+    # checked before reading, so a header claiming a huge payload cannot
+    # ask for an impossible read
+    available = Path(path).stat().st_size - _HEADER.size
+    if available < expected:
+        raise TruncatedError(f"{path}: payload holds {available} bytes, header promises {expected}")
     with open(path, "rb") as fh:
         fh.seek(_HEADER.size)
-        payload = fh.read(expected + 1)
-    if len(payload) < expected:
-        raise TruncatedError(f"{path}: payload holds {len(payload)} bytes, header promises {expected}")
-    frames = np.frombuffer(payload[:expected], dtype="<u2").reshape(frame_count, height, width)
+        payload = fh.read(expected)
+    frames = np.frombuffer(payload, dtype="<u2").reshape(frame_count, height, width)
     return Recording(frames=frames.copy(), pulse_period=pulse_period, class_id=class_id,
                      recording_id=recording_id if recording_id is not None else Path(path).stem)
 
@@ -125,9 +128,6 @@ class DatasetManifest:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-    def labels(self) -> np.ndarray:
-        return np.array([e.class_id for e in self.entries], dtype=np.int64)
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
@@ -225,9 +225,7 @@ class SynthConfig:
     pulse_period: int = DEFAULT_PULSE_PERIOD_US
     target_shapes: list[np.ndarray] | None = None   # per-class binary masks
     target_depth_code: int = 1500
-    target_speed: float = 0.5                       # pixels per frame
-    motion_axis: str = "vertical"                   # "vertical" | "horizontal"
-    distractor_mask: np.ndarray | None = None
+    target_speed: float = 0.5                       # pixels per frame, top to bottom
     distractor_depth_code: int = 4000
     p_false_positive: float = 0.002                 # per background pixel-pulse
     p_false_negative: float = 0.05                  # per signal pixel-pulse
@@ -239,8 +237,6 @@ class SynthConfig:
             raise ValueError("noise probabilities must lie in [0, 1]")
         if self.timing_jitter_sigma < 0:
             raise ValueError("timing_jitter_sigma must be non-negative")
-        if self.motion_axis not in ("vertical", "horizontal"):
-            raise ValueError(f"motion_axis must be vertical or horizontal, got {self.motion_axis!r}")
 
 
 def default_silhouettes(n_classes: int, seed: int = 0) -> list[np.ndarray]:
@@ -346,18 +342,15 @@ def synth_recording(config: SynthConfig, class_id: int, rec_index: int,
     if sh > config.grid_height or sw > config.grid_width:
         raise ValueError(f"silhouette {sh}x{sw} larger than grid "
                          f"{config.grid_height}x{config.grid_width}")
-    vertical = config.motion_axis == "vertical"
-    cross = config.grid_width - sw if vertical else config.grid_height - sh
-    lateral = int(rng.integers(0, cross + 1))
-    # start fully off-grid so the target enters, crosses and may exit
-    start = -float(sh if vertical else sw) + float(rng.uniform(0.0, 2.0))
+    lateral = int(rng.integers(0, config.grid_width - sw + 1))
+    # start fully above the grid so the target enters, crosses and may exit
+    start = -float(sh) + float(rng.uniform(0.0, 2.0))
 
     frames = np.empty((config.frames_per_recording, config.grid_height, config.grid_width),
                       dtype=np.uint16)
     for k in range(config.frames_per_recording):
         lead = int(np.rint(start + k * config.target_speed))
-        pos_y, pos_x = (lead, lateral) if vertical else (lateral, lead)
-        clean = _compose_frame(config, shape, pos_y, pos_x, distractor)
+        clean = _compose_frame(config, shape, lead, lateral, distractor)
         frames[k] = _apply_noise(clean, config, rng)
     return Recording(frames=frames, pulse_period=config.pulse_period, class_id=class_id,
                      recording_id=f"c{class_id:02d}_r{rec_index:04d}")
@@ -379,11 +372,7 @@ def synth_generate(config: SynthConfig) -> tuple[DatasetManifest, list[Recording
     keys = {(s.shape, s.tobytes()) for s in shapes[:config.n_classes]}
     if len(keys) != config.n_classes:
         raise ValueError("target shapes must be distinct across classes")
-    distractor = config.distractor_mask
-    if distractor is None:
-        distractor = default_distractor(config.grid_width, config.grid_height)
-    if distractor.shape != (config.grid_height, config.grid_width):
-        raise ValueError("distractor mask must match the grid")
+    distractor = default_distractor(config.grid_width, config.grid_height)
 
     recordings = []
     entries = []
@@ -445,28 +434,8 @@ def ratio_demo_synth_config(seed: int = 0, recordings_per_class: int = 30,
 # ---------------------------------------------------------------------------
 
 
-def split(manifest: DatasetManifest, train_fraction: float, seed: int
-          ) -> tuple[DatasetManifest, DatasetManifest]:
-    """Disjoint, exhaustive split at recording granularity; stable per seed."""
-    if not 0.0 < train_fraction < 1.0:
-        raise ValueError(f"train_fraction must lie strictly between 0 and 1, got {train_fraction}")
-    n = len(manifest.entries)
-    if n == 0:
-        raise ValueError("cannot split an empty manifest")
-    perm = np.random.default_rng(seed).permutation(n)
-    n_train = int(round(train_fraction * n))
-    n_train = min(max(n_train, 1), n - 1) if n > 1 else n
-    train_idx = np.sort(perm[:n_train])
-    test_idx = np.sort(perm[n_train:])
-    make = lambda idx: DatasetManifest(
-        entries=[manifest.entries[i] for i in idx], n_classes=manifest.n_classes,
-        grid_width=manifest.grid_width, grid_height=manifest.grid_height,
-        pulse_period=manifest.pulse_period)
-    return make(train_idx), make(test_idx)
-
-
 def split_indices(n: int, train_fraction: float, seed: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index-level variant of split() for in-memory datasets."""
+    """Disjoint, exhaustive train/test recording indices; stable per seed."""
     if not 0.0 < train_fraction < 1.0:
         raise ValueError(f"train_fraction must lie strictly between 0 and 1, got {train_fraction}")
     if n == 0:

@@ -27,8 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import (EVENT_DTYPE, FormatError, EventStream, Recording, StreamKind,
-                   encode_aer_array, decode_aer_array, make_events)
+from .core import (AER_TIME_MASK, EVENT_DTYPE, FormatError, EventStream, Recording,
+                   StreamKind, encode_aer_array, decode_aer_array, make_events)
 from .dataio import BadMagicError, TruncatedError
 
 RF_SIDE = 4
@@ -446,8 +446,9 @@ def datarate_stats(recording: Recording, stream: EventStream) -> DataRateStats:
 # "SPDEVT01" header (little-endian): magic (8 bytes), u8 kind, u8 pad,
 # u16 grid_w, u16 grid_h, u32 event_count, u32 reserved; then event_count
 # AER words.  The word's 16-bit time field carries t (microseconds) modulo
-# 2^16; the reader unwraps it monotonically, which reconstructs timestamps
-# exactly whenever consecutive events are less than 65.536 ms apart.
+# 2^16; the reader unwraps it monotonically.  That reconstructs timestamps
+# exactly only if the first event lies before t = 65 536 us and consecutive
+# events are less than 65 536 us apart, so the writer refuses other streams.
 # ---------------------------------------------------------------------------
 
 STREAM_MAGIC = b"SPDEVT01"
@@ -463,6 +464,10 @@ def write_stream(stream: EventStream, path) -> None:
         if int(ev["p"].max()) > 3:
             raise FormatError("AER words carry a 2-bit polarity; streams with more than "
                               "4 polarities cannot be serialized")
+        gaps = np.diff(ev["t"], prepend=0)
+        if gaps.min() < 0 or gaps.max() > AER_TIME_MASK:
+            raise FormatError("AER words carry 16-bit timestamps: the first event and every "
+                              "gap between consecutive events must lie in 0..65535 us")
     header = _STREAM_HEADER.pack(STREAM_MAGIC, int(stream.kind), 0,
                                  stream.grid_width, stream.grid_height, len(ev), 0)
     words = encode_aer_array(ev["y"], ev["x"], ev["p"], ev["t"])

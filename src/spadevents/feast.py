@@ -118,13 +118,12 @@ def _as_stream_list(stream) -> list[EventStream]:
 
 
 def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams,
-                roi_includes_self: bool = False,
                 check_invariants: bool = False,
                 features: ContinuousFeatureSet | None = None) -> ContinuousFeatureSet:
     """Single ordered pass over the stream(s); returns the adapted features.
 
-    Each event's binary ROI is read from a running time surface (by default
-    before the event itself is written, so the event predicts its context),
+    Each event's binary ROI is read from a running time surface before the
+    event itself is written (an exclusive read: the event predicts its context),
     skipped if all-zero, L2-normalized and matched against all neurons by
     cosine distance.  The surface resets between streams; weights and
     thresholds persist.  Deterministic for a fixed seed and stream order.
@@ -165,11 +164,8 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
         ts = ev["t"]
         for i in range(len(ev)):
             x, y, p, t = int(xs[i]), int(ys[i]), int(ps[i]), int(ts[i])
-            if roi_includes_self:
-                surface.update(x, y, p, t)
             roi = surface.binary_roi(x, y, side, t, window)
-            if not roi_includes_self:
-                surface.update(x, y, p, t)
+            surface.update(x, y, p, t)
             flat = roi.reshape(-1)
             active = int(flat.sum())
             if active == 0:
@@ -220,11 +216,11 @@ def random_binary_features(params: FeastParams, n_active: int) -> BinaryFeatureS
 
 
 def feast_infer(stream: EventStream, features: BinaryFeatureSet,
-                window_us: int = 2000, roi_includes_self: bool = True) -> EventStream:
+                window_us: int = 2000) -> EventStream:
     """Run the binary features as an event-based convolutional layer.
 
-    Every input event updates the running input surface (by default before
-    the ROI read, so the ROI is never empty), is scored against each neuron
+    Every input event updates the running input surface before the ROI
+    read (an inclusive read, so the ROI is never empty), is scored against each neuron
     by popcount(bits AND roi), and is re-emitted at the same location and
     time with the argmax neuron as polarity (ties to the lowest index).
     Emits exactly one feature event per input event.
@@ -244,11 +240,8 @@ def feast_infer(stream: EventStream, features: BinaryFeatureSet,
     ts = ev["t"]
     for i in range(len(ev)):
         x, y, p, t = int(xs[i]), int(ys[i]), int(ps[i]), int(ts[i])
-        if roi_includes_self:
-            surface.update(x, y, p, t)
+        surface.update(x, y, p, t)
         roi = surface.binary_roi(x, y, side, t, window_us)
-        if not roi_includes_self:
-            surface.update(x, y, p, t)
         scores = bits @ roi.reshape(-1).astype(np.int64)
         out_p[i] = np.argmax(scores)
     events = make_events(ev["t"].copy(), ev["y"].copy(), ev["x"].copy(), out_p)

@@ -17,12 +17,13 @@ from functools import partial
 
 import numpy as np
 
-from .classify import (PoolConfig, SampleSet, EvalReport, SAMPLE_EVERY_EVENTS,
-                       SAMPLE_EVERY_FRAMES, event_sample_indices, frame_sample_times,
-                       evaluate_samples, pool, region_from_activity)
+from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
+                       EvalReport, SAMPLE_EVERY_EVENTS, SAMPLE_EVERY_FRAMES,
+                       event_sample_indices, frame_sample_times, evaluate_samples, pool,
+                       region_from_activity)
 from .core import EventStream, Recording, TimeSurface
 from .dataio import split_indices
-from .eventgen import FirstAndParams, datarate_stats, firstand_convert, onoff_convert, oobu_convert
+from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
 from .feast import (BinaryFeatureSet, FeastParams, binarize, feast_infer, feast_train,
                     random_binary_features)
 
@@ -35,12 +36,35 @@ FRAME_CODE_SCALE = 65535.0
 
 
 @dataclass
-class ConversionParams:
-    firstand: FirstAndParams = field(default_factory=FirstAndParams)
+class PipelineParams:
+    """Every setting a pipeline cell shares with the experiment config.
+
+    Field names are the config keys, so an ExperimentConfig (a subclass)
+    can be passed wherever these settings are read.
+    """
+
+    # frame-to-event conversion
+    firstand_success_threshold: int = FirstAndParams.success_threshold
+    firstand_fifo_capacity: int = 0    # events per pulse; 0 = unlimited
     change_threshold: int = 2
     uni_count_threshold: int = 2
     bi_count_threshold: int = 1
     on_is_increase: bool = True
+
+    # feature layer
+    feast_roi_side: int = FeastParams.roi_side
+    feast_window_us: int = FeastParams.window_us
+    feast_mix_rate: float = FeastParams.mix_rate
+    feast_shrink_step: float = FeastParams.shrink_step
+    feast_grow_step: float = FeastParams.grow_step
+    feast_active_bits: int = 32
+    retrain_per_trial: bool = False
+
+    # readout
+    ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
+    train_fraction: float = 0.9
+    activity_fraction: float = DEFAULT_ACTIVITY_FRACTION
+    seed: int = 0
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
@@ -58,42 +82,31 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
 
 
 def convert_recording(recording: Recording, kind: str,
-                      conv: ConversionParams | None = None) -> EventStream:
-    conv = conv if conv is not None else ConversionParams()
+                      params: PipelineParams | None = None) -> EventStream:
+    p = params if params is not None else PipelineParams()
     if kind == "firstand":
-        return firstand_convert(recording, params=conv.firstand)
+        cap = p.firstand_fifo_capacity if p.firstand_fifo_capacity > 0 else None
+        return firstand_convert(recording, params=FirstAndParams(
+            success_threshold=p.firstand_success_threshold, fifo_capacity_per_pulse=cap))
     if kind == "onoff":
-        return onoff_convert(recording, change_threshold=conv.change_threshold,
-                             on_is_increase=conv.on_is_increase)
+        return onoff_convert(recording, change_threshold=p.change_threshold,
+                             on_is_increase=p.on_is_increase)
     if kind == "oobu":
-        return oobu_convert(recording, change_threshold=conv.change_threshold,
-                            uni_count_threshold=conv.uni_count_threshold,
-                            bi_count_threshold=conv.bi_count_threshold,
-                            on_is_increase=conv.on_is_increase)
+        return oobu_convert(recording, change_threshold=p.change_threshold,
+                            uni_count_threshold=p.uni_count_threshold,
+                            bi_count_threshold=p.bi_count_threshold,
+                            on_is_increase=p.on_is_increase)
     raise ValueError(f"unknown event kind {kind!r} (expected one of {EVENT_KINDS})")
 
 
 def convert_all(recordings: list[Recording], kind: str,
-                conv: ConversionParams | None = None, jobs: int = 1) -> list[EventStream]:
-    return parallel_map(partial(convert_recording, kind=kind, conv=conv), recordings, jobs)
-
-
-def datarate_table(recordings: list[Recording], streams: list[EventStream]) -> list:
-    return [datarate_stats(rec, s) for rec, s in zip(recordings, streams)]
+                params: PipelineParams | None = None, jobs: int = 1) -> list[EventStream]:
+    return parallel_map(partial(convert_recording, kind=kind, params=params), recordings, jobs)
 
 
 # ---------------------------------------------------------------------------
 # Feature layer
 # ---------------------------------------------------------------------------
-
-
-def make_feast_params(stream: EventStream, n_neurons: int, roi_side: int = 5,
-                      window_us: int = 2000, mix_rate: float = 0.001,
-                      shrink_step: float = 0.002, grow_step: float = 0.004,
-                      seed: int = 0) -> FeastParams:
-    return FeastParams(n_neurons=n_neurons, polarity_count=stream.polarity_count,
-                       roi_side=roi_side, window_us=window_us, mix_rate=mix_rate,
-                       shrink_step=shrink_step, grow_step=grow_step, seed=seed)
 
 
 def prepare_binary_features(streams: list[EventStream], mode: str, params: FeastParams,
@@ -116,7 +129,8 @@ def prepare_binary_features(streams: list[EventStream], mode: str, params: Feast
 
 
 def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet,
-                          window_us: int = 2000, jobs: int = 1) -> list[EventStream]:
+                          window_us: int = FeastParams.window_us,
+                          jobs: int = 1) -> list[EventStream]:
     return parallel_map(partial(feast_infer, features=features, window_us=window_us),
                         streams, jobs)
 
@@ -127,7 +141,8 @@ def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet
 
 
 def stream_sample_rows(stream: EventStream, pool_config: PoolConfig, every: int,
-                       window_us: int = 2000, activity_fraction: float = 0.1) -> np.ndarray:
+                       window_us: int = FeastParams.window_us,
+                       activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> np.ndarray:
     """Classifier inputs for one stream, one row per classification instant.
 
     The surface is replayed up to and including each sampled event; the
@@ -154,7 +169,7 @@ def stream_sample_rows(stream: EventStream, pool_config: PoolConfig, every: int,
 
 def frame_sample_rows(recording: Recording, pool_config: PoolConfig,
                       every: int = SAMPLE_EVERY_FRAMES,
-                      activity_fraction: float = 0.1) -> np.ndarray:
+                      activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> np.ndarray:
     """Frame-based baseline samples: the depth frame nearest each instant,
     region-selected on pixel occupancy and pooled as one channel of scaled
     codes."""
@@ -173,8 +188,9 @@ def frame_sample_rows(recording: Recording, pool_config: PoolConfig,
 
 
 def build_sample_set(sources: list, labels, pool_config: PoolConfig, *,
-                     sample_every: int | None = None, window_us: int = 2000,
-                     activity_fraction: float = 0.1, jobs: int = 1) -> SampleSet:
+                     sample_every: int | None = None, window_us: int = FeastParams.window_us,
+                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION,
+                     jobs: int = 1) -> SampleSet:
     """Stack per-source sample rows into one SampleSet.
 
     sources are either Recordings (frame pipeline) or EventStreams; for
@@ -208,26 +224,14 @@ def build_sample_set(sources: list, labels, pool_config: PoolConfig, *,
 
 
 @dataclass
-class PipelineSpec:
+class PipelineSpec(PipelineParams):
     """One evaluation cell: stream kind, optional feature layer, pooling."""
 
     kind: str = "oobu"
     feature_mode: str = "raw"          # raw | random | trained
     n_neurons: int = 16
     pool: PoolConfig = field(default_factory=PoolConfig)
-    conversion: ConversionParams = field(default_factory=ConversionParams)
-    window_us: int = 2000
-    activity_fraction: float = 0.1
-    ridge_lambda: float = 0.1
-    train_fraction: float = 0.9
     sample_every: int | None = None    # None -> cadence of the (parent) kind
-    roi_side: int = 5
-    n_active: int = 32
-    mix_rate: float = 0.001
-    shrink_step: float = 0.002
-    grow_step: float = 0.004
-    seed: int = 0
-    retrain_per_trial: bool = False
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -246,75 +250,78 @@ class PipelineSpec:
         # the parent stream's cadence
         return SAMPLE_EVERY_EVENTS[self.kind]
 
+    def feast_params(self, polarity_count: int) -> FeastParams:
+        return FeastParams(n_neurons=self.n_neurons, polarity_count=polarity_count,
+                           roi_side=self.feast_roi_side, window_us=self.feast_window_us,
+                           mix_rate=self.feast_mix_rate, shrink_step=self.feast_shrink_step,
+                           grow_step=self.feast_grow_step, seed=self.seed)
+
 
 def trial_seeds(base_seed: int, n_trials: int) -> list[int]:
     return [base_seed + trial for trial in range(n_trials)]
 
 
-def _pipeline_sources(recordings: list[Recording], spec: PipelineSpec, jobs: int,
-                      streams: list[EventStream] | None = None,
-                      feature_train_indices: np.ndarray | None = None) -> list:
-    """Sources feeding the sample builder (frames, raw streams or feature streams)."""
+def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
+                     jobs: int = 1, streams: list[EventStream] | None = None
+                     ) -> list[tuple[list[int], list]]:
+    """Sources feeding the sample builder, grouped with the trial seeds they serve.
+
+    Frames, raw streams and random feature streams serve every trial as one
+    group.  Trained feature layers learn from the first trial's training
+    split and stay frozen for the remaining trials, unless retrain_per_trial
+    is set: then every trial trains its own features and gets its own group.
+    Pooling does not enter, so one call serves every pooling cell.
+    """
     if spec.kind == "frames":
-        return recordings
+        return [(seeds, recordings)]
     if streams is None:
-        streams = convert_all(recordings, spec.kind, spec.conversion, jobs)
+        streams = convert_all(recordings, spec.kind, spec, jobs)
     if spec.feature_mode == "raw":
-        return streams
-    params = make_feast_params(streams[0], spec.n_neurons, roi_side=spec.roi_side,
-                               window_us=spec.window_us, mix_rate=spec.mix_rate,
-                               shrink_step=spec.shrink_step, grow_step=spec.grow_step,
-                               seed=spec.seed)
-    features = prepare_binary_features(streams, spec.feature_mode, params,
-                                       n_active=min(spec.n_active, params.weight_length),
-                                       train_indices=feature_train_indices)
-    return infer_feature_streams(streams, features, window_us=spec.window_us, jobs=jobs)
+        return [(seeds, streams)]
+    trained = spec.feature_mode == "trained"
+    groups = [[seed] for seed in seeds] if trained and spec.retrain_per_trial else [seeds]
+    params = spec.feast_params(streams[0].polarity_count)
+    n_active = min(spec.feast_active_bits, params.weight_length)
+    out = []
+    for group in groups:
+        train_idx = None
+        if trained:
+            train_idx, _ = split_indices(len(streams), spec.train_fraction, group[0])
+        features = prepare_binary_features(streams, spec.feature_mode, params,
+                                           n_active=n_active, train_indices=train_idx)
+        out.append((group, infer_feature_streams(streams, features,
+                                                 window_us=spec.feast_window_us, jobs=jobs)))
+    return out
+
+
+def evaluate_sources(groups: list[tuple[list[int], list]], labels, spec: PipelineSpec,
+                     n_classes: int, jobs: int = 1) -> EvalReport:
+    """Pool each group's sources per spec and evaluate the readout on its trials."""
+    reports = []
+    for seeds, sources in groups:
+        samples = build_sample_set(sources, labels, spec.pool,
+                                   sample_every=spec.effective_sample_every(),
+                                   window_us=spec.feast_window_us,
+                                   activity_fraction=spec.activity_fraction, jobs=jobs)
+        reports.append(evaluate_samples(samples, n_classes, seeds,
+                                        spec.ridge_lambda, spec.train_fraction))
+    return reports[0] if len(reports) == 1 else _merge_reports(reports)
 
 
 def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int,
                  seeds: list[int], jobs: int = 1,
                  streams: list[EventStream] | None = None) -> EvalReport:
-    """Evaluate one pipeline cell over randomized splits.
-
-    Trained feature layers learn from the first trial's training split and
-    stay frozen for the remaining trials unless retrain_per_trial is set,
-    in which case every trial trains its own features and samples are
-    rebuilt per trial.
-    """
+    """Evaluate one pipeline cell over randomized splits (see pipeline_sources)."""
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    every = spec.effective_sample_every()
-
-    def build(sources):
-        return build_sample_set(sources, labels, spec.pool, sample_every=every,
-                                window_us=spec.window_us,
-                                activity_fraction=spec.activity_fraction, jobs=jobs)
-
-    needs_split_features = spec.feature_mode == "trained"
-    if spec.retrain_per_trial and needs_split_features:
-        reports = []
-        for seed in seeds:
-            train_idx, _ = split_indices(len(recordings), spec.train_fraction, seed)
-            sources = _pipeline_sources(recordings, spec, jobs, streams=streams,
-                                        feature_train_indices=train_idx)
-            reports.append(evaluate_samples(build(sources), n_classes, [seed],
-                                            spec.ridge_lambda, spec.train_fraction))
-        return _merge_single_trial_reports(reports)
-
-    feature_train_indices = None
-    if needs_split_features:
-        feature_train_indices, _ = split_indices(len(recordings), spec.train_fraction, seeds[0])
-    sources = _pipeline_sources(recordings, spec, jobs, streams=streams,
-                                feature_train_indices=feature_train_indices)
-    return evaluate_samples(build(sources), n_classes, seeds,
-                            spec.ridge_lambda, spec.train_fraction)
+    groups = pipeline_sources(recordings, spec, seeds, jobs, streams)
+    return evaluate_sources(groups, labels, spec, n_classes, jobs)
 
 
-def _merge_single_trial_reports(reports: list[EvalReport]) -> EvalReport:
-    trials = []
-    for i, rep in enumerate(reports):
-        t = rep.trials[0]
+def _merge_reports(reports: list[EvalReport]) -> EvalReport:
+    """One report over every trial; confusion and sample stats from the last."""
+    trials = [t for rep in reports for t in rep.trials]
+    for i, t in enumerate(trials):
         t.trial = i
-        trials.append(t)
     pf = np.array([t.per_frame_accuracy for t in trials])
     pr = np.array([t.per_recording_accuracy for t in trials])
     last = reports[-1]

@@ -6,8 +6,8 @@ import pytest
 from spadevents.classify import (ClassifierWeights, PoolConfig, Region, RidgeAccumulator,
                                  SampleSet, evaluate_samples, event_sample_indices,
                                  event_sample_times, frame_sample_times, one_hot, pool,
-                                 pool_1d, pool_2d, predict, predict_batch,
-                                 recording_vote, region_from_activity, select_region,
+                                 pool_1d, pool_2d, predict_batch,
+                                 recording_vote, region_from_activity,
                                  train_classifier, zoh_indices)
 from spadevents.core import TimeSurface, make_events
 
@@ -42,7 +42,7 @@ class TestRegionSelection:
         surf = TimeSurface(12, 12, 2)
         surf.update(4, 6, 0, 100)
         surf.update(5, 6, 1, 100)
-        region = select_region(surf, t_now=150, window_us=100)
+        region = region_from_activity(surf.binary(t_now=150, window_us=100).sum(axis=0))
         assert (region.x0, region.x1) == (4, 6)
         assert (region.y0, region.y1) == (6, 7)
 
@@ -204,24 +204,23 @@ class TestRidge:
 class TestPredict:
     def test_argmax(self):
         weights = ClassifierWeights(matrix=np.eye(3), ridge_lambda=0.1)
-        assert predict(weights, np.array([0.1, 0.9, 0.3])) == 1
+        assert predict_batch(weights, np.array([[0.1, 0.9, 0.3]])).tolist() == [1]
 
     def test_tie_takes_lowest(self):
         weights = ClassifierWeights(matrix=np.eye(2), ridge_lambda=0.1)
-        assert predict(weights, np.array([0.5, 0.5])) == 0
+        assert predict_batch(weights, np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_scale_covariance_of_argmax(self):
         rng = np.random.default_rng(11)
         weights = ClassifierWeights(matrix=rng.standard_normal((5, 7)), ridge_lambda=0.1)
-        for _ in range(50):
-            u = rng.standard_normal(7)
-            c = float(rng.uniform(0.1, 10))
-            assert predict(weights, u) == predict(weights, c * u)
+        u = rng.standard_normal((50, 7))
+        c = rng.uniform(0.1, 10, size=(50, 1))
+        assert np.array_equal(predict_batch(weights, u), predict_batch(weights, c * u))
 
     def test_dim_mismatch(self):
         weights = ClassifierWeights(matrix=np.eye(3), ridge_lambda=0.1)
         with pytest.raises(ValueError, match="match"):
-            predict(weights, np.zeros(4))
+            predict_batch(weights, np.zeros((1, 4)))
 
     def test_recording_vote(self):
         assert recording_vote(np.array([2, 2, 5]), 6) == 2

@@ -3,14 +3,19 @@
 import csv
 import hashlib
 import json
+from dataclasses import fields
 
 import pytest
 
+from spadevents import cli
+from spadevents.classify import PoolConfig
 from spadevents.cli import main
 from spadevents.config import make_config, parse_kv_text
 from spadevents.dataio import load_manifest, load_manifest_recordings
 from spadevents.eventgen import read_stream
 from spadevents.feast import load_features
+from spadevents.pipeline import PipelineParams, PipelineSpec
+from test_dataio import huge_recording_header
 
 SMALL = ["--synth-classes", "3", "--synth-recordings-per-class", "3",
          "--synth-frames", "60", "--synth-grid", "24"]
@@ -127,6 +132,18 @@ class TestConvertCommand:
             assert len(read_stream(path)) == 0
 
 
+    def test_huge_recording_header_is_an_error(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        ds.mkdir()
+        (ds / "huge.spdrec").write_bytes(huge_recording_header())
+        (ds / "manifest.tsv").write_text("huge.spdrec\t0\thuge\n")
+        rc = main(["convert", "--kind", "onoff", "--out", str(tmp_path / "ev"),
+                   "--manifest", str(ds / "manifest.tsv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
+
 class TestTrainFeaturesCommand:
     def test_writes_feature_files(self, dataset_dir, tmp_path):
         out = tmp_path / "feat"
@@ -187,6 +204,88 @@ class TestSweepCommand:
         svg = (out / "accuracy_vs_pool_onoff.svg").read_text()
         assert svg.startswith("<svg")
         assert "polyline" in svg
+
+
+    def test_retrain_per_trial_matches_evaluate(self, tmp_path):
+        # the same cell through evaluate and through a one-cell sweep
+        common = ["--synth-classes", "3", "--synth-recordings-per-class", "4",
+                  "--synth-frames", "60", "--synth-grid", "24", "--seed", "7",
+                  "--n-trials", "3", "--retrain-per-trial", "true"]
+        ev_out, sw_out = tmp_path / "eval", tmp_path / "sweep"
+        assert main(["evaluate", "--out", str(ev_out), "--kind", "oobu",
+                     "--feature-mode", "trained", "--neurons", "2", "--pool-size", "6",
+                     "--pool-method", "2d", *common]) == 0
+        assert main(["sweep", "--out", str(sw_out), "--kinds", "oobu",
+                     "--feature-modes", "trained", "--neuron-counts", "2",
+                     "--pool-sizes", "6", "--pool-methods", "2d", *common]) == 0
+        with open(ev_out / "report.csv") as fh:
+            evaluated = list(csv.DictReader(fh))
+        with open(sw_out / "sweep.csv") as fh:
+            swept = list(csv.DictReader(fh))
+        columns = ("trial", "seed", "per_frame_acc", "per_recording_acc")
+        assert len(swept) == 3
+        assert [[r[c] for c in columns] for r in swept] == \
+               [[r[c] for c in columns] for r in evaluated]
+
+
+# A non-default value for every PipelineParams field, as config overrides.
+PIPELINE_OVERRIDES = {
+    "firstand_success_threshold": "5", "firstand_fifo_capacity": "3",
+    "change_threshold": "3", "uni_count_threshold": "3", "bi_count_threshold": "2",
+    "on_is_increase": "false", "feast_roi_side": "3", "feast_window_us": "1500",
+    "feast_mix_rate": "0.002", "feast_shrink_step": "0.003", "feast_grow_step": "0.005",
+    "feast_active_bits": "16", "retrain_per_trial": "true", "ridge_lambda": "0.2",
+    "train_fraction": "0.8", "activity_fraction": "0.2", "seed": "3",
+}
+
+
+class _Captured(Exception):
+    pass
+
+
+class TestPipelineParamsPlumbing:
+    def test_overrides_cover_every_field(self):
+        assert set(PIPELINE_OVERRIDES) == {f.name for f in fields(PipelineParams)}
+        cfg = make_config(None, PIPELINE_OVERRIDES)
+        defaults = PipelineParams()
+        for name in PIPELINE_OVERRIDES:
+            assert getattr(cfg, name) != getattr(defaults, name), name
+
+    @pytest.mark.parametrize("command, stop_at", [
+        (["evaluate", "--kind", "oobu", "--feature-mode", "trained", "--neurons", "2",
+          "--pool-size", "4", "--pool-method", "1d"], "run_pipeline"),
+        (["sweep", "--kinds", "oobu", "--feature-modes", "trained", "--neuron-counts", "2",
+          "--pool-sizes", "4", "--pool-methods", "1d"], "evaluate_sources"),
+    ])
+    def test_every_field_reaches_the_cell(self, command, stop_at, dataset_dir, tmp_path,
+                                          monkeypatch):
+        seen = []
+
+        def recording(name, fn):
+            def wrapper(*args, **kwargs):
+                seen.extend(a for a in args if isinstance(a, PipelineParams))
+                if name == stop_at:
+                    raise _Captured
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in ("convert_all", "pipeline_sources", "evaluate_sources", "run_pipeline"):
+            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        flags = [item for key, value in PIPELINE_OVERRIDES.items()
+                 for item in (f"--{key.replace('_', '-')}", value)]
+        with pytest.raises(_Captured):
+            main([*command, *flags, "--sample-every-oobu", "150", "--out", str(tmp_path / "o"),
+                  "--manifest", str(dataset_dir / "manifest.tsv")])
+        expected = make_config(None, PIPELINE_OVERRIDES)
+        specs = [p for p in seen if isinstance(p, PipelineSpec)]
+        assert specs and len(seen) > len(specs)   # the conversion saw them too
+        for params in seen:
+            for name in PIPELINE_OVERRIDES:
+                assert getattr(params, name) == getattr(expected, name), name
+        cell = specs[-1]
+        assert (cell.kind, cell.feature_mode, cell.n_neurons) == ("oobu", "trained", 2)
+        assert cell.pool == PoolConfig(method="1d", size=4)
+        assert cell.sample_every == 150
 
 
 class TestDemoRatioCommand:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from spadevents.core import (NEVER, EventStream, Recording, StreamKind,
-                             TimeSurface, canonical_sort, decode_aer, decode_aer_array,
+                             TimeSurface, decode_aer, decode_aer_array,
                              encode_aer, encode_aer_array, make_events)
 
 
@@ -95,12 +95,6 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             Recording(frames=frames, class_id=-1)
 
-    def test_depth_frame_from_recording(self):
-        frames = np.arange(24, dtype=np.uint16).reshape(2, 3, 4)
-        frame = Recording(frames=frames).frame(1)
-        assert frame.height == 3 and frame.width == 4
-        assert frame.codes[0, 0] == 12
-
     def test_stream_polarity_defaults(self):
         s = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4)
         assert s.polarity_count == 2
@@ -124,8 +118,8 @@ class TestDomainTypes:
         rng = np.random.default_rng(5)
         ev = make_events(rng.integers(0, 50, 300), rng.integers(0, 8, 300),
                          rng.integers(0, 8, 300), rng.integers(0, 4, 300))
-        s = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8,
-                        events=canonical_sort(ev))
+        order = np.lexsort((ev["p"], ev["x"], ev["y"], ev["t"]))
+        s = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8, events=ev[order])
         assert s.is_canonical()
 
     def test_out_of_grid_events_rejected(self):
@@ -225,5 +219,5 @@ class TestTimeSurface:
         b = TimeSurface(6, 6, 2)
         a.update_many(ev)
         for e in ev:
-            b.update_event(e)
+            b.update(int(e["x"]), int(e["y"]), int(e["p"]), int(e["t"]))
         assert np.array_equal(a.last_t, b.last_t)

@@ -1,5 +1,7 @@
 """Recording format, manifests, augmentation, synthesis and splits."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from spadevents.dataio import (AUGMENT_OPS, BadMagicError, DatasetManifest, Dime
                                ManifestEntry, SynthConfig, TruncatedError, augment,
                                augment_recording, default_silhouettes, load_manifest,
                                load_manifest_recordings, load_recording,
-                               read_recording_header, save_recording, split,
+                               read_recording_header, save_recording,
                                split_indices, synth_generate, write_dataset)
 
 
@@ -16,6 +18,11 @@ def small_recording(seed=0, n_frames=3, h=2, w=2, class_id=1):
     rng = np.random.default_rng(seed)
     return Recording(frames=rng.integers(0, 65536, size=(n_frames, h, w)).astype(np.uint16),
                      pulse_period=10, class_id=class_id, recording_id=f"rec{seed}")
+
+
+def huge_recording_header():
+    """A SPDREC01 header claiming 65535x65535 frames, 2^32-1 of them, and no payload."""
+    return struct.pack("<8sHHIIH", b"SPDREC01", 0xFFFF, 0xFFFF, 0xFFFFFFFF, 10, 0)
 
 
 class TestRecordingFormat:
@@ -49,6 +56,12 @@ class TestRecordingFormat:
         raw = path.read_bytes()
         path.write_bytes(raw[:len(raw) - 2 * 2 * 2])  # drop one 2x2 frame
         with pytest.raises(TruncatedError):
+            load_recording(path)
+
+    def test_huge_payload_claim_refused(self, tmp_path):
+        path = tmp_path / "huge.spdrec"
+        path.write_bytes(huge_recording_header())
+        with pytest.raises(TruncatedError, match="header promises"):
             load_recording(path)
 
     def test_truncated_header(self, tmp_path):
@@ -237,47 +250,35 @@ class TestSynth:
 
 
 class TestSplit:
-    def big_manifest(self, n=24000, n_classes=15):
-        entries = [ManifestEntry(path=f"r{i}.spdrec", class_id=i % n_classes,
-                                 recording_id=f"r{i}") for i in range(n)]
-        return DatasetManifest(entries=entries, n_classes=n_classes)
-
     def test_paper_scale_sizes(self):
-        manifest = self.big_manifest()
-        train, test = split(manifest, 0.9, seed=0)
+        train, test = split_indices(24000, 0.9, seed=0)
         assert len(train) == 21600
         assert len(test) == 2400
 
     def test_partition(self):
-        manifest = self.big_manifest(n=100, n_classes=5)
-        train, test = split(manifest, 0.7, seed=3)
-        train_ids = {e.recording_id for e in train.entries}
-        test_ids = {e.recording_id for e in test.entries}
-        assert train_ids | test_ids == {e.recording_id for e in manifest.entries}
-        assert not (train_ids & test_ids)
+        train, test = split_indices(100, 0.7, seed=3)
+        assert set(train.tolist()) | set(test.tolist()) == set(range(100))
+        assert not set(train.tolist()) & set(test.tolist())
 
     def test_stable_per_seed(self):
-        manifest = self.big_manifest(n=50, n_classes=5)
-        a1, b1 = split(manifest, 0.8, seed=9)
-        a2, b2 = split(manifest, 0.8, seed=9)
-        assert [e.recording_id for e in a1.entries] == [e.recording_id for e in a2.entries]
-        assert [e.recording_id for e in b1.entries] == [e.recording_id for e in b2.entries]
+        a1, b1 = split_indices(50, 0.8, seed=9)
+        a2, b2 = split_indices(50, 0.8, seed=9)
+        assert np.array_equal(a1, a2)
+        assert np.array_equal(b1, b2)
 
     def test_seeds_differ(self):
-        manifest = self.big_manifest(n=100, n_classes=5)
         differing = 0
         for seed in range(100):
-            a, _ = split(manifest, 0.5, seed=seed)
-            b, _ = split(manifest, 0.5, seed=seed + 1000)
-            if [e.recording_id for e in a.entries] != [e.recording_id for e in b.entries]:
+            a, _ = split_indices(100, 0.5, seed=seed)
+            b, _ = split_indices(100, 0.5, seed=seed + 1000)
+            if not np.array_equal(a, b):
                 differing += 1
         assert differing >= 1
 
     def test_bad_fraction_rejected(self):
-        manifest = self.big_manifest(n=10, n_classes=2)
         for fraction in (0.0, 1.0, -0.1, 1.5):
             with pytest.raises(ValueError):
-                split(manifest, fraction, seed=0)
+                split_indices(10, fraction, seed=0)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

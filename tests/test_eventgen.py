@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from spadevents.core import EventStream, Recording, StreamKind, make_events
+from spadevents.core import EventStream, FormatError, Recording, StreamKind, make_events
 from spadevents.dataio import BadMagicError, TruncatedError
 from spadevents.eventgen import (FirstAndParams, GateBank, RfState,
                                  best_two_threshold_split, border_gate_bank,
@@ -427,12 +427,25 @@ class TestStreamFiles:
         assert np.array_equal(loaded.events["p"], stream.events["p"])
 
     def test_timestamp_wrap_unwraps(self, tmp_path):
-        # timestamps cross the 16-bit boundary; gaps stay below 2^16
-        t = np.array([60000, 70000, 131000, 131073], dtype=np.int64)
-        ev = make_events(t, [0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0])
+        # timestamps cross the 16-bit boundary; gaps stay below 2^16, up to
+        # the largest first timestamp and gap the word carries
+        for t in ([60000, 70000, 131000, 131073], [65535, 131070, 131070, 196605]):
+            t = np.array(t, dtype=np.int64)
+            ev = make_events(t, [0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0])
+            stream = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)
+            loaded = self.roundtrip(stream, tmp_path)
+            assert np.array_equal(loaded.events["t"], t)
+
+    @pytest.mark.parametrize("t", [[0, 70000], [70000], [0, 65536], [5, 3]])
+    def test_unrepresentable_timestamps_refused(self, tmp_path, t):
+        # t = [0, 70000] would read back as [0, 4464]
+        n = len(t)
+        ev = make_events(np.array(t, dtype=np.int64), [0] * n, [0] * n, [0] * n)
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)
-        loaded = self.roundtrip(stream, tmp_path)
-        assert np.array_equal(loaded.events["t"], t)
+        path = tmp_path / "w.spdevt"
+        with pytest.raises(FormatError, match="16-bit timestamps"):
+            write_stream(stream, path)
+        assert not path.exists()
 
     def test_header_layout(self, tmp_path):
         stream = EventStream(kind=StreamKind.OOBU, grid_width=7, grid_height=9,

@@ -8,7 +8,7 @@ from spadevents.core import EventStream, StreamKind, make_events
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.pipeline import (PipelineSpec, build_sample_set,
                                  convert_all, convert_recording, infer_feature_streams,
-                                 make_feast_params, parallel_map, prepare_binary_features,
+                                 parallel_map, prepare_binary_features,
                                  run_pipeline, stream_sample_rows, trial_seeds)
 
 
@@ -84,7 +84,7 @@ class TestSampleBuilding:
 class TestFeatureLayer:
     def test_feature_streams_inherit_cadence_length(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:4], "oobu")
-        params = make_feast_params(streams[0], n_neurons=4, seed=1)
+        params = PipelineSpec(n_neurons=4, seed=1).feast_params(streams[0].polarity_count)
         features = prepare_binary_features(streams, "random", params, n_active=16)
         out = infer_feature_streams(streams, features)
         for raw, feat in zip(streams, out):
@@ -93,7 +93,7 @@ class TestFeatureLayer:
 
     def test_trained_features_use_training_split_only(self, tiny_dataset):
         streams = convert_all(tiny_dataset, "oobu")
-        params = make_feast_params(streams[0], n_neurons=4, seed=1)
+        params = PipelineSpec(n_neurons=4, seed=1).feast_params(streams[0].polarity_count)
         idx_a = np.arange(3)
         idx_b = np.arange(len(streams) - 3, len(streams))
         fa = prepare_binary_features(streams, "trained", params, 16, train_indices=idx_a)
@@ -102,7 +102,7 @@ class TestFeatureLayer:
 
     def test_random_mode_ignores_streams(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:2], "onoff")
-        params = make_feast_params(streams[0], n_neurons=4, seed=5)
+        params = PipelineSpec(n_neurons=4, seed=5).feast_params(streams[0].polarity_count)
         fa = prepare_binary_features(streams[:1], "random", params, 16)
         fb = prepare_binary_features(streams, "random", params, 16)
         assert np.array_equal(fa.bits, fb.bits)
@@ -133,13 +133,13 @@ class TestRunPipeline:
 
     def test_trained_feature_pipeline_runs(self, tiny_dataset):
         spec = PipelineSpec(kind="oobu", feature_mode="trained", n_neurons=4,
-                            pool=PoolConfig(method="2d", size=6), n_active=16)
+                            pool=PoolConfig(method="2d", size=6), feast_active_bits=16)
         report = run_pipeline(tiny_dataset[:9], spec, 3, seeds=[0, 1])
         assert report.n_trials == 2
 
     def test_retrain_per_trial_differs_from_frozen(self, tiny_dataset):
         base = dict(kind="oobu", feature_mode="trained", n_neurons=2,
-                    pool=PoolConfig(method="1d", size=4), n_active=8)
+                    pool=PoolConfig(method="1d", size=4), feast_active_bits=8)
         frozen = run_pipeline(tiny_dataset[:9], PipelineSpec(**base), 3, seeds=[0, 1])
         retrained = run_pipeline(tiny_dataset[:9], PipelineSpec(**base, retrain_per_trial=True),
                                  3, seeds=[0, 1])
