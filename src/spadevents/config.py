@@ -122,6 +122,8 @@ def make_config(config_path: str | Path | None = None,
         current = getattr(cfg, key)
         kind = type(current)
         setattr(cfg, key, _parse_value(key, kind, str(text)))
+    if cfg.n_trials < 1:
+        raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials}")
     return cfg
 
 

@@ -243,30 +243,16 @@ class TimeSurface:
     A cell reads 1 at time t_now iff it has ever fired and its age
     (t_now - last_t) is strictly below the window.  Reads never mutate
     the surface.  Updates must be serialized by the caller (single writer).
-
-    roi_pad reserves a halo of off-grid cells so centered ROI reads up to
-    side 2*roi_pad+1 are plain slices; it never changes readout semantics
-    (the halo always reads 0).
     """
 
-    def __init__(self, grid_width: int, grid_height: int, polarity_count: int,
-                 roi_pad: int = 0):
+    def __init__(self, grid_width: int, grid_height: int, polarity_count: int):
         if grid_width < 1 or grid_height < 1 or polarity_count < 1:
             raise ValueError("surface dimensions must be positive")
-        if roi_pad < 0:
-            raise ValueError("roi_pad must be non-negative")
         self.grid_width = grid_width
         self.grid_height = grid_height
         self.polarity_count = polarity_count
-        self._pad = roi_pad
-        self._buf = np.full((polarity_count, grid_height + 2 * roi_pad, grid_width + 2 * roi_pad),
-                            NEVER, dtype=np.int64)
-
-    @property
-    def last_t(self) -> np.ndarray:
-        """Last-event timestamps, shape (P, H, W); NEVER where unfired."""
-        p = self._pad
-        return self._buf[:, p:p + self.grid_height, p:p + self.grid_width]
+        # last-event timestamps, shape (P, H, W); NEVER where unfired
+        self.last_t = np.full((polarity_count, grid_height, grid_width), NEVER, dtype=np.int64)
 
     def update(self, x: int, y: int, polarity: int, t: int) -> None:
         """Record one event: last_t[p, y, x] := t. Other cells untouched."""
@@ -274,7 +260,7 @@ class TimeSurface:
             raise ValueError(f"event at ({x}, {y}) outside {self.grid_width}x{self.grid_height} grid")
         if not 0 <= polarity < self.polarity_count:
             raise ValueError(f"polarity {polarity} out of range 0..{self.polarity_count - 1}")
-        self._buf[polarity, y + self._pad, x + self._pad] = t
+        self.last_t[polarity, y, x] = t
 
     def update_many(self, events: np.ndarray) -> None:
         """Apply a time-sorted batch of events.
@@ -287,38 +273,9 @@ class TimeSurface:
         if (events["x"].max() >= self.grid_width or events["y"].max() >= self.grid_height
                 or events["p"].max() >= self.polarity_count):
             raise ValueError("event batch falls outside the surface")
-        p = self._pad
-        self._buf[events["p"], events["y"].astype(np.int64) + p,
-                  events["x"].astype(np.int64) + p] = events["t"]
+        self.last_t[events["p"], events["y"], events["x"]] = events["t"]
 
     def binary(self, t_now: int, window_us: int) -> np.ndarray:
         """Full-grid binary readout, shape (P, H, W) uint8."""
         last = self.last_t
         return (((t_now - last) < window_us) & (last != NEVER)).astype(np.uint8)
-
-    def binary_roi(self, x: int, y: int, roi_side: int, t_now: int, window_us: int) -> np.ndarray:
-        """Binary readout of the roi_side x roi_side window centered on (x, y).
-
-        roi_side must be odd; cells outside the grid read 0 (zero padding).
-        Returns shape (P, roi_side, roi_side) uint8.
-        """
-        if roi_side % 2 != 1 or roi_side < 1:
-            raise ValueError(f"roi_side must be odd and positive, got {roi_side}")
-        if window_us <= 0:
-            raise ValueError(f"window_us must be positive, got {window_us}")
-        if not (0 <= x < self.grid_width and 0 <= y < self.grid_height):
-            raise ValueError(f"ROI center ({x}, {y}) outside the grid")
-        r = roi_side // 2
-        if r <= self._pad:
-            off = self._pad - r
-            sub = self._buf[:, y + off:y + off + roi_side, x + off:x + off + roi_side]
-            return (((t_now - sub) < window_us) & (sub != NEVER)).astype(np.uint8)
-        patch = np.zeros((self.polarity_count, roi_side, roi_side), dtype=np.uint8)
-        y0, y1 = max(0, y - r), min(self.grid_height, y + r + 1)
-        x0, x1 = max(0, x - r), min(self.grid_width, x + r + 1)
-        if y0 >= y1 or x0 >= x1:
-            return patch
-        sub = self.last_t[:, y0:y1, x0:x1]
-        lit = ((t_now - sub) < window_us) & (sub != NEVER)
-        patch[:, y0 - y + r:y1 - y + r, x0 - x + r:x1 - x + r] = lit
-        return patch

@@ -445,10 +445,13 @@ def datarate_stats(recording: Recording, stream: EventStream) -> DataRateStats:
 #
 # "SPDEVT01" header (little-endian): magic (8 bytes), u8 kind, u8 pad,
 # u16 grid_w, u16 grid_h, u32 event_count, u32 reserved; then event_count
-# AER words.  The word's 16-bit time field carries t (microseconds) modulo
-# 2^16; the reader unwraps it monotonically.  That reconstructs timestamps
-# exactly only if the first event lies before t = 65 536 us and consecutive
-# events are less than 65 536 us apart, so the writer refuses other streams.
+# AER words.  The pad byte holds a FEATURE stream's polarity count (1..4,
+# what the 2-bit polarity field can address) and is 0 for the other kinds,
+# whose count follows from the kind.  The word's 16-bit time field carries
+# t (microseconds) modulo 2^16; the reader unwraps it monotonically.  That
+# reconstructs timestamps exactly only if the first event lies before
+# t = 65 536 us and consecutive events are less than 65 536 us apart, so the
+# writer refuses other streams.
 # ---------------------------------------------------------------------------
 
 STREAM_MAGIC = b"SPDEVT01"
@@ -458,17 +461,19 @@ _STREAM_HEADER = struct.Struct("<8sBBHHII")
 def write_stream(stream: EventStream, path) -> None:
     """Serialize a stream as AER words; grid and polarity must fit the word."""
     ev = stream.events
+    if stream.polarity_count > 4:
+        raise FormatError("AER words carry a 2-bit polarity; streams with more than "
+                          "4 polarities cannot be serialized")
     if len(ev):
         if int(ev["y"].max()) > 127 or int(ev["x"].max()) > 127:
             raise FormatError("AER words address at most a 128x128 grid")
-        if int(ev["p"].max()) > 3:
-            raise FormatError("AER words carry a 2-bit polarity; streams with more than "
-                              "4 polarities cannot be serialized")
         gaps = np.diff(ev["t"], prepend=0)
         if gaps.min() < 0 or gaps.max() > AER_TIME_MASK:
             raise FormatError("AER words carry 16-bit timestamps: the first event and every "
                               "gap between consecutive events must lie in 0..65535 us")
-    header = _STREAM_HEADER.pack(STREAM_MAGIC, int(stream.kind), 0,
+    feature = stream.kind == StreamKind.FEATURE
+    header = _STREAM_HEADER.pack(STREAM_MAGIC, int(stream.kind),
+                                 stream.polarity_count if feature else 0,
                                  stream.grid_width, stream.grid_height, len(ev), 0)
     words = encode_aer_array(ev["y"], ev["x"], ev["p"], ev["t"])
     Path(path).write_bytes(header + words.astype("<u4").tobytes())
@@ -478,9 +483,12 @@ def read_stream(path) -> EventStream:
     raw = Path(path).read_bytes()
     if len(raw) < _STREAM_HEADER.size:
         raise TruncatedError(f"{path}: file shorter than the SPDEVT01 header")
-    magic, kind, _, grid_w, grid_h, count, _ = _STREAM_HEADER.unpack_from(raw)
+    magic, kind, pad, grid_w, grid_h, count, _ = _STREAM_HEADER.unpack_from(raw)
     if magic != STREAM_MAGIC:
         raise BadMagicError(f"{path}: bad magic {magic!r}")
+    kind = StreamKind(kind)
+    if kind == StreamKind.FEATURE and not 1 <= pad <= 4:
+        raise FormatError(f"{path}: feature stream polarity count {pad} outside 1..4")
     expected = _STREAM_HEADER.size + 4 * count
     if len(raw) < expected:
         raise TruncatedError(f"{path}: {len(raw)} bytes, header promises {expected}")
@@ -488,10 +496,8 @@ def read_stream(path) -> EventStream:
     rows, cols, pols, t_raw = decode_aer_array(words)
     t = _unwrap_times(t_raw)
     events = make_events(t, rows, cols, pols)
-    kind = StreamKind(kind)
-    polarity_count = 4 if kind == StreamKind.FEATURE else 0
     return EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
-                       events=events, polarity_count=polarity_count)
+                       events=events, polarity_count=pad if kind == StreamKind.FEATURE else 0)
 
 
 def _unwrap_times(t_raw: np.ndarray) -> np.ndarray:

@@ -24,8 +24,9 @@ from pathlib import Path
 from typing import Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import EventStream, StreamKind, TimeSurface, make_events
+from .core import NEVER, EventStream, StreamKind, make_events
 from .dataio import BadMagicError, TruncatedError
 
 
@@ -111,6 +112,72 @@ def initial_features(params: FeastParams) -> ContinuousFeatureSet:
                                 win_counts=np.zeros(params.n_neurons, dtype=np.int64))
 
 
+def event_rois(stream: EventStream, roi_side: int, window_us: int,
+               inclusive: bool) -> np.ndarray:
+    """Every event's binary ROI as one row of an (E, P*D*D) uint8 matrix.
+
+    Row i is the binary time surface at event i's time t, read over the
+    roi_side x roi_side window centered on the event and flattened in
+    (polarity, row, col) order; cells off the grid read 0.  A cell is lit
+    when its last event is younger than window_us.  The surface holds events
+    0..i for an inclusive read and 0..i-1 for an exclusive one.
+
+    The ROIs do not depend on any weights, so they are extracted once, one
+    step per run of equal timestamps: the cells lit on the surface before
+    the run, OR the run's own cells whose first index in the run precedes
+    the event (or is the event, for an inclusive read).
+    """
+    if roi_side % 2 != 1 or roi_side < 1:
+        raise ValueError(f"roi_side must be odd and positive, got {roi_side}")
+    if window_us <= 0:
+        raise ValueError(f"window_us must be positive, got {window_us}")
+    ev = stream.events
+    n = len(ev)
+    if n and (ev["x"].max() >= stream.grid_width or ev["y"].max() >= stream.grid_height
+              or ev["p"].max() >= stream.polarity_count):
+        raise ValueError("events fall outside the stream grid or polarity range")
+    r = roi_side // 2
+    # a halo of r never-fired cells turns every window into a plain slice
+    shape = (stream.polarity_count, stream.grid_height + 2 * r, stream.grid_width + 2 * r)
+    last = np.full(shape, NEVER, dtype=np.int64)
+    first = np.full(shape, n, dtype=np.int64)    # n marks "no event in this run"
+    last_windows = sliding_window_view(last, (roi_side, roi_side), axis=(1, 2))
+    first_windows = sliding_window_view(first, (roi_side, roi_side), axis=(1, 2))
+    ts = ev["t"]
+    ys = ev["y"].astype(np.intp)
+    xs = ev["x"].astype(np.intp)
+    ps = ev["p"].astype(np.intp)
+    starts = np.flatnonzero(np.diff(ts, prepend=ts[:1] - 1))
+    out = np.empty((n, len(last) * roi_side * roi_side), dtype=np.uint8)
+    for a, b in zip(starts, np.append(starts[1:], n)):
+        t = int(ts[a])
+        y, x = ys[a:b], xs[a:b]
+        cells = (ps[a:b], y + r, x + r)
+        index = np.arange(a, b)
+        np.minimum.at(first, cells, index)
+        # age < window  <=>  last > t - window; NEVER itself is never lit
+        lit = last_windows[:, y, x] > max(t - window_us, NEVER)
+        lit |= first_windows[:, y, x] < (index + inclusive)[:, None, None]
+        out[a:b] = lit.transpose(1, 0, 2, 3).reshape(b - a, -1)
+        last[cells] = t
+        first[cells] = n
+    return out
+
+
+# Rows per block when ROI rows are widened to float64 or int64, so that the
+# wide copies stay a few MB however long the stream is.
+_BLOCK_ROWS = 4096
+
+
+def _unit_rows(rois: np.ndarray):
+    """The nonzero ROI rows in order, each divided by its L2 norm sqrt(popcount)."""
+    active = rois.sum(axis=1)
+    lit = np.flatnonzero(active)
+    for start in range(0, len(lit), _BLOCK_ROWS):
+        block = lit[start:start + _BLOCK_ROWS]
+        yield from rois[block] / np.sqrt(active[block])[:, None]
+
+
 def _as_stream_list(stream) -> list[EventStream]:
     if isinstance(stream, EventStream):
         return [stream]
@@ -127,6 +194,7 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     skipped if all-zero, L2-normalized and matched against all neurons by
     cosine distance.  The surface resets between streams; weights and
     thresholds persist.  Deterministic for a fixed seed and stream order.
+    A stream's ROIs come from event_rois before its sequential updates.
 
     Passing a feature set continues training from it (on a copy) instead of
     the seeded random initialization.
@@ -146,38 +214,23 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     mix = params.mix_rate
     shrink = params.shrink_step
     grow = params.grow_step
-    side = params.roi_side
-    window = params.window_us
     total_events = 0
 
     for s in streams:
         if s.polarity_count != params.polarity_count:
             raise ValueError(f"stream has {s.polarity_count} polarities, "
                              f"params expect {params.polarity_count}")
-        surface = TimeSurface(s.grid_width, s.grid_height, params.polarity_count,
-                              roi_pad=side // 2)
-        ev = s.events
-        total_events += len(ev)
-        xs = ev["x"].astype(np.int64)
-        ys = ev["y"].astype(np.int64)
-        ps = ev["p"].astype(np.int64)
-        ts = ev["t"]
-        for i in range(len(ev)):
-            x, y, p, t = int(xs[i]), int(ys[i]), int(ps[i]), int(ts[i])
-            roi = surface.binary_roi(x, y, side, t, window)
-            surface.update(x, y, p, t)
-            flat = roi.reshape(-1)
-            active = int(flat.sum())
-            if active == 0:
-                continue
-            roi_n = flat.astype(np.float64) / np.sqrt(active)
+        total_events += len(s)
+        rois = event_rois(s, params.roi_side, params.window_us, inclusive=False)
+        for roi_n in _unit_rows(rois):
             dist = 1.0 - weights @ roi_n
-            eligible = dist < thresholds
-            if eligible.any():
-                winner = int(np.argmin(np.where(eligible, dist, np.inf)))
+            masked = np.where(dist < thresholds, dist, np.inf)
+            winner = int(masked.argmin())
+            if masked[winner] < np.inf:
                 wins[winner] += 1
                 mixed = (1.0 - mix) * weights[winner] + mix * roi_n
-                weights[winner] = mixed / np.linalg.norm(mixed)
+                # the Euclidean norm exactly as np.linalg.norm computes it
+                weights[winner] = mixed / np.sqrt(mixed.dot(mixed))
                 thresholds[winner] = max(thresholds[winner] - shrink, 0.0)
             else:
                 np.minimum(thresholds + grow, 2.0, out=thresholds)
@@ -223,27 +276,20 @@ def feast_infer(stream: EventStream, features: BinaryFeatureSet,
     read (an inclusive read, so the ROI is never empty), is scored against each neuron
     by popcount(bits AND roi), and is re-emitted at the same location and
     time with the argmax neuron as polarity (ties to the lowest index).
-    Emits exactly one feature event per input event.
+    Emits exactly one feature event per input event.  The popcounts are
+    int64 matmuls of the event_rois matrix with the bits, a block of rows
+    at a time.
     """
     if stream.polarity_count != features.polarity_count:
         raise ValueError(f"stream has {stream.polarity_count} polarities, "
                          f"features expect {features.polarity_count}")
-    side = features.roi_side
-    bits = features.bits.astype(np.int64)
-    surface = TimeSurface(stream.grid_width, stream.grid_height, stream.polarity_count,
-                          roi_pad=side // 2)
+    rois = event_rois(stream, features.roi_side, window_us, inclusive=True)
+    bits = features.bits.T.astype(np.int64)
+    out_p = np.empty(len(rois), dtype=np.uint8)
+    for start in range(0, len(rois), _BLOCK_ROWS):
+        block = rois[start:start + _BLOCK_ROWS].astype(np.int64)
+        out_p[start:start + _BLOCK_ROWS] = np.argmax(block @ bits, axis=1)
     ev = stream.events
-    out_p = np.empty(len(ev), dtype=np.uint8)
-    xs = ev["x"].astype(np.int64)
-    ys = ev["y"].astype(np.int64)
-    ps = ev["p"].astype(np.int64)
-    ts = ev["t"]
-    for i in range(len(ev)):
-        x, y, p, t = int(xs[i]), int(ys[i]), int(ps[i]), int(ts[i])
-        surface.update(x, y, p, t)
-        roi = surface.binary_roi(x, y, side, t, window_us)
-        scores = bits @ roi.reshape(-1).astype(np.int64)
-        out_p[i] = np.argmax(scores)
     events = make_events(ev["t"].copy(), ev["y"].copy(), ev["x"].copy(), out_p)
     return EventStream(kind=StreamKind.FEATURE, grid_width=stream.grid_width,
                        grid_height=stream.grid_height, events=events,

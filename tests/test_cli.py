@@ -55,6 +55,19 @@ class TestConfig:
         with pytest.raises(ValueError, match="boolean"):
             make_config(None, {"augment": "maybe"})
 
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--kind", "oobu", "--feature-mode", "raw"],
+        ["evaluate", "--kind", "oobu", "--feature-mode", "trained"],
+        ["sweep"],
+    ])
+    def test_zero_trials_is_an_error(self, command, tmp_path, capsys):
+        with pytest.raises(ValueError, match="n_trials"):
+            make_config(None, {"n_trials": "0"})
+        rc = main([*command, "--n-trials", "0", "--out", str(tmp_path / "o"), *SMALL])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
 
 class TestSynthCommand:
     def test_writes_dataset_and_run_record(self, tmp_path):

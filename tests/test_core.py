@@ -6,6 +6,7 @@ import pytest
 from spadevents.core import (NEVER, EventStream, Recording, StreamKind,
                              TimeSurface, decode_aer, decode_aer_array,
                              encode_aer, encode_aer_array, make_events)
+from spadevents.feast import event_rois
 
 
 def assemble_word_bits(row, col, feature_class, pulse):
@@ -13,6 +14,11 @@ def assemble_word_bits(row, col, feature_class, pulse):
     bits = f"{row:07b}{col:07b}{feature_class:02b}{pulse:016b}"
     assert len(bits) == 32
     return int(bits, 2)
+
+
+def one_polarity_stream(t, y, x, grid):
+    return EventStream(kind=StreamKind.FEATURE, grid_width=grid, grid_height=grid,
+                       events=make_events(t, y, x, [0] * len(t)), polarity_count=1)
 
 
 class TestAerCodec:
@@ -163,53 +169,42 @@ class TestTimeSurface:
             surf.update(0, 0, 2, 1)
 
     def test_roi_zero_padding_at_corner(self):
-        surf = TimeSurface(8, 8, 1)
-        surf.update(0, 0, 0, 10)
-        roi = surf.binary_roi(x=0, y=0, roi_side=5, t_now=11, window_us=100)
-        assert roi.shape == (1, 5, 5)
+        stream = one_polarity_stream([10], [0], [0], grid=8)
+        roi = event_rois(stream, roi_side=5, window_us=100, inclusive=True).reshape(1, 5, 5)
         assert roi[0, 2, 2] == 1          # the event, at patch center
         assert roi[0, :2, :].sum() == 0   # off-grid rows above
         assert roi[0, :, :2].sum() == 0   # off-grid cols left
 
     def test_roi_all_never_fired(self):
-        surf = TimeSurface(8, 8, 3)
-        assert surf.binary_roi(4, 4, 5, t_now=1000, window_us=1000).sum() == 0
+        # an exclusive read of a stream's first event sees a surface nothing has written
+        stream = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8,
+                             events=make_events([1000], [4], [4], [3]))
+        assert event_rois(stream, 5, 1000, inclusive=False).sum() == 0
 
     def test_roi_single_event_at_center(self):
-        surf = TimeSurface(8, 8, 2)
-        surf.update(4, 4, 1, 50)
-        roi = surf.binary_roi(4, 4, 5, t_now=60, window_us=100)
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
+                             events=make_events([50, 60], [4, 4], [4, 4], [1, 0]))
+        roi = event_rois(stream, 5, 100, inclusive=False)[1].reshape(2, 5, 5)
         assert roi.sum() == 1
         assert roi[1, 2, 2] == 1
 
     def test_even_roi_side_rejected(self):
-        surf = TimeSurface(8, 8, 1)
+        stream = one_polarity_stream([0], [4], [4], grid=8)
         with pytest.raises(ValueError):
-            surf.binary_roi(4, 4, 4, t_now=0, window_us=10)
+            event_rois(stream, 4, 10, inclusive=True)
 
     def test_readout_is_pure(self):
         surf = TimeSurface(6, 6, 2)
         surf.update(2, 3, 0, 5)
         before = surf.last_t.copy()
         surf.binary(100, 50)
-        surf.binary_roi(2, 3, 3, 100, 50)
         assert np.array_equal(surf.last_t, before)
-
-    def test_padded_roi_matches_unpadded(self):
-        # the roi_pad fast path must agree with the clip-and-paste path
-        rng = np.random.default_rng(9)
-        plain = TimeSurface(10, 10, 3, roi_pad=0)
-        padded = TimeSurface(10, 10, 3, roi_pad=2)
-        for _ in range(200):
-            x, y, p, t = (int(rng.integers(0, 10)), int(rng.integers(0, 10)),
-                          int(rng.integers(0, 3)), int(rng.integers(0, 1000)))
-            plain.update(x, y, p, t)
-            padded.update(x, y, p, t)
-        for _ in range(50):
-            x, y = int(rng.integers(0, 10)), int(rng.integers(0, 10))
-            a = plain.binary_roi(x, y, 5, 1000, 500)
-            b = padded.binary_roi(x, y, 5, 1000, 500)
-            assert np.array_equal(a, b)
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=6, grid_height=6,
+                             events=make_events([5, 60, 100], [3, 3, 2], [2, 2, 2], [0, 1, 0]))
+        events = stream.events.copy()
+        first = event_rois(stream, 3, 50, inclusive=True)
+        assert np.array_equal(stream.events, events)
+        assert np.array_equal(event_rois(stream, 3, 50, inclusive=True), first)
 
     def test_update_many_matches_sequential(self):
         rng = np.random.default_rng(13)

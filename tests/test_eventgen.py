@@ -455,6 +455,7 @@ class TestStreamFiles:
         raw = path.read_bytes()
         assert raw[:8] == b"SPDEVT01"
         assert raw[8] == int(StreamKind.OOBU)
+        assert raw[9] == 0                # pad byte: 0 for every kind but FEATURE
         assert int.from_bytes(raw[10:12], "little") == 7
         assert int.from_bytes(raw[12:14], "little") == 9
         assert int.from_bytes(raw[14:18], "little") == 1
@@ -466,6 +467,27 @@ class TestStreamFiles:
                              events=ev, polarity_count=16)
         with pytest.raises(ValueError, match="2-bit"):
             write_stream(stream, tmp_path / "f.spdevt")
+
+    def test_feature_polarity_count_round_trip(self, tmp_path):
+        ev = make_events([0, 3, 9], [0, 1, 2], [1, 1, 0], [1, 0, 1])
+        stream = EventStream(kind=StreamKind.FEATURE, grid_width=4, grid_height=4,
+                             events=ev, polarity_count=2)
+        loaded = self.roundtrip(stream, tmp_path)
+        assert loaded.kind == StreamKind.FEATURE and loaded.polarity_count == 2
+        assert np.array_equal(loaded.events, stream.events)
+        assert (tmp_path / "s.spdevt").read_bytes()[9] == 2
+
+    @pytest.mark.parametrize("pad", [0, 5, 255])
+    def test_feature_polarity_count_out_of_range_refused(self, tmp_path, pad):
+        stream = EventStream(kind=StreamKind.FEATURE, grid_width=4, grid_height=4,
+                             events=make_events([0], [0], [0], [0]), polarity_count=1)
+        path = tmp_path / "f.spdevt"
+        write_stream(stream, path)
+        raw = bytearray(path.read_bytes())
+        raw[9] = pad
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match="polarity count"):
+            read_stream(path)
 
     def test_large_grid_rejected(self, tmp_path):
         ev = make_events([0], [200], [0], [0])

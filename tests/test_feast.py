@@ -3,11 +3,86 @@
 import numpy as np
 import pytest
 
-from spadevents.core import EventStream, StreamKind, make_events
-from spadevents.dataio import BadMagicError, TruncatedError
+from spadevents import feast
+from spadevents.core import EventStream, StreamKind, TimeSurface, make_events
+from spadevents.dataio import BadMagicError, SynthConfig, TruncatedError, synth_generate
+from spadevents.eventgen import oobu_convert
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
-                              feast_infer, feast_train, initial_features, load_features,
-                              random_binary_features, save_features)
+                              event_rois, feast_infer, feast_train, initial_features,
+                              load_features, random_binary_features, save_features)
+
+
+# Per-event reference: a running TimeSurface, read through a zero-padded crop
+# of its full-grid binary readout.  The batched extractor and the layers built
+# on it must reproduce these loops exactly.
+
+def reference_roi(surface, x, y, side, t, window_us):
+    r = side // 2
+    grid = np.pad(surface.binary(t, window_us), ((0, 0), (r, r), (r, r)))
+    return grid[:, y:y + side, x:x + side].reshape(-1)
+
+
+def reference_rois(stream, side, window_us, inclusive):
+    surface = TimeSurface(stream.grid_width, stream.grid_height, stream.polarity_count)
+    rows = np.zeros((len(stream), stream.polarity_count * side * side), dtype=np.uint8)
+    for i, e in enumerate(stream.events):
+        x, y, p, t = int(e["x"]), int(e["y"]), int(e["p"]), int(e["t"])
+        if inclusive:
+            surface.update(x, y, p, t)
+        rows[i] = reference_roi(surface, x, y, side, t, window_us)
+        if not inclusive:
+            surface.update(x, y, p, t)
+    return rows
+
+
+def reference_infer(stream, features, window_us):
+    bits = features.bits.astype(np.int64)
+    rois = reference_rois(stream, features.roi_side, window_us, inclusive=True)
+    return np.array([np.argmax(bits @ roi.astype(np.int64)) for roi in rois], dtype=np.uint8)
+
+
+def reference_train(streams, params):
+    features = initial_features(params)
+    weights, thresholds, wins = features.weights, features.thresholds, features.win_counts
+    for s in streams:
+        for flat in reference_rois(s, params.roi_side, params.window_us, inclusive=False):
+            active = int(flat.sum())
+            if active == 0:
+                continue
+            roi_n = flat.astype(np.float64) / np.sqrt(active)
+            dist = 1.0 - weights @ roi_n
+            eligible = dist < thresholds
+            if eligible.any():
+                winner = int(np.argmin(np.where(eligible, dist, np.inf)))
+                wins[winner] += 1
+                mixed = (1.0 - params.mix_rate) * weights[winner] + params.mix_rate * roi_n
+                weights[winner] = mixed / np.linalg.norm(mixed)
+                thresholds[winner] = max(thresholds[winner] - params.shrink_step, 0.0)
+            else:
+                np.minimum(thresholds + params.grow_step, 2.0, out=thresholds)
+    return features
+
+
+def fuzz_stream(rng):
+    """A small random stream: runs of equal timestamps, duplicate cells, any order
+    within a run."""
+    width, height = (int(v) for v in rng.integers(1, 9, size=2))
+    polarity_count = int(rng.integers(1, 5))
+    n = int(rng.integers(0, 60))
+    gaps = np.where(rng.random(n) < 0.6, 0, rng.integers(1, 1500, size=n))
+    return EventStream(kind=StreamKind.FEATURE, grid_width=width, grid_height=height,
+                       events=make_events(np.cumsum(gaps), rng.integers(0, height, n),
+                                          rng.integers(0, width, n),
+                                          rng.integers(0, polarity_count, n)),
+                       polarity_count=polarity_count)
+
+
+@pytest.fixture(scope="module")
+def oobu_streams():
+    config = SynthConfig(n_classes=3, recordings_per_class=2, frames_per_recording=40,
+                         grid_width=16, grid_height=16, seed=11)
+    _, recordings = synth_generate(config)
+    return [oobu_convert(rec) for rec in recordings]
 
 
 def stream_of(t, y, x, p, grid=8, polarity_count=2):
@@ -312,3 +387,51 @@ class TestFeatureFiles:
         good.write_bytes(good.read_bytes()[:-4])
         with pytest.raises(TruncatedError):
             load_features(good)
+
+
+class TestBatchedRois:
+    @pytest.mark.parametrize("inclusive", [False, True])
+    def test_fuzz_matches_per_event_reference(self, inclusive):
+        rng = np.random.default_rng(2024 + inclusive)
+        for _ in range(500):
+            stream = fuzz_stream(rng)
+            side = int(rng.choice([1, 3, 5, 7, 9]))
+            window = int(rng.integers(1, 1001))
+            got = event_rois(stream, side, window, inclusive)
+            assert got.dtype == np.uint8
+            assert np.array_equal(got, reference_rois(stream, side, window, inclusive))
+
+    def test_empty_stream(self):
+        stream = stream_of([], [], [], [], polarity_count=3)
+        for inclusive in (False, True):
+            assert event_rois(stream, 5, 100, inclusive).shape == (0, 75)
+        features = random_binary_features(FeastParams(n_neurons=4, polarity_count=3), 8)
+        assert len(feast_infer(stream, features)) == 0
+
+    def test_out_of_range_events_rejected(self):
+        with pytest.raises(ValueError):
+            event_rois(stream_of([0], [8], [0], [0]), 3, 100, inclusive=True)
+        with pytest.raises(ValueError):
+            event_rois(stream_of([0], [0], [0], [2]), 3, 100, inclusive=True)
+
+    # a small block size splits every stream into many blocks, a partial one last
+    @pytest.mark.parametrize("block_rows", [7, feast._BLOCK_ROWS])
+    def test_infer_matches_reference_on_oobu_synth(self, oobu_streams, block_rows, monkeypatch):
+        monkeypatch.setattr(feast, "_BLOCK_ROWS", block_rows)
+        params = FeastParams(n_neurons=9, polarity_count=4, seed=3)
+        trained = binarize(feast_train(oobu_streams[:3], params), 32)
+        for features in (random_binary_features(params, 32), trained):
+            for stream in oobu_streams:
+                got = feast_infer(stream, features, window_us=params.window_us).events["p"]
+                assert np.array_equal(got, reference_infer(stream, features, params.window_us))
+
+    @pytest.mark.parametrize("block_rows", [7, feast._BLOCK_ROWS])
+    def test_train_matches_reference_on_oobu_synth(self, oobu_streams, block_rows, monkeypatch):
+        monkeypatch.setattr(feast, "_BLOCK_ROWS", block_rows)
+        params = FeastParams(n_neurons=4, polarity_count=4, seed=5)
+        got = feast_train(oobu_streams, params)
+        want = reference_train(oobu_streams, params)
+        assert want.win_counts.sum() > 0
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.thresholds, want.thresholds)
+        assert np.array_equal(got.win_counts, want.win_counts)
