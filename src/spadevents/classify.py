@@ -22,12 +22,6 @@ from .dataio import split_indices
 DEFAULT_ACTIVITY_FRACTION = 0.1
 DEFAULT_RIDGE_LAMBDA = 0.1
 
-# Classification cadence: every 8th laser pulse for frames, and the event
-# intervals that keep the total number of classifier invocations roughly
-# equal across stream types.
-SAMPLE_EVERY_FRAMES = 8
-SAMPLE_EVERY_EVENTS = {"firstand": 51, "onoff": 74, "oobu": 201}
-
 
 @dataclass(frozen=True)
 class Region:
@@ -152,8 +146,7 @@ def pool(values: np.ndarray, config: PoolConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def frame_sample_times(n_frames: int, pulse_period: int,
-                       every: int = SAMPLE_EVERY_FRAMES) -> np.ndarray:
+def frame_sample_times(n_frames: int, pulse_period: int, every: int) -> np.ndarray:
     """Classification instants for frame data: t = every * pulse_period * k."""
     if n_frames < 1 or every < 1:
         return np.empty(0, dtype=np.int64)
@@ -287,10 +280,10 @@ class EvalReport:
     per_recording_std: float
     n_trials: int
     trials: list[TrialResult]
-    confusion: np.ndarray               # last trial, per-sample, rows = true class
+    confusion: np.ndarray               # per-sample over all trials, rows = true class
     samples_per_recording_mean: float
     samples_per_recording_std: float
-    n_no_sample_recordings: int         # last trial test recordings without samples
+    n_no_sample_recordings: int         # test recordings without samples, over all trials
     extra: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
@@ -328,7 +321,8 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
 
     The sample features are fixed across trials, so accuracy variance comes
     exclusively from the random splits.  Test recordings that produced no
-    samples are scored as class 0 and counted.
+    samples are scored as class 0 and counted; the count and the per-sample
+    confusion matrix sum over all trials.
     """
     per_frame, per_recording = [], []
     trials = []
@@ -349,11 +343,10 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
 
         rec_ids = rec_of_sample[test_mask]
         votes = np.zeros(len(test_recs), dtype=np.int64)
-        n_empty = 0
         for j, rec in enumerate(test_recs):
             cls = pred[rec_ids == rec]
             if len(cls) == 0:
-                n_empty += 1
+                n_no_sample += 1
             votes[j] = recording_vote(cls, n_classes)
         rec_truth = samples.recording_labels[test_recs]
         rec_acc = float(np.mean(votes == rec_truth))
@@ -363,10 +356,7 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
         trials.append(TrialResult(trial=trial, seed=int(seed),
                                   per_frame_accuracy=frame_acc,
                                   per_recording_accuracy=rec_acc))
-        if trial == len(seeds) - 1:
-            confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
-            np.add.at(confusion, (truth, pred), 1)
-            n_no_sample = n_empty
+        np.add.at(confusion, (truth, pred), 1)
 
     spr = samples.samples_per_recording()
     return EvalReport(

@@ -114,8 +114,7 @@ def pipeline_spec_from(cfg: ExperimentConfig, kind: str, feature_mode: str, n_ne
     """The cell's spec; every PipelineParams field is copied from cfg."""
     shared = {f.name: getattr(cfg, f.name) for f in fields(PipelineParams)}
     return PipelineSpec(kind=kind, feature_mode=feature_mode, n_neurons=n_neurons,
-                        pool=pool if pool is not None else PoolConfig(),
-                        sample_every=cfg.sample_every(kind), **shared)
+                        pool=pool if pool is not None else PoolConfig(), **shared)
 
 
 # ---------------------------------------------------------------------------
@@ -153,8 +152,6 @@ def cmd_import(args) -> int:
     with staged_output(args.out) as out:
         entries = []
         n_classes = 0
-        grid = (0, 0)
-        pulse_period = 0
         count = 0
         for rec in reader(Path(args.src)):
             name = f"{rec.recording_id or f'rec{count:06d}'}.spdrec"
@@ -162,15 +159,11 @@ def cmd_import(args) -> int:
             entries.append(ManifestEntry(path=name, class_id=rec.class_id,
                                          recording_id=rec.recording_id or f"rec{count:06d}"))
             n_classes = max(n_classes, rec.class_id + 1)
-            grid = (rec.width, rec.height)
-            pulse_period = rec.pulse_period
             count += 1
         if count == 0:
             raise ValueError(f"reader produced no recordings from {args.src}")
-        manifest = DatasetManifest(entries=entries, n_classes=n_classes,
-                                   grid_width=grid[0], grid_height=grid[1],
-                                   pulse_period=pulse_period)
-        save_manifest(manifest, out / "manifest.tsv")
+        save_manifest(DatasetManifest(entries=entries, n_classes=n_classes),
+                      out / "manifest.tsv")
         write_run_record(out, "import", cfg, {"reader": args.reader, "src": str(args.src)})
     print(f"imported {count} recordings to {args.out}")
     return 0
@@ -452,7 +445,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-features", help="train and binarize a feature set")
     add_common_flags(p)
     p.add_argument("--kind", required=True, choices=["firstand", "onoff", "oobu"])
-    p.add_argument("--neurons", type=int, default=16)
+    p.add_argument("--neurons", type=int, default=PipelineSpec.n_neurons)
     p.add_argument("--use-all", action="store_true",
                    help="train on every recording instead of the first trial split")
     p.set_defaults(func=cmd_train_features)
@@ -460,10 +453,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="evaluate one pipeline configuration")
     add_common_flags(p)
     p.add_argument("--kind", required=True, choices=["frames", "firstand", "onoff", "oobu"])
-    p.add_argument("--feature-mode", default="raw", choices=["raw", "random", "trained"])
-    p.add_argument("--neurons", type=int, default=16)
-    p.add_argument("--pool-size", type=int, default=12)
-    p.add_argument("--pool-method", default="2d", choices=["1d", "2d"])
+    p.add_argument("--feature-mode", default=PipelineSpec.feature_mode,
+                   choices=["raw", "random", "trained"])
+    p.add_argument("--neurons", type=int, default=PipelineSpec.n_neurons)
+    p.add_argument("--pool-size", type=int, default=PoolConfig.size)
+    p.add_argument("--pool-method", default=PoolConfig.method, choices=["1d", "2d"])
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="accuracy sweep over kinds, N, L and pooling")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, field
 from pathlib import Path
 
-from .classify import SAMPLE_EVERY_EVENTS, SAMPLE_EVERY_FRAMES
+from .dataio import SynthConfig
 from .pipeline import PipelineParams
 
 
@@ -24,16 +24,16 @@ class ExperimentConfig(PipelineParams):
     # dataset source: a manifest path, or synthetic generation when empty
     manifest: str = ""
     n_classes: int = 0                 # 0 = derive from the manifest/synth config
-    synth_classes: int = 5
-    synth_recordings_per_class: int = 40
-    synth_frames: int = 100
-    synth_grid: int = 32
-    synth_speed: float = 0.5
-    synth_target_depth: int = 1500
-    synth_distractor_depth: int = 4000
-    synth_p_false_positive: float = 0.002
-    synth_p_false_negative: float = 0.05
-    synth_jitter_sigma: float = 0.7
+    synth_classes: int = SynthConfig.n_classes
+    synth_recordings_per_class: int = SynthConfig.recordings_per_class
+    synth_frames: int = SynthConfig.frames_per_recording
+    synth_grid: int = SynthConfig.grid_width
+    synth_speed: float = SynthConfig.target_speed
+    synth_target_depth: int = SynthConfig.target_depth_code
+    synth_distractor_depth: int = SynthConfig.distractor_depth_code
+    synth_p_false_positive: float = SynthConfig.p_false_positive
+    synth_p_false_negative: float = SynthConfig.p_false_negative
+    synth_jitter_sigma: float = SynthConfig.timing_jitter_sigma
     augment: bool = False              # x8 mirror/rotation expansion after load/synth
 
     # sweep axes ("frames" is the frame-based baseline, raw mode only)
@@ -45,18 +45,8 @@ class ExperimentConfig(PipelineParams):
 
     # classification
     n_trials: int = 5
-    sample_every_frames: int = SAMPLE_EVERY_FRAMES
-    sample_every_firstand: int = SAMPLE_EVERY_EVENTS["firstand"]
-    sample_every_onoff: int = SAMPLE_EVERY_EVENTS["onoff"]
-    sample_every_oobu: int = SAMPLE_EVERY_EVENTS["oobu"]
 
     jobs: int = 1
-
-    def sample_every(self, kind: str) -> int:
-        return {"frames": self.sample_every_frames,
-                "firstand": self.sample_every_firstand,
-                "onoff": self.sample_every_onoff,
-                "oobu": self.sample_every_oobu}[kind]
 
 
 _LIST_ELEMENT_TYPES = {

@@ -8,6 +8,8 @@ reserved for "no photon detected this pulse".
 
 from __future__ import annotations
 
+import os
+import struct
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -30,6 +32,69 @@ EVENT_DTYPE = np.dtype([("t", "<i8"), ("y", "<u2"), ("x", "<u2"), ("p", "<u1")])
 
 class FormatError(ValueError):
     """A serialized artifact is malformed (magic, truncation, field range)."""
+
+
+class BadMagicError(FormatError):
+    """File does not start with the expected magic bytes."""
+
+
+class TruncatedError(FormatError):
+    """File ends before the payload promised by its header."""
+
+
+class DimensionError(FormatError):
+    """A header field does not fit its on-disk width or is inconsistent."""
+
+
+# ---------------------------------------------------------------------------
+# Framed files
+#
+# Every on-disk format is one frame: a fixed little-endian header whose first
+# field is an 8-byte magic, then a payload whose size the header fixes.  A
+# file holds exactly one frame, so a short file and trailing bytes are both
+# refused.  Each format's loader checks only its own header fields.
+# ---------------------------------------------------------------------------
+
+
+def write_framed(path, header: struct.Struct, magic: bytes, fields: tuple, payload) -> None:
+    """Write the magic and the header fields packed by header, then the payload."""
+    try:
+        packed = header.pack(magic, *fields)
+    except struct.error as exc:
+        raise DimensionError(f"{path}: a header field does not fit its on-disk width "
+                             f"({exc})") from None
+    with open(path, "wb") as fh:
+        fh.write(packed)
+        fh.write(payload)
+
+
+def read_framed(path, header: struct.Struct, magic: bytes,
+                payload_size) -> tuple[tuple, bytearray]:
+    """The header fields after the magic, and the payload.
+
+    payload_size(*fields) gives the payload's byte count, which is checked
+    against the file size before any of the payload is read.
+    """
+    name = magic.decode()
+    with open(path, "rb") as fh:
+        raw = fh.read(header.size)
+        if len(raw) < header.size:
+            raise TruncatedError(f"{path}: file shorter than the {name} header")
+        found, *fields = header.unpack(raw)
+        if found != magic:
+            raise BadMagicError(f"{path}: bad magic {found!r}, expected {magic!r}")
+        expected = payload_size(*fields)
+        available = os.fstat(fh.fileno()).st_size - header.size
+        if available < expected:
+            raise TruncatedError(f"{path}: payload holds {available} bytes, "
+                                 f"header promises {expected}")
+        if available > expected:
+            raise FormatError(f"{path}: {available - expected} bytes follow the "
+                              f"{expected}-byte {name} payload")
+        payload = bytearray(expected)
+        if fh.readinto(payload) != expected:
+            raise TruncatedError(f"{path}: file shrank while being read")
+    return tuple(fields), payload
 
 
 class StreamKind(IntEnum):

@@ -24,22 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import DEFAULT_PULSE_PERIOD_US, FormatError, Recording
+from .core import (DEFAULT_PULSE_PERIOD_US, DimensionError, FormatError, Recording,
+                   read_framed, write_framed)
 
 RECORDING_MAGIC = b"SPDREC01"
 _HEADER = struct.Struct("<8sHHIIH")
-
-
-class BadMagicError(FormatError):
-    """File does not start with the expected magic bytes."""
-
-
-class TruncatedError(FormatError):
-    """File ends before the payload promised by its header."""
-
-
-class DimensionError(FormatError):
-    """A header field does not fit its on-disk width or is inconsistent."""
 
 
 # ---------------------------------------------------------------------------
@@ -49,50 +38,22 @@ class DimensionError(FormatError):
 
 def save_recording(recording: Recording, path) -> None:
     """Write a recording in SPDREC01 format (bit-exact round trip)."""
-    if recording.width > 0xFFFF or recording.height > 0xFFFF:
-        raise DimensionError(f"grid {recording.width}x{recording.height} exceeds u16 fields")
-    if recording.n_frames > 0xFFFFFFFF:
-        raise DimensionError(f"frame count {recording.n_frames} exceeds u32 field")
-    if recording.pulse_period > 0xFFFFFFFF:
-        raise DimensionError(f"pulse period {recording.pulse_period} exceeds u32 field")
-    if recording.class_id > 0xFFFF:
-        raise DimensionError(f"class_id {recording.class_id} exceeds u16 field")
-    header = _HEADER.pack(RECORDING_MAGIC, recording.width, recording.height,
-                          recording.n_frames, recording.pulse_period, recording.class_id)
-    payload = np.ascontiguousarray(recording.frames, dtype="<u2").tobytes()
-    Path(path).write_bytes(header + payload)
-
-
-def read_recording_header(path) -> tuple[int, int, int, int, int]:
-    """Return (width, height, frame_count, pulse_period, class_id) from a file."""
-    with open(path, "rb") as fh:
-        raw = fh.read(_HEADER.size)
-    if len(raw) < _HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than the SPDREC01 header")
-    magic, width, height, frame_count, pulse_period, class_id = _HEADER.unpack(raw)
-    if magic != RECORDING_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    if width < 1 or height < 1:
-        raise DimensionError(f"{path}: empty grid {width}x{height}")
-    if pulse_period < 1:
-        raise DimensionError(f"{path}: pulse_period must be positive")
-    return width, height, frame_count, pulse_period, class_id
+    write_framed(path, _HEADER, RECORDING_MAGIC,
+                 (recording.width, recording.height, recording.n_frames,
+                  recording.pulse_period, recording.class_id),
+                 np.ascontiguousarray(recording.frames, dtype="<u2"))
 
 
 def load_recording(path, recording_id: str | None = None) -> Recording:
     """Read a SPDREC01 file; recording_id defaults to the file stem."""
-    width, height, frame_count, pulse_period, class_id = read_recording_header(path)
-    expected = frame_count * height * width * 2
-    # checked before reading, so a header claiming a huge payload cannot
-    # ask for an impossible read
-    available = Path(path).stat().st_size - _HEADER.size
-    if available < expected:
-        raise TruncatedError(f"{path}: payload holds {available} bytes, header promises {expected}")
-    with open(path, "rb") as fh:
-        fh.seek(_HEADER.size)
-        payload = fh.read(expected)
+    (width, height, frame_count, pulse_period, class_id), payload = read_framed(
+        path, _HEADER, RECORDING_MAGIC, lambda w, h, n, *_: 2 * n * h * w)
+    if width < 1 or height < 1:
+        raise DimensionError(f"{path}: empty grid {width}x{height}")
+    if pulse_period < 1:
+        raise DimensionError(f"{path}: pulse_period must be positive")
     frames = np.frombuffer(payload, dtype="<u2").reshape(frame_count, height, width)
-    return Recording(frames=frames.copy(), pulse_period=pulse_period, class_id=class_id,
+    return Recording(frames=frames, pulse_period=pulse_period, class_id=class_id,
                      recording_id=recording_id if recording_id is not None else Path(path).stem)
 
 
@@ -114,9 +75,6 @@ class DatasetManifest:
 
     entries: list[ManifestEntry]
     n_classes: int
-    grid_width: int = 0
-    grid_height: int = 0
-    pulse_period: int = DEFAULT_PULSE_PERIOD_US
 
     def __post_init__(self):
         paths = [e.path for e in self.entries]
@@ -136,9 +94,7 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 
 def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
-    """Read a manifest file; grid dims and pulse period are peeked from the
-    first recording's header.  n_classes defaults to max class_id + 1."""
-    base = Path(path).parent
+    """Read a manifest file; n_classes defaults to max class_id + 1."""
     entries = []
     for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
         line = line.strip()
@@ -152,10 +108,7 @@ def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
         raise FormatError(f"{path}: manifest is empty")
     if n_classes is None:
         n_classes = max(e.class_id for e in entries) + 1
-    first = base / entries[0].path
-    width, height, _, pulse_period, _ = read_recording_header(first)
-    return DatasetManifest(entries=entries, n_classes=n_classes, grid_width=width,
-                           grid_height=height, pulse_period=pulse_period)
+    return DatasetManifest(entries=entries, n_classes=n_classes)
 
 
 def load_manifest_recordings(manifest: DatasetManifest, base_dir) -> list[Recording]:
@@ -382,10 +335,7 @@ def synth_generate(config: SynthConfig) -> tuple[DatasetManifest, list[Recording
             recordings.append(rec)
             entries.append(ManifestEntry(path=f"{rec.recording_id}.spdrec",
                                          class_id=class_id, recording_id=rec.recording_id))
-    manifest = DatasetManifest(entries=entries, n_classes=config.n_classes,
-                               grid_width=config.grid_width, grid_height=config.grid_height,
-                               pulse_period=config.pulse_period)
-    return manifest, recordings
+    return DatasetManifest(entries=entries, n_classes=config.n_classes), recordings
 
 
 def write_dataset(manifest: DatasetManifest, recordings: list[Recording], out_dir,

@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, replace
-from pathlib import Path
 
 import numpy as np
 
 from .core import (AER_TIME_MASK, EVENT_DTYPE, FormatError, EventStream, Recording,
-                   StreamKind, encode_aer_array, decode_aer_array, make_events)
-from .dataio import BadMagicError, TruncatedError
+                   StreamKind, encode_aer_array, decode_aer_array, make_events, read_framed,
+                   write_framed)
 
 RF_SIDE = 4
 GATE_NAMES = ("N", "S", "E", "W")
@@ -446,12 +445,14 @@ def datarate_stats(recording: Recording, stream: EventStream) -> DataRateStats:
 # "SPDEVT01" header (little-endian): magic (8 bytes), u8 kind, u8 pad,
 # u16 grid_w, u16 grid_h, u32 event_count, u32 reserved; then event_count
 # AER words.  The pad byte holds a FEATURE stream's polarity count (1..4,
-# what the 2-bit polarity field can address) and is 0 for the other kinds,
-# whose count follows from the kind.  The word's 16-bit time field carries
-# t (microseconds) modulo 2^16; the reader unwraps it monotonically.  That
-# reconstructs timestamps exactly only if the first event lies before
-# t = 65 536 us and consecutive events are less than 65 536 us apart, so the
-# writer refuses other streams.
+# what the 2-bit polarity field can address) and must be 0 for the other
+# kinds, whose count follows from the kind; the reserved field must be 0.
+# Every word must address a cell of the header's grid and a polarity below
+# the stream's count.  The word's 16-bit time field carries t (microseconds)
+# modulo 2^16; the reader unwraps it monotonically.  That reconstructs
+# timestamps exactly only if the first event lies before t = 65 536 us and
+# consecutive events are less than 65 536 us apart, so the writer refuses
+# other streams.
 # ---------------------------------------------------------------------------
 
 STREAM_MAGIC = b"SPDEVT01"
@@ -472,32 +473,37 @@ def write_stream(stream: EventStream, path) -> None:
             raise FormatError("AER words carry 16-bit timestamps: the first event and every "
                               "gap between consecutive events must lie in 0..65535 us")
     feature = stream.kind == StreamKind.FEATURE
-    header = _STREAM_HEADER.pack(STREAM_MAGIC, int(stream.kind),
-                                 stream.polarity_count if feature else 0,
-                                 stream.grid_width, stream.grid_height, len(ev), 0)
     words = encode_aer_array(ev["y"], ev["x"], ev["p"], ev["t"])
-    Path(path).write_bytes(header + words.astype("<u4").tobytes())
+    write_framed(path, _STREAM_HEADER, STREAM_MAGIC,
+                 (int(stream.kind), stream.polarity_count if feature else 0,
+                  stream.grid_width, stream.grid_height, len(ev), 0),
+                 words.astype("<u4"))
 
 
 def read_stream(path) -> EventStream:
-    raw = Path(path).read_bytes()
-    if len(raw) < _STREAM_HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than the SPDEVT01 header")
-    magic, kind, pad, grid_w, grid_h, count, _ = _STREAM_HEADER.unpack_from(raw)
-    if magic != STREAM_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
-    kind = StreamKind(kind)
+    (kind, pad, grid_w, grid_h, _, reserved), payload = read_framed(
+        path, _STREAM_HEADER, STREAM_MAGIC, lambda kind, pad, w, h, count, reserved: 4 * count)
+    try:
+        kind = StreamKind(kind)
+    except ValueError:
+        raise FormatError(f"{path}: unknown stream kind {kind}") from None
     if kind == StreamKind.FEATURE and not 1 <= pad <= 4:
         raise FormatError(f"{path}: feature stream polarity count {pad} outside 1..4")
-    expected = _STREAM_HEADER.size + 4 * count
-    if len(raw) < expected:
-        raise TruncatedError(f"{path}: {len(raw)} bytes, header promises {expected}")
-    words = np.frombuffer(raw, dtype="<u4", count=count, offset=_STREAM_HEADER.size)
-    rows, cols, pols, t_raw = decode_aer_array(words)
-    t = _unwrap_times(t_raw)
-    events = make_events(t, rows, cols, pols)
-    return EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
-                       events=events, polarity_count=pad if kind == StreamKind.FEATURE else 0)
+    if kind != StreamKind.FEATURE and pad != 0:
+        raise FormatError(f"{path}: pad byte {pad} must be 0 for a {kind.name} stream")
+    if reserved != 0:
+        raise FormatError(f"{path}: reserved field {reserved} must be 0")
+    if grid_w < 1 or grid_h < 1:
+        raise FormatError(f"{path}: empty grid {grid_w}x{grid_h}")
+    rows, cols, pols, t_raw = decode_aer_array(np.frombuffer(payload, dtype="<u4"))
+    stream = EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
+                         events=make_events(_unwrap_times(t_raw), rows, cols, pols),
+                         polarity_count=pad if kind == StreamKind.FEATURE else 0)
+    if len(rows) and (rows.max() >= grid_h or cols.max() >= grid_w
+                      or pols.max() >= stream.polarity_count):
+        raise FormatError(f"{path}: events fall outside the {grid_w}x{grid_h} grid "
+                          f"or its {stream.polarity_count} polarities")
+    return stream
 
 
 def _unwrap_times(t_raw: np.ndarray) -> np.ndarray:

@@ -20,14 +20,13 @@ from __future__ import annotations
 import struct
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Iterable
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .core import NEVER, EventStream, StreamKind, make_events
-from .dataio import BadMagicError, TruncatedError
+from .core import (NEVER, EventStream, FormatError, StreamKind, make_events, read_framed,
+                   write_framed)
 
 
 @dataclass
@@ -301,10 +300,11 @@ def feast_infer(stream: EventStream, features: BinaryFeatureSet,
 #
 # "SPDFEA01" header (little-endian): magic (8 bytes), u16 n_neurons,
 # u16 polarity_count, u16 roi_side, u16 n_active.  n_active = 0 marks a
-# continuous set whose payload is n_neurons * P * D^2 float32 weights;
-# n_active > 0 marks a binary set stored as n_neurons rows of
-# ceil(P * D^2 / 8) bytes, LSB-first.  Selection thresholds are a training
-# artifact and are not persisted.
+# continuous set whose payload is n_neurons * P * D^2 finite float32
+# weights; n_active > 0 marks a binary set stored as n_neurons rows of
+# ceil(P * D^2 / 8) bytes, LSB-first, each with exactly n_active bits set
+# and its spare bits 0.  n_neurons and P * D^2 are positive and D is odd.
+# Selection thresholds are a training artifact and are not persisted.
 # ---------------------------------------------------------------------------
 
 FEATURE_MAGIC = b"SPDFEA01"
@@ -314,36 +314,42 @@ _FEATURE_HEADER = struct.Struct("<8sHHHH")
 def save_features(features: ContinuousFeatureSet | BinaryFeatureSet, path) -> None:
     if isinstance(features, ContinuousFeatureSet):
         n_active = 0
-        payload = features.weights.astype("<f4").tobytes()
+        payload = features.weights.astype("<f4")
     else:
         n_active = features.n_active
-        payload = np.packbits(features.bits, axis=1, bitorder="little").tobytes()
-    header = _FEATURE_HEADER.pack(FEATURE_MAGIC, features.n_neurons,
-                                  features.polarity_count, features.roi_side, n_active)
-    Path(path).write_bytes(header + payload)
+        payload = np.packbits(features.bits, axis=1, bitorder="little")
+    write_framed(path, _FEATURE_HEADER, FEATURE_MAGIC,
+                 (features.n_neurons, features.polarity_count, features.roi_side, n_active),
+                 payload)
+
+
+def _feature_payload_size(n: int, polarity_count: int, roi_side: int, n_active: int) -> int:
+    length = polarity_count * roi_side * roi_side
+    return n * (4 * length if n_active == 0 else (length + 7) // 8)
 
 
 def load_features(path) -> ContinuousFeatureSet | BinaryFeatureSet:
-    raw = Path(path).read_bytes()
-    if len(raw) < _FEATURE_HEADER.size:
-        raise TruncatedError(f"{path}: file shorter than the SPDFEA01 header")
-    magic, n, polarity_count, roi_side, n_active = _FEATURE_HEADER.unpack_from(raw)
-    if magic != FEATURE_MAGIC:
-        raise BadMagicError(f"{path}: bad magic {magic!r}")
+    (n, polarity_count, roi_side, n_active), payload = read_framed(
+        path, _FEATURE_HEADER, FEATURE_MAGIC, _feature_payload_size)
     length = polarity_count * roi_side * roi_side
-    body = raw[_FEATURE_HEADER.size:]
+    if n == 0 or length == 0:
+        raise FormatError(f"{path}: empty feature set ({n} neurons of length {length})")
+    if roi_side % 2 != 1:
+        raise FormatError(f"{path}: roi_side {roi_side} must be odd")
+    if n_active > length:
+        raise FormatError(f"{path}: n_active {n_active} exceeds the row length {length}")
     if n_active == 0:
-        expected = n * length * 4
-        if len(body) < expected:
-            raise TruncatedError(f"{path}: {len(body)} payload bytes, need {expected}")
-        weights = np.frombuffer(body[:expected], dtype="<f4").reshape(n, length).astype(np.float64)
-        return ContinuousFeatureSet(weights=weights, thresholds=np.ones(n),
+        weights = np.frombuffer(payload, dtype="<f4").reshape(n, length)
+        if not np.isfinite(weights).all():
+            raise FormatError(f"{path}: weights must be finite")
+        return ContinuousFeatureSet(weights=weights.astype(np.float64), thresholds=np.ones(n),
                                     polarity_count=polarity_count, roi_side=roi_side)
-    row_bytes = (length + 7) // 8
-    expected = n * row_bytes
-    if len(body) < expected:
-        raise TruncatedError(f"{path}: {len(body)} payload bytes, need {expected}")
-    packed = np.frombuffer(body[:expected], dtype=np.uint8).reshape(n, row_bytes)
-    bits = np.unpackbits(packed, axis=1, bitorder="little")[:, :length]
+    packed = np.frombuffer(payload, dtype=np.uint8).reshape(n, -1)
+    bits = np.unpackbits(packed, axis=1, bitorder="little")
+    if bits[:, length:].any():
+        raise FormatError(f"{path}: bits set past the row length {length}")
+    bits = bits[:, :length]
+    if (bits.sum(axis=1) != n_active).any():
+        raise FormatError(f"{path}: every row must have exactly {n_active} bits set")
     return BinaryFeatureSet(bits=bits, n_active=n_active,
                             polarity_count=polarity_count, roi_side=roi_side)

@@ -18,9 +18,8 @@ from functools import partial
 import numpy as np
 
 from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
-                       EvalReport, SAMPLE_EVERY_EVENTS, SAMPLE_EVERY_FRAMES,
-                       event_sample_indices, frame_sample_times, evaluate_samples, pool,
-                       region_from_activity)
+                       EvalReport, event_sample_indices, frame_sample_times, evaluate_samples,
+                       pool, region_from_activity)
 from .core import EventStream, Recording, TimeSurface
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
@@ -59,6 +58,14 @@ class PipelineParams:
     feast_grow_step: float = FeastParams.grow_step
     feast_active_bits: int = 32
     retrain_per_trial: bool = False
+
+    # classification cadence: every 8th laser pulse for frames, and the event
+    # intervals that keep the total number of classifier invocations roughly
+    # equal across stream types
+    sample_every_frames: int = 8
+    sample_every_firstand: int = 51
+    sample_every_onoff: int = 74
+    sample_every_oobu: int = 201
 
     # readout
     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA
@@ -167,8 +174,7 @@ def stream_sample_rows(stream: EventStream, pool_config: PoolConfig, every: int,
     return rows
 
 
-def frame_sample_rows(recording: Recording, pool_config: PoolConfig,
-                      every: int = SAMPLE_EVERY_FRAMES,
+def frame_sample_rows(recording: Recording, pool_config: PoolConfig, every: int,
                       activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> np.ndarray:
     """Frame-based baseline samples: the depth frame nearest each instant,
     region-selected on pixel occupancy and pooled as one channel of scaled
@@ -187,27 +193,23 @@ def frame_sample_rows(recording: Recording, pool_config: PoolConfig,
     return rows
 
 
-def build_sample_set(sources: list, labels, pool_config: PoolConfig, *,
-                     sample_every: int | None = None, window_us: int = FeastParams.window_us,
+def build_sample_set(sources: list, labels, pool_config: PoolConfig, *, sample_every: int,
+                     window_us: int = FeastParams.window_us,
                      activity_fraction: float = DEFAULT_ACTIVITY_FRACTION,
                      jobs: int = 1) -> SampleSet:
     """Stack per-source sample rows into one SampleSet.
 
-    sources are either Recordings (frame pipeline) or EventStreams; for
-    streams sample_every must be set (or derivable from the stream kind).
+    sources are either Recordings (frame pipeline, sampled every
+    sample_every frames) or EventStreams (every sample_every events).
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(sources) != len(labels):
         raise ValueError("one label per source required")
     if isinstance(sources[0], Recording):
-        every = sample_every if sample_every is not None else SAMPLE_EVERY_FRAMES
-        fn = partial(frame_sample_rows, pool_config=pool_config, every=every,
+        fn = partial(frame_sample_rows, pool_config=pool_config, every=sample_every,
                      activity_fraction=activity_fraction)
     else:
-        every = sample_every
-        if every is None:
-            raise ValueError("sample_every must be given for event streams")
-        fn = partial(stream_sample_rows, pool_config=pool_config, every=every,
+        fn = partial(stream_sample_rows, pool_config=pool_config, every=sample_every,
                      window_us=window_us, activity_fraction=activity_fraction)
     row_blocks = parallel_map(fn, sources, jobs)
     features = np.concatenate(row_blocks, axis=0) if row_blocks else np.empty((0, 0))
@@ -231,7 +233,6 @@ class PipelineSpec(PipelineParams):
     feature_mode: str = "raw"          # raw | random | trained
     n_neurons: int = 16
     pool: PoolConfig = field(default_factory=PoolConfig)
-    sample_every: int | None = None    # None -> cadence of the (parent) kind
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -242,13 +243,9 @@ class PipelineSpec(PipelineParams):
             raise ValueError("feature layers operate on event streams, not frames")
 
     def effective_sample_every(self) -> int:
-        if self.sample_every is not None:
-            return self.sample_every
-        if self.kind == "frames":
-            return SAMPLE_EVERY_FRAMES
         # feature streams emit one event per input event, so they inherit
         # the parent stream's cadence
-        return SAMPLE_EVERY_EVENTS[self.kind]
+        return getattr(self, f"sample_every_{self.kind}")
 
     def feast_params(self, polarity_count: int) -> FeastParams:
         return FeastParams(n_neurons=self.n_neurons, polarity_count=polarity_count,
@@ -318,7 +315,8 @@ def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int
 
 
 def _merge_reports(reports: list[EvalReport]) -> EvalReport:
-    """One report over every trial; confusion and sample stats from the last."""
+    """One report over every trial; confusion and the no-sample count summed,
+    sample stats from the last group (every group samples the same events)."""
     trials = [t for rep in reports for t in rep.trials]
     for i, t in enumerate(trials):
         t.trial = i
@@ -327,7 +325,8 @@ def _merge_reports(reports: list[EvalReport]) -> EvalReport:
     last = reports[-1]
     return EvalReport(per_frame_mean=float(pf.mean()), per_frame_std=float(pf.std()),
                       per_recording_mean=float(pr.mean()), per_recording_std=float(pr.std()),
-                      n_trials=len(trials), trials=trials, confusion=last.confusion,
+                      n_trials=len(trials), trials=trials,
+                      confusion=sum(rep.confusion for rep in reports),
                       samples_per_recording_mean=last.samples_per_recording_mean,
                       samples_per_recording_std=last.samples_per_recording_std,
-                      n_no_sample_recordings=last.n_no_sample_recordings)
+                      n_no_sample_recordings=sum(rep.n_no_sample_recordings for rep in reports))

@@ -10,6 +10,7 @@ from spadevents.classify import (ClassifierWeights, PoolConfig, Region, RidgeAcc
                                  recording_vote, region_from_activity,
                                  train_classifier, zoh_indices)
 from spadevents.core import TimeSurface, make_events
+from spadevents.dataio import split_indices
 
 
 class TestRegionSelection:
@@ -285,11 +286,12 @@ class TestEvaluate:
 
     def test_confusion_rows_sum_to_class_sample_counts(self):
         samples = separable_samples(noise=1.5, seed=7)
-        report = evaluate_samples(samples, 3, seeds=[0])
-        from spadevents.dataio import split_indices
-        _, test_recs = split_indices(samples.n_recordings, 0.9, 0)
-        test_mask = np.isin(samples.recording_index, test_recs)
-        expected = np.bincount(samples.labels[test_mask], minlength=3)
+        report = evaluate_samples(samples, 3, seeds=[0, 1, 2])
+        expected = np.zeros(3, dtype=np.int64)
+        for seed in (0, 1, 2):
+            _, test_recs = split_indices(samples.n_recordings, 0.9, seed)
+            test_mask = np.isin(samples.recording_index, test_recs)
+            expected += np.bincount(samples.labels[test_mask], minlength=3)
         assert np.array_equal(report.confusion.sum(axis=1), expected)
 
     def test_no_sample_recordings_counted_as_class_zero(self):
@@ -299,8 +301,11 @@ class TestEvaluate:
         stripped = SampleSet(features=samples.features[keep], labels=samples.labels[keep],
                              recording_index=samples.recording_index[keep],
                              recording_labels=samples.recording_labels)
-        report = evaluate_samples(stripped, 3, seeds=list(range(10)))
-        assert report.n_no_sample_recordings in (0, 1)
+        seeds = list(range(10))
+        report = evaluate_samples(stripped, 3, seeds=seeds)
+        tested = sum(0 in split_indices(stripped.n_recordings, 0.9, seed)[1] for seed in seeds)
+        assert tested > 0
+        assert report.n_no_sample_recordings == tested
 
     def test_json_and_csv_outputs(self, tmp_path):
         samples = separable_samples()

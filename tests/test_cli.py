@@ -156,6 +156,19 @@ class TestConvertCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    @pytest.mark.parametrize("mangle", [lambda raw: raw + b"\0",
+                                        lambda raw: b"SPDREC99" + raw[8:]],
+                             ids=["trailing-bytes", "bad-magic"])
+    def test_malformed_recording_is_an_error(self, dataset_dir, tmp_path, capsys, mangle):
+        manifest = load_manifest(dataset_dir / "manifest.tsv")
+        path = dataset_dir / manifest.entries[1].path
+        path.write_bytes(mangle(path.read_bytes()))
+        rc = main(["convert", "--kind", "onoff", "--out", str(tmp_path / "ev"),
+                   "--manifest", str(dataset_dir / "manifest.tsv")])
+        assert rc == 1
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "ev").exists()
+
 
 class TestTrainFeaturesCommand:
     def test_writes_feature_files(self, dataset_dir, tmp_path):
@@ -249,6 +262,8 @@ PIPELINE_OVERRIDES = {
     "feast_mix_rate": "0.002", "feast_shrink_step": "0.003", "feast_grow_step": "0.005",
     "feast_active_bits": "16", "retrain_per_trial": "true", "ridge_lambda": "0.2",
     "train_fraction": "0.8", "activity_fraction": "0.2", "seed": "3",
+    "sample_every_frames": "9", "sample_every_firstand": "52", "sample_every_onoff": "75",
+    "sample_every_oobu": "150",
 }
 
 
@@ -287,7 +302,7 @@ class TestPipelineParamsPlumbing:
         flags = [item for key, value in PIPELINE_OVERRIDES.items()
                  for item in (f"--{key.replace('_', '-')}", value)]
         with pytest.raises(_Captured):
-            main([*command, *flags, "--sample-every-oobu", "150", "--out", str(tmp_path / "o"),
+            main([*command, *flags, "--out", str(tmp_path / "o"),
                   "--manifest", str(dataset_dir / "manifest.tsv")])
         expected = make_config(None, PIPELINE_OVERRIDES)
         specs = [p for p in seen if isinstance(p, PipelineSpec)]
@@ -298,7 +313,7 @@ class TestPipelineParamsPlumbing:
         cell = specs[-1]
         assert (cell.kind, cell.feature_mode, cell.n_neurons) == ("oobu", "trained", 2)
         assert cell.pool == PoolConfig(method="1d", size=4)
-        assert cell.sample_every == 150
+        assert cell.effective_sample_every() == 150
 
 
 class TestDemoRatioCommand:

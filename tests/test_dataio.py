@@ -5,12 +5,10 @@ import struct
 import numpy as np
 import pytest
 
-from spadevents.core import Recording
-from spadevents.dataio import (AUGMENT_OPS, BadMagicError, DatasetManifest, DimensionError,
-                               ManifestEntry, SynthConfig, TruncatedError, augment,
-                               augment_recording, default_silhouettes, load_manifest,
-                               load_manifest_recordings, load_recording,
-                               read_recording_header, save_recording,
+from spadevents.core import BadMagicError, DimensionError, Recording, TruncatedError
+from spadevents.dataio import (AUGMENT_OPS, DatasetManifest, ManifestEntry, SynthConfig,
+                               augment, augment_recording, default_silhouettes, load_manifest,
+                               load_manifest_recordings, load_recording, save_recording,
                                split_indices, synth_generate, write_dataset)
 
 
@@ -79,7 +77,9 @@ class TestRecordingFormat:
         rec = small_recording(n_frames=5, h=3, w=4, class_id=2)
         path = tmp_path / "peek.spdrec"
         save_recording(rec, path)
-        assert read_recording_header(path) == (4, 3, 5, 10, 2)
+        loaded = load_recording(path)
+        assert (loaded.width, loaded.height, loaded.n_frames, loaded.pulse_period,
+                loaded.class_id) == (4, 3, 5, 10, 2)
 
 
 class TestManifest:
@@ -91,8 +91,7 @@ class TestManifest:
             recordings.append(rec)
             entries.append(ManifestEntry(path=f"{rec.recording_id}.spdrec",
                                          class_id=rec.class_id, recording_id=rec.recording_id))
-        manifest = DatasetManifest(entries=entries, n_classes=n_classes,
-                                   grid_width=2, grid_height=2, pulse_period=10)
+        manifest = DatasetManifest(entries=entries, n_classes=n_classes)
         write_dataset(manifest, recordings, tmp_path)
         return manifest, recordings
 
@@ -101,11 +100,11 @@ class TestManifest:
         loaded = load_manifest(tmp_path / "manifest.tsv")
         assert len(loaded) == len(manifest)
         assert loaded.n_classes == 3
-        assert loaded.grid_width == 2 and loaded.pulse_period == 10
         recs = load_manifest_recordings(loaded, tmp_path)
         for a, b in zip(recs, recordings):
             assert np.array_equal(a.frames, b.frames)
             assert a.recording_id == b.recording_id
+            assert a.pulse_period == b.pulse_period
 
     def test_tab_separated_lines(self, tmp_path):
         manifest, _ = self.make_dataset(tmp_path)

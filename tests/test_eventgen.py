@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from spadevents.core import EventStream, FormatError, Recording, StreamKind, make_events
-from spadevents.dataio import BadMagicError, TruncatedError
+from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
+                             Recording, StreamKind, TruncatedError, make_events)
 from spadevents.eventgen import (FirstAndParams, GateBank, RfState,
                                  best_two_threshold_split, border_gate_bank,
                                  count_ratio_demo, datarate_stats, firstand_convert,
@@ -488,6 +488,45 @@ class TestStreamFiles:
         path.write_bytes(bytes(raw))
         with pytest.raises(FormatError, match="polarity count"):
             read_stream(path)
+
+    # (byte offset, value) of one header byte; the stream is a 4x4 OOBU stream
+    # with one event at (y=1, x=2, p=3)
+    @pytest.mark.parametrize("offset, value, match", [
+        (8, 9, "unknown stream kind"),      # kind
+        (9, 1, "pad byte"),                 # pad must be 0 for OOBU
+        (18, 1, "reserved"),                # reserved
+        (10, 0, "empty grid"),              # grid_w
+        (10, 2, "outside"),                 # grid_w below the event's x
+        (12, 1, "outside"),                 # grid_h below the event's y
+        (8, 1, "outside"),                  # ON_OFF has 2 polarities, the event p=3
+    ])
+    def test_malformed_header_fields_refused(self, tmp_path, offset, value, match):
+        stream = EventStream(kind=StreamKind.OOBU, grid_width=4, grid_height=4,
+                             events=make_events([5], [1], [2], [3]))
+        path = tmp_path / "h.spdevt"
+        write_stream(stream, path)
+        raw = bytearray(path.read_bytes())
+        raw[offset] = value
+        path.write_bytes(bytes(raw))
+        with pytest.raises(FormatError, match=match):
+            read_stream(path)
+
+    def test_trailing_bytes_refused(self, tmp_path):
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4,
+                             events=make_events([1], [0], [0], [1]))
+        path = tmp_path / "t.spdevt"
+        write_stream(stream, path)
+        path.write_bytes(path.read_bytes() + bytes(1))
+        with pytest.raises(FormatError, match="follow"):
+            read_stream(path)
+
+    def test_grid_wider_than_header_field_refused(self, tmp_path):
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=70_000, grid_height=4,
+                             events=make_events([1], [0], [0], [1]))
+        path = tmp_path / "w.spdevt"
+        with pytest.raises(DimensionError):
+            write_stream(stream, path)
+        assert not path.exists()
 
     def test_large_grid_rejected(self, tmp_path):
         ev = make_events([0], [200], [0], [0])

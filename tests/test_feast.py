@@ -1,11 +1,14 @@
 """Feature learning: adaptation rules, binarization, inference, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
 from spadevents import feast
-from spadevents.core import EventStream, StreamKind, TimeSurface, make_events
-from spadevents.dataio import BadMagicError, SynthConfig, TruncatedError, synth_generate
+from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
+                             StreamKind, TimeSurface, TruncatedError, make_events)
+from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.eventgen import oobu_convert
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                               event_rois, feast_infer, feast_train, initial_features,
@@ -387,6 +390,31 @@ class TestFeatureFiles:
         good.write_bytes(good.read_bytes()[:-4])
         with pytest.raises(TruncatedError):
             load_features(good)
+
+
+    # header (n_neurons, polarity_count, roi_side, n_active) and payload; binary
+    # rows of P=1, D=3 are 9 bits, packed LSB-first into 2 bytes
+    @pytest.mark.parametrize("header, payload, match", [
+        ((0, 1, 3, 2), b"", "empty"),
+        ((2, 0, 3, 2), b"", "empty"),
+        ((2, 1, 3, 10), bytes(4), "exceeds the row length"),
+        ((2, 1, 3, 2), bytes([0b111, 0, 0b11, 0]), "exactly 2 bits"),
+        ((2, 1, 3, 2), bytes([0b11, 0, 0b1, 0b11]), "past the row length"),
+        ((2, 1, 2, 0), bytes(2 * 4 * 4), "odd"),
+        ((1, 1, 3, 0), np.array([np.nan] + [1.0] * 8, dtype="<f4").tobytes(), "finite"),
+    ])
+    def test_malformed_fields_refused(self, tmp_path, header, payload, match):
+        path = tmp_path / "f.spdfea"
+        path.write_bytes(struct.pack("<8sHHHH", b"SPDFEA01", *header) + payload)
+        with pytest.raises(FormatError, match=match):
+            load_features(path)
+
+    def test_too_many_neurons_for_the_header_refused(self, tmp_path):
+        params = FeastParams(n_neurons=70_000, polarity_count=1, roi_side=1, seed=1)
+        path = tmp_path / "big.spdfea"
+        with pytest.raises(DimensionError):
+            save_features(initial_features(params), path)
+        assert not path.exists()
 
 
 class TestBatchedRois:

@@ -145,6 +145,15 @@ class TestRunPipeline:
                                  3, seeds=[0, 1])
         assert frozen.n_trials == retrained.n_trials == 2
 
+    def test_retrained_report_sums_confusion_over_trials(self, tiny_dataset):
+        spec = PipelineSpec(kind="oobu", feature_mode="trained", n_neurons=2,
+                            pool=PoolConfig(method="1d", size=4), feast_active_bits=8,
+                            retrain_per_trial=True)
+        both = run_pipeline(tiny_dataset[:9], spec, 3, seeds=[0, 1])
+        each = [run_pipeline(tiny_dataset[:9], spec, 3, seeds=[seed]) for seed in (0, 1)]
+        assert np.array_equal(both.confusion, each[0].confusion + each[1].confusion)
+        assert both.n_no_sample_recordings == sum(r.n_no_sample_recordings for r in each)
+
     def test_feature_mode_on_frames_rejected(self):
         with pytest.raises(ValueError, match="feature layers"):
             PipelineSpec(kind="frames", feature_mode="trained")
@@ -154,4 +163,4 @@ class TestRunPipeline:
         assert PipelineSpec(kind="onoff").effective_sample_every() == 74
         assert PipelineSpec(kind="firstand").effective_sample_every() == 51
         assert PipelineSpec(kind="frames").effective_sample_every() == 8
-        assert PipelineSpec(kind="oobu", sample_every=10).effective_sample_every() == 10
+        assert PipelineSpec(kind="oobu", sample_every_oobu=10).effective_sample_every() == 10
