@@ -183,6 +183,14 @@ def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     return out
 
 
+def _finite_pair(inputs, targets) -> tuple[np.ndarray, np.ndarray]:
+    inputs = np.asarray(inputs, dtype=np.float64)
+    targets = np.asarray(targets, dtype=np.float64)
+    if not np.isfinite(inputs).all() or not np.isfinite(targets).all():
+        raise ValueError("classifier inputs and targets must be finite")
+    return inputs, targets
+
+
 class RidgeAccumulator:
     """Streaming normal-equation accumulator for the ridge solution.
 
@@ -199,10 +207,7 @@ class RidgeAccumulator:
         self.n_samples = 0
 
     def add(self, inputs: np.ndarray, targets: np.ndarray) -> None:
-        inputs = np.asarray(inputs, dtype=np.float64)
-        targets = np.asarray(targets, dtype=np.float64)
-        if not np.isfinite(inputs).all() or not np.isfinite(targets).all():
-            raise ValueError("classifier inputs and targets must be finite")
+        inputs, targets = _finite_pair(inputs, targets)
         self.gram += inputs.T @ inputs
         self.cross += inputs.T @ targets
         self.n_samples += inputs.shape[0]
@@ -210,7 +215,8 @@ class RidgeAccumulator:
     def solve(self) -> ClassifierWeights:
         if self.n_samples == 0:
             raise ValueError("no samples accumulated")
-        reg = self.gram + self.ridge_lambda * np.eye(self.n_inputs)
+        reg = self.gram.copy()
+        reg[np.diag_indices(self.n_inputs)] += self.ridge_lambda
         weights = np.linalg.solve(reg, self.cross).T
         return ClassifierWeights(matrix=weights, ridge_lambda=self.ridge_lambda)
 
@@ -219,12 +225,26 @@ def train_classifier(inputs: np.ndarray, targets: np.ndarray,
                      ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> ClassifierWeights:
     """Ridge solution W = (UᵀV)ᵀ (UᵀU + λI)⁻¹ for one-hot targets V.
 
-    Deterministic and repeatable; the output maps an input vector to class
-    scores via W @ u.
+    With n samples of m inputs, the solve runs in the smaller space: the
+    primal m x m system above when n >= m, else the equal dual form
+    W = Aᵀ U with A = (UUᵀ + λI_n)⁻¹ V, which never holds an m x m array.
+    λ must be finite and non-negative.  Deterministic and repeatable; the
+    output maps an input vector to class scores via W @ u.
     """
-    acc = RidgeAccumulator(inputs.shape[1], targets.shape[1], ridge_lambda)
-    acc.add(inputs, targets)
-    return acc.solve()
+    if not (np.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise ValueError(f"ridge_lambda must be finite and non-negative, got {ridge_lambda}")
+    n_samples, n_inputs = inputs.shape
+    if n_samples >= n_inputs:
+        acc = RidgeAccumulator(n_inputs, targets.shape[1], ridge_lambda)
+        acc.add(inputs, targets)
+        return acc.solve()
+    if n_samples == 0:
+        raise ValueError("no samples accumulated")
+    inputs, targets = _finite_pair(inputs, targets)
+    kernel = inputs @ inputs.T
+    kernel[np.diag_indices(n_samples)] += ridge_lambda
+    dual = np.linalg.solve(kernel, targets)
+    return ClassifierWeights(matrix=dual.T @ inputs, ridge_lambda=ridge_lambda)
 
 
 def predict_batch(weights: ClassifierWeights, inputs: np.ndarray) -> np.ndarray:

@@ -103,7 +103,14 @@ def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
         parts = line.split("\t")
         if len(parts) != 3:
             raise FormatError(f"{path}:{lineno}: expected path<TAB>class_id<TAB>recording_id")
-        entries.append(ManifestEntry(path=parts[0], class_id=int(parts[1]), recording_id=parts[2]))
+        try:
+            class_id = int(parts[1])
+        except ValueError:
+            raise FormatError(f"{path}:{lineno}: class_id {parts[1]!r} is not an integer") from None
+        if class_id < 0 or (n_classes is not None and class_id >= n_classes):
+            bound = "negative" if class_id < 0 else f"not below n_classes {n_classes}"
+            raise FormatError(f"{path}:{lineno}: class_id {class_id} is {bound}")
+        entries.append(ManifestEntry(path=parts[0], class_id=class_id, recording_id=parts[2]))
     if not entries:
         raise FormatError(f"{path}: manifest is empty")
     if n_classes is None:

@@ -1,5 +1,7 @@
 """Region selection, pooling, sampling cadence, ridge classifier, evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -184,9 +186,71 @@ class TestRidge:
         assert np.allclose(single.matrix, chunked.matrix, atol=1e-9)
 
     def test_non_finite_rejected(self):
-        inputs = np.array([[1.0, np.nan]])
-        with pytest.raises(ValueError, match="finite"):
-            train_classifier(inputs, np.array([[1.0]]))
+        for n_samples in (1, 3):  # sample-space and feature-space solves
+            inputs = np.ones((n_samples, 2))
+            inputs[0, 1] = np.nan
+            with pytest.raises(ValueError, match="finite"):
+                train_classifier(inputs, np.ones((n_samples, 1)))
+            with pytest.raises(ValueError, match="finite"):
+                train_classifier(np.ones((n_samples, 2)), np.full((n_samples, 1), np.inf))
+
+    @pytest.mark.parametrize("ridge_lambda", [-1.0, -1e-12, np.nan, np.inf])
+    @pytest.mark.parametrize("n_samples", [1, 3])
+    def test_bad_lambda_rejected(self, ridge_lambda, n_samples):
+        inputs = np.ones((n_samples, 2))
+        with pytest.raises(ValueError, match="ridge_lambda"):
+            train_classifier(inputs, np.ones((n_samples, 1)), ridge_lambda)
+
+    @staticmethod
+    def primal_oracle(inputs, targets, ridge_lambda):
+        acc = RidgeAccumulator(inputs.shape[1], targets.shape[1], ridge_lambda)
+        acc.add(inputs, targets)
+        return acc.solve()
+
+    def test_sample_space_solve_matches_primal(self):
+        rng = np.random.default_rng(12)
+        shapes = [(1, 7), (1, 400), (6, 7), (59, 60)]
+        shapes += [(int(n), int(m)) for m in rng.integers(2, 401, 12)
+                   for n in [rng.integers(1, min(m, 61))]]
+        for n, m in shapes:
+            assert n < m
+            for ridge_lambda in (1e-3, 0.1, 10.0):
+                inputs = rng.standard_normal((n, m))
+                targets = one_hot(rng.integers(0, 4, n), 4)
+                oracle = self.primal_oracle(inputs, targets, ridge_lambda)
+                weights = train_classifier(inputs, targets, ridge_lambda)
+                assert weights.matrix.shape == oracle.matrix.shape
+                scale = np.abs(oracle.matrix).max()
+                assert np.abs(weights.matrix - oracle.matrix).max() <= 1e-9 * scale, (n, m)
+                probe = np.vstack([inputs, rng.standard_normal((20, m))])
+                assert np.array_equal(predict_batch(weights, probe),
+                                      predict_batch(oracle, probe))
+
+    def test_no_samples_rejected(self):
+        for m in (0, 5):
+            with pytest.raises(ValueError, match="no samples accumulated"):
+                train_classifier(np.zeros((0, m)), np.zeros((0, 2)))
+
+    def test_zero_lambda_interpolates_with_fewer_samples_than_inputs(self):
+        rng = np.random.default_rng(6)
+        inputs = np.zeros((5, 30))
+        inputs[:, :20] = rng.standard_normal((5, 20))  # dead inputs make UᵀU exactly singular
+        labels = np.array([0, 1, 2, 1, 0])
+        weights = train_classifier(inputs, one_hot(labels, 3), ridge_lambda=0.0)
+        assert np.allclose(inputs @ weights.matrix.T, one_hot(labels, 3), atol=1e-9)
+        assert np.array_equal(predict_batch(weights, inputs), labels)
+
+    def test_sample_space_solve_holds_no_feature_square(self):
+        rng = np.random.default_rng(8)
+        inputs = rng.standard_normal((16, 4000))
+        targets = one_hot(rng.integers(0, 3, 16), 3)
+        tracemalloc.start()
+        try:
+            train_classifier(inputs, targets)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20  # the 4000 x 4000 Gram matrix alone is 128 MB
 
     def test_zero_lambda_singular_gram_raises(self):
         # duplicated feature column with no regularization cannot be solved

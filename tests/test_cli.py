@@ -197,6 +197,15 @@ class TestEvaluateCommand:
         lines = (out / "report.csv").read_text().strip().splitlines()
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("ridge_lambda", ["nan", "-1"])
+    def test_bad_ridge_lambda_is_an_error(self, dataset_dir, tmp_path, capsys, ridge_lambda):
+        rc = main(["evaluate", "--kind", "oobu", "--pool-size", "6", "--n-trials", "1",
+                   f"--ridge-lambda={ridge_lambda}", "--out", str(tmp_path / "eval"),
+                   "--manifest", str(dataset_dir / "manifest.tsv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert "error:" in err and "ridge_lambda" in err
+
 
 SWEEP_ARGS = ["--kinds", "onoff,oobu", "--feature-modes", "raw,random,trained",
               "--neuron-counts", "2", "--pool-sizes", "2,4", "--pool-methods", "1d,2d",

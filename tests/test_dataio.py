@@ -5,7 +5,8 @@ import struct
 import numpy as np
 import pytest
 
-from spadevents.core import BadMagicError, DimensionError, Recording, TruncatedError
+from spadevents.core import (BadMagicError, DimensionError, FormatError, Recording,
+                             TruncatedError)
 from spadevents.dataio import (AUGMENT_OPS, DatasetManifest, ManifestEntry, SynthConfig,
                                augment, augment_recording, default_silhouettes, load_manifest,
                                load_manifest_recordings, load_recording, save_recording,
@@ -119,6 +120,16 @@ class TestManifest:
     def test_class_bound_enforced(self):
         with pytest.raises(ValueError):
             DatasetManifest(entries=[ManifestEntry("a", 3, "a")], n_classes=3)
+
+    @pytest.mark.parametrize("class_id, n_classes, message", [
+        ("x", None, "not an integer"), ("1.0", None, "not an integer"),
+        ("-1", None, "negative"), ("3", 3, "not below n_classes 3"),
+    ])
+    def test_bad_class_id_is_format_error(self, tmp_path, class_id, n_classes, message):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"a.spdrec\t0\ta\nb.spdrec\t{class_id}\tb\n")
+        with pytest.raises(FormatError, match=f"manifest.tsv:2: .*{message}"):
+            load_manifest(path, n_classes=n_classes)
 
 
 class TestAugment:
