@@ -161,11 +161,6 @@ def event_sample_indices(n_events: int, every: int) -> np.ndarray:
     return np.arange(every - 1, n_events, every, dtype=np.int64)
 
 
-def event_sample_times(events: np.ndarray, every: int) -> np.ndarray:
-    """Timestamps of the classification instants of an event stream."""
-    return events["t"][event_sample_indices(len(events), every)].astype(np.int64)
-
-
 # ---------------------------------------------------------------------------
 # Ridge-regression linear classifier
 # ---------------------------------------------------------------------------
@@ -342,8 +337,12 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
     The sample features are fixed across trials, so accuracy variance comes
     exclusively from the random splits.  Test recordings that produced no
     samples are scored as class 0 and counted; the count and the per-sample
-    confusion matrix sum over all trials.
+    confusion matrix sum over all trials.  Labels must lie in [0, n_classes).
     """
+    labels = samples.recording_labels
+    if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
+        raise ValueError(f"class labels must lie in [0, n_classes) with n_classes = "
+                         f"{n_classes}, got {labels.min()}..{labels.max()}")
     per_frame, per_recording = [], []
     trials = []
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)

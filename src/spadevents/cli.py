@@ -262,7 +262,7 @@ def sweep_rows(recordings, n_classes: int, cfg: ExperimentConfig) -> list[dict]:
             for pool_size in cfg.pool_sizes:
                 for method in cfg.pool_methods:
                     spec = replace(base, pool=PoolConfig(method=method, size=pool_size))
-                    report = evaluate_sources(groups, labels, spec, n_classes, cfg.jobs)
+                    report = evaluate_sources(groups, labels, spec, n_classes)
                     for t in report.trials:
                         rows.append({"kind": kind, "feature_mode": mode,
                                      "n_neurons": n_neurons, "pool_size": pool_size,

@@ -81,10 +81,11 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
     depend on the worker count.
     """
     items = list(items)
-    if jobs <= 1 or len(items) <= 1:
+    workers = min(jobs, len(items))
+    if workers <= 1:
         return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as executor:
-        chunk = max(1, len(items) // (jobs * 4))
+    with ProcessPoolExecutor(max_workers=workers) as executor:
+        chunk = max(1, len(items) // (workers * 4))
         return list(executor.map(fn, items, chunksize=chunk))
 
 
@@ -147,77 +148,63 @@ def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet
 # ---------------------------------------------------------------------------
 
 
-def stream_sample_rows(stream: EventStream, pool_config: PoolConfig, every: int,
-                       window_us: int = FeastParams.window_us,
-                       activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> np.ndarray:
-    """Classifier inputs for one stream, one row per classification instant.
-
-    The surface is replayed up to and including each sampled event; the
-    binary readout at that event's time is region-selected and pooled.
-    """
-    channels = stream.polarity_count
-    width = pool_config.vector_length(channels)
-    instants = event_sample_indices(len(stream), every)
-    if len(instants) == 0:
-        return np.empty((0, width), dtype=np.float64)
-    surface = TimeSurface(stream.grid_width, stream.grid_height, channels)
-    rows = np.empty((len(instants), width), dtype=np.float64)
+def _stream_states(stream: EventStream, indices: np.ndarray, window_us: int):
+    """(binary surface, activity) at each sampled event index, the surface
+    replayed up to and including that event."""
+    surface = TimeSurface(stream.grid_width, stream.grid_height, stream.polarity_count)
     ev = stream.events
     done = 0
-    for row, idx in enumerate(instants):
+    for idx in indices:
         surface.update_many(ev[done:idx + 1])
         done = idx + 1
-        t_now = int(ev["t"][idx])
-        grid = surface.binary(t_now, window_us)
-        region = region_from_activity(grid.sum(axis=0), activity_fraction)
-        rows[row] = pool(region.crop(grid), pool_config)
-    return rows
+        grid = surface.binary(int(ev["t"][idx]), window_us)
+        yield grid, grid.sum(axis=0)
 
 
-def frame_sample_rows(recording: Recording, pool_config: PoolConfig, every: int,
-                      activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> np.ndarray:
-    """Frame-based baseline samples: the depth frame nearest each instant,
-    region-selected on pixel occupancy and pooled as one channel of scaled
-    codes."""
-    width = pool_config.vector_length(1)
-    times = frame_sample_times(recording.n_frames, recording.pulse_period, every)
-    if len(times) == 0:
-        return np.empty((0, width), dtype=np.float64)
-    rows = np.empty((len(times), width), dtype=np.float64)
-    for row, t_now in enumerate(times):
-        idx = min(int(t_now) // recording.pulse_period, recording.n_frames - 1)
-        frame = recording.frames[idx]
-        region = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
-        values = region.crop(frame[None, :, :]).astype(np.float64) / FRAME_CODE_SCALE
-        rows[row] = pool(values, pool_config)
-    return rows
+def _frame_states(recording: Recording, times: np.ndarray):
+    """(scaled codes, pixel occupancy) of the depth frame nearest each instant."""
+    for t_now in times:
+        frame = recording.frames[min(int(t_now) // recording.pulse_period,
+                                     recording.n_frames - 1)]
+        yield frame[None] / FRAME_CODE_SCALE, frame > 0
 
 
 def build_sample_set(sources: list, labels, pool_config: PoolConfig, *, sample_every: int,
                      window_us: int = FeastParams.window_us,
-                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION,
-                     jobs: int = 1) -> SampleSet:
-    """Stack per-source sample rows into one SampleSet.
+                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleSet:
+    """One pooled row per classification instant of every source.
 
     sources are either Recordings (frame pipeline, sampled every
-    sample_every frames) or EventStreams (every sample_every events).
+    sample_every frames) or EventStreams (every sample_every events).  At
+    each instant the active region is selected and pooled per channel.
     """
     labels = np.asarray(labels, dtype=np.int64)
     if len(sources) != len(labels):
         raise ValueError("one label per source required")
-    if isinstance(sources[0], Recording):
-        fn = partial(frame_sample_rows, pool_config=pool_config, every=sample_every,
-                     activity_fraction=activity_fraction)
+    if not 0 <= activity_fraction <= 1:
+        raise ValueError(f"activity_fraction must lie in [0, 1], got {activity_fraction}")
+    from_frames = isinstance(sources[0], Recording)
+    if from_frames:
+        instants = [frame_sample_times(rec.n_frames, rec.pulse_period, sample_every)
+                    for rec in sources]
     else:
-        fn = partial(stream_sample_rows, pool_config=pool_config, every=sample_every,
-                     window_us=window_us, activity_fraction=activity_fraction)
-    row_blocks = parallel_map(fn, sources, jobs)
-    features = np.concatenate(row_blocks, axis=0) if row_blocks else np.empty((0, 0))
-    rec_index = np.concatenate([np.full(len(block), i, dtype=np.int64)
-                                for i, block in enumerate(row_blocks)])
-    sample_labels = labels[rec_index] if len(rec_index) else np.empty(0, dtype=np.int64)
-    return SampleSet(features=features, labels=sample_labels,
-                     recording_index=rec_index, recording_labels=labels)
+        instants = [event_sample_indices(len(stream), sample_every) for stream in sources]
+    counts = [len(times) for times in instants]
+    # allocated once at its exact size: stacking a list of per-instant rows
+    # instead fragments the heap and raised c8_cells' peak RSS by up to 3 MB
+    features = np.empty((sum(counts), pool_config.vector_length(
+        1 if from_frames else sources[0].polarity_count)))
+    row = 0
+    for source, times in zip(sources, instants):
+        states = (_frame_states(source, times) if from_frames
+                  else _stream_states(source, times, window_us))
+        for values, activity in states:
+            features[row] = pool(region_from_activity(activity, activity_fraction).crop(values),
+                                 pool_config)
+            row += 1
+    rec_index = np.repeat(np.arange(len(sources), dtype=np.int64), counts)
+    return SampleSet(features=features, labels=labels[rec_index], recording_index=rec_index,
+                     recording_labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +279,14 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
 
 
 def evaluate_sources(groups: list[tuple[list[int], list]], labels, spec: PipelineSpec,
-                     n_classes: int, jobs: int = 1) -> EvalReport:
+                     n_classes: int) -> EvalReport:
     """Pool each group's sources per spec and evaluate the readout on its trials."""
     reports = []
     for seeds, sources in groups:
         samples = build_sample_set(sources, labels, spec.pool,
                                    sample_every=spec.effective_sample_every(),
                                    window_us=spec.feast_window_us,
-                                   activity_fraction=spec.activity_fraction, jobs=jobs)
+                                   activity_fraction=spec.activity_fraction)
         reports.append(evaluate_samples(samples, n_classes, seeds,
                                         spec.ridge_lambda, spec.train_fraction))
     return reports[0] if len(reports) == 1 else _merge_reports(reports)
@@ -311,7 +298,7 @@ def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int
     """Evaluate one pipeline cell over randomized splits (see pipeline_sources)."""
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
     groups = pipeline_sources(recordings, spec, seeds, jobs, streams)
-    return evaluate_sources(groups, labels, spec, n_classes, jobs)
+    return evaluate_sources(groups, labels, spec, n_classes)
 
 
 def _merge_reports(reports: list[EvalReport]) -> EvalReport:

@@ -7,7 +7,7 @@ import pytest
 
 from spadevents.classify import (ClassifierWeights, PoolConfig, Region, RidgeAccumulator,
                                  SampleSet, evaluate_samples, event_sample_indices,
-                                 event_sample_times, frame_sample_times, one_hot, pool,
+                                 frame_sample_times, one_hot, pool,
                                  pool_1d, pool_2d, predict_batch,
                                  recording_vote, region_from_activity,
                                  train_classifier, zoh_indices)
@@ -138,7 +138,7 @@ class TestSamplingCadence:
     def test_event_instants_oobu_example(self):
         t = np.arange(402) * 3
         ev = make_events(t, np.zeros(402), np.zeros(402), np.zeros(402))
-        times = event_sample_times(ev, every=201)
+        times = ev["t"][event_sample_indices(len(ev), every=201)]
         assert len(times) == 2
         assert times.tolist() == [t[200], t[401]]
 
@@ -325,6 +325,11 @@ class TestEvaluate:
         report = evaluate_samples(samples, n_classes=3, seeds=[0], ridge_lambda=0.0)
         assert report.per_frame_mean == 1.0
         assert report.per_recording_mean == 1.0
+
+    def test_label_outside_class_range_rejected(self):
+        samples = separable_samples(n_classes=3)
+        with pytest.raises(ValueError, match="n_classes"):
+            evaluate_samples(samples, n_classes=2, seeds=[0])
 
     def test_chance_floor_random_labels(self):
         rng = np.random.default_rng(13)

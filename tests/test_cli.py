@@ -5,17 +5,21 @@ import hashlib
 import json
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from spadevents import cli
 from spadevents.classify import PoolConfig
 from spadevents.cli import main
 from spadevents.config import make_config, parse_kv_text
-from spadevents.dataio import load_manifest, load_manifest_recordings
-from spadevents.eventgen import read_stream
+from spadevents.core import FormatError
+from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
+                               load_recording, save_recording, synth_generate)
+from spadevents.eventgen import oobu_convert, read_stream, write_stream
 from spadevents.feast import load_features
 from spadevents.pipeline import PipelineParams, PipelineSpec
 from test_dataio import huge_recording_header
+from test_formats import mutate
 
 SMALL = ["--synth-classes", "3", "--synth-recordings-per-class", "3",
          "--synth-frames", "60", "--synth-grid", "24"]
@@ -169,6 +173,33 @@ class TestConvertCommand:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "ev").exists()
 
+    def test_recording_mutants_are_converted_or_refused(self, tmp_path, capsys):
+        _, recordings = synth_generate(SynthConfig(n_classes=1, recordings_per_class=1,
+                                                   frames_per_recording=6, grid_width=12,
+                                                   grid_height=12, seed=3))
+        save_recording(recordings[0], tmp_path / "sample.spdrec")
+        data = (tmp_path / "sample.spdrec").read_bytes()
+        mutant = tmp_path / "mutant.spdrec"
+        (tmp_path / "manifest.tsv").write_text("mutant.spdrec\t0\tmutant\n")
+        rng = np.random.default_rng(6)
+        outcomes = set()
+        for i in range(40):
+            mutant.write_bytes(mutate(data, 22, rng))
+            # refused if the recording does not load, or if its stream does not
+            # fit SPDEVT01 (a mutated pulse period can stretch event gaps past
+            # the 16-bit AER time field)
+            try:
+                write_stream(oobu_convert(load_recording(mutant)), tmp_path / "check.spdevt")
+                refused = False
+            except FormatError:
+                refused = True
+            rc = main(["convert", "--manifest", str(tmp_path / "manifest.tsv"),
+                       "--kind", "oobu", "--out", str(tmp_path / f"ev{i}")])
+            err = capsys.readouterr().err
+            assert (rc, err.startswith("error:")) == ((1, True) if refused else (0, False)), i
+            outcomes.add(refused)
+        assert outcomes == {False, True}
+
 
 class TestTrainFeaturesCommand:
     def test_writes_feature_files(self, dataset_dir, tmp_path):
@@ -205,6 +236,20 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert "error:" in err and "ridge_lambda" in err
+
+    @pytest.mark.parametrize("classes, flags, name", [
+        ("2", ["--activity-fraction", "1.5"], "activity_fraction"),
+        ("2", ["--activity-fraction", "nan"], "activity_fraction"),
+        ("3", ["--n-classes", "2"], "n_classes"),
+    ], ids=["fraction-above-one", "fraction-nan", "label-above-n-classes"])
+    def test_bad_evaluation_setting_is_an_error(self, tmp_path, capsys, classes, flags, name):
+        rc = main(["evaluate", "--kind", "onoff", "--n-trials", "1", "--synth-classes", classes,
+                   "--synth-recordings-per-class", "3", "--synth-frames", "30",
+                   "--synth-grid", "16", *flags, "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "eval").exists()
 
 
 SWEEP_ARGS = ["--kinds", "onoff,oobu", "--feature-modes", "raw,random,trained",

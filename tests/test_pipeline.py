@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from spadevents.classify import PoolConfig
-from spadevents.core import EventStream, StreamKind, make_events
+from spadevents import pipeline
+from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sample_indices,
+                                 frame_sample_times, pool, region_from_activity)
+from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
 from spadevents.dataio import SynthConfig, synth_generate
-from spadevents.pipeline import (PipelineSpec, build_sample_set,
+from spadevents.feast import FeastParams, random_binary_features
+from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineSpec, build_sample_set,
                                  convert_all, convert_recording, infer_feature_streams,
                                  parallel_map, prepare_binary_features,
-                                 run_pipeline, stream_sample_rows, trial_seeds)
+                                 run_pipeline, trial_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -39,19 +42,138 @@ class TestConversionDispatch:
         out = parallel_map(lambda v: v * v, [3, 1, 4, 1, 5], jobs=1)
         assert out == [9, 1, 16, 1, 25]
 
+    @pytest.mark.parametrize("jobs, n_items, workers", [(64, 20, 20), (2, 20, 2), (8, 3, 3)])
+    def test_parallel_map_starts_at_most_one_worker_per_item(self, jobs, n_items, workers,
+                                                             monkeypatch):
+        started = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize=1):
+                return map(fn, items)
+
+        monkeypatch.setattr(pipeline, "ProcessPoolExecutor", FakeExecutor)
+        assert parallel_map(abs, range(-n_items, 0), jobs=jobs) == list(range(n_items, 0, -1))
+        assert started == [workers]
+
+
+def reference_stream_rows(stream, pool_config, every, window_us=FeastParams.window_us,
+                          activity_fraction=DEFAULT_ACTIVITY_FRACTION):
+    """The per-instant stream sample builder as it stood before the shared loop."""
+    channels = stream.polarity_count
+    width = pool_config.vector_length(channels)
+    instants = event_sample_indices(len(stream), every)
+    if len(instants) == 0:
+        return np.empty((0, width), dtype=np.float64)
+    surface = TimeSurface(stream.grid_width, stream.grid_height, channels)
+    rows = np.empty((len(instants), width), dtype=np.float64)
+    ev = stream.events
+    done = 0
+    for row, idx in enumerate(instants):
+        surface.update_many(ev[done:idx + 1])
+        done = idx + 1
+        t_now = int(ev["t"][idx])
+        grid = surface.binary(t_now, window_us)
+        region = region_from_activity(grid.sum(axis=0), activity_fraction)
+        rows[row] = pool(region.crop(grid), pool_config)
+    return rows
+
+
+def reference_frame_rows(recording, pool_config, every,
+                         activity_fraction=DEFAULT_ACTIVITY_FRACTION):
+    """The per-instant frame sample builder as it stood before the shared loop."""
+    width = pool_config.vector_length(1)
+    times = frame_sample_times(recording.n_frames, recording.pulse_period, every)
+    if len(times) == 0:
+        return np.empty((0, width), dtype=np.float64)
+    rows = np.empty((len(times), width), dtype=np.float64)
+    for row, t_now in enumerate(times):
+        idx = min(int(t_now) // recording.pulse_period, recording.n_frames - 1)
+        frame = recording.frames[idx]
+        region = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
+        values = region.crop(frame[None, :, :]).astype(np.float64) / FRAME_CODE_SCALE
+        rows[row] = pool(values, pool_config)
+    return rows
+
+
+@pytest.fixture(scope="module")
+def oracle_sources(tiny_dataset):
+    """Sources of every kind, each list ending in an edge case: a recording
+    shorter than the frame cadence, or a stream without events."""
+    recordings = tiny_dataset[:5]
+    short = Recording(frames=recordings[0].frames[:5], pulse_period=recordings[0].pulse_period)
+    sources = {"frames": (recordings + [short], 8)}
+    for kind in ("firstand", "onoff", "oobu"):
+        streams = convert_all(recordings, kind)
+        empty = EventStream(kind=streams[0].kind, grid_width=24, grid_height=24)
+        sources[kind] = (streams + [empty], PipelineSpec(kind=kind).effective_sample_every())
+    oobu = sources["oobu"][0][:-1]
+    params = PipelineSpec(n_neurons=4, seed=3).feast_params(oobu[0].polarity_count)
+    features = infer_feature_streams(oobu, random_binary_features(params, 16))
+    empty = EventStream(kind=StreamKind.FEATURE, grid_width=24, grid_height=24,
+                        polarity_count=4)
+    sources["feature"] = (features + [empty], 201)
+    return sources
+
 
 class TestSampleBuilding:
     def test_row_count_follows_cadence(self):
         n = 402
         ev = make_events(np.arange(n) * 7, np.zeros(n), np.zeros(n), np.zeros(n))
         stream = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8, events=ev)
-        rows = stream_sample_rows(stream, PoolConfig(method="2d", size=4), every=201)
-        assert rows.shape == (2, 4 * 16)
+        samples = build_sample_set([stream], [0], PoolConfig(method="2d", size=4),
+                                   sample_every=201)
+        assert samples.features.shape == (2, 4 * 16)
 
     def test_empty_stream_gives_zero_rows(self):
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8)
-        rows = stream_sample_rows(stream, PoolConfig(method="1d", size=4), every=74)
-        assert rows.shape == (0, 2 * 8)
+        samples = build_sample_set([stream], [0], PoolConfig(method="1d", size=4),
+                                   sample_every=74)
+        assert samples.features.shape == (0, 2 * 8)
+        assert samples.labels.shape == samples.recording_index.shape == (0,)
+
+    @pytest.mark.parametrize("kind", ["frames", "firstand", "onoff", "oobu", "feature"])
+    @pytest.mark.parametrize("method", ["1d", "2d"])
+    @pytest.mark.parametrize("size", [1, 3, 12, 24])
+    def test_matches_per_instant_reference(self, oracle_sources, kind, method, size):
+        sources, every = oracle_sources[kind]
+        config = PoolConfig(method=method, size=size)
+        labels = np.arange(len(sources)) % 3
+        samples = build_sample_set(sources, labels, config, sample_every=every)
+        blocks = [reference_frame_rows(src, config, every) if kind == "frames"
+                  else reference_stream_rows(src, config, every) for src in sources]
+        assert len(blocks[-1]) == 0
+        assert np.array_equal(samples.features, np.concatenate(blocks))
+        counts = [len(block) for block in blocks]
+        assert np.array_equal(samples.recording_index,
+                              np.repeat(np.arange(len(sources)), counts))
+        assert np.array_equal(samples.labels, np.repeat(labels, counts))
+
+    @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
+    def test_activity_fraction_outside_unit_interval_rejected(self, tiny_dataset, fraction):
+        with pytest.raises(ValueError, match="activity_fraction"):
+            build_sample_set(tiny_dataset[:2], [0, 1], PoolConfig(), sample_every=8,
+                             activity_fraction=fraction)
+
+    @pytest.mark.parametrize("fraction", [0.0, 1.0])
+    def test_activity_fraction_bounds_allowed(self, oracle_sources, fraction):
+        config = PoolConfig()
+        for kind, (sources, every) in oracle_sources.items():
+            samples = build_sample_set(sources, [0] * len(sources), config,
+                                       sample_every=every, activity_fraction=fraction)
+            blocks = [reference_frame_rows(src, config, every, fraction) if kind == "frames"
+                      else reference_stream_rows(src, config, every,
+                                                 activity_fraction=fraction)
+                      for src in sources]
+            assert np.array_equal(samples.features, np.concatenate(blocks)), kind
 
     def test_sample_set_bookkeeping(self, tiny_dataset):
         streams = convert_all(tiny_dataset, "oobu")
@@ -70,15 +192,6 @@ class TestSampleBuilding:
                                    sample_every=8)
         assert samples.features.shape == (len(tiny_dataset) * 10, 16)
         assert samples.features.max() <= 1.0
-
-    def test_jobs_do_not_change_samples(self, tiny_dataset):
-        streams = convert_all(tiny_dataset, "onoff")
-        labels = [rec.class_id for rec in tiny_dataset]
-        kw = dict(pool_config=PoolConfig(method="2d", size=6), sample_every=74)
-        a = build_sample_set(streams, labels, kw["pool_config"], sample_every=74, jobs=1)
-        b = build_sample_set(streams, labels, kw["pool_config"], sample_every=74, jobs=3)
-        assert np.array_equal(a.features, b.features)
-        assert np.array_equal(a.recording_index, b.recording_index)
 
 
 class TestFeatureLayer:
