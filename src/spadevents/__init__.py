@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .core import EventStream, Recording, StreamKind, TimeSurface, decode_aer, encode_aer
 from .dataio import (DatasetManifest, SynthConfig, augment, load_manifest, load_recording,
                      save_manifest, save_recording, split_indices, synth_generate)
-from .eventgen import (FirstAndParams, GateBank, count_ratio_demo, datarate_stats,
+from .eventgen import (FirstAndParams, count_ratio_demo, datarate_stats,
                        firstand_convert, onoff_convert, oobu_convert, read_stream,
                        write_stream)
 from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
@@ -24,7 +24,7 @@ __all__ = [
     "EventStream", "Recording", "StreamKind", "TimeSurface", "decode_aer", "encode_aer",
     "DatasetManifest", "SynthConfig", "augment", "load_manifest", "load_recording",
     "save_manifest", "save_recording", "split_indices", "synth_generate",
-    "FirstAndParams", "GateBank", "count_ratio_demo", "datarate_stats",
+    "FirstAndParams", "count_ratio_demo", "datarate_stats",
     "firstand_convert", "onoff_convert", "oobu_convert", "read_stream", "write_stream",
     "BinaryFeatureSet", "ContinuousFeatureSet", "FeastParams", "binarize",
     "feast_infer", "feast_train", "load_features", "save_features",

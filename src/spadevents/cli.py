@@ -143,7 +143,10 @@ def _resolve_reader(spec: str):
     module_name, _, attr = spec.partition(":")
     if not attr:
         raise ValueError("reader must be 'spdrec' or 'module.path:callable'")
-    return getattr(importlib.import_module(module_name), attr)
+    try:
+        return getattr(importlib.import_module(module_name), attr)
+    except (ImportError, AttributeError) as exc:
+        raise ValueError(f"cannot load reader {spec!r}: {exc}") from None
 
 
 def cmd_import(args) -> int:

@@ -21,6 +21,7 @@ both counts above another yields a bi-polar event.
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import dataclass, replace
 
@@ -31,52 +32,16 @@ from .core import (AER_TIME_MASK, EVENT_DTYPE, FormatError, EventStream, Recordi
                    write_framed)
 
 RF_SIDE = 4
-GATE_NAMES = ("N", "S", "E", "W")
 
-# Sentinel firing time for gates that never complete; beats any u16 code.
-_NEVER_FIRES = 1 << 20
-
-
-# ---------------------------------------------------------------------------
-# Gate geometry
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GateBank:
-    """AND-gate connectivity inside one receptive field.
-
-    offsets[g] lists the (dy, dx) pixel taps of gate g relative to the RF
-    origin.  Gate index doubles as the event polarity and as the arbiter
-    priority (lower index wins simultaneous completions).
-    """
-
-    rf_side: int
-    offsets: tuple[tuple[tuple[int, int], ...], ...]
-
-    def __post_init__(self):
-        sizes = {len(taps) for taps in self.offsets}
-        if len(sizes) != 1:
-            raise ValueError("all gates must tap the same number of pixels")
-        for taps in self.offsets:
-            for dy, dx in taps:
-                if not (0 <= dy < self.rf_side and 0 <= dx < self.rf_side):
-                    raise ValueError(f"gate tap ({dy}, {dx}) outside the {self.rf_side}x{self.rf_side} field")
-
-    @property
-    def n_gates(self) -> int:
-        return len(self.offsets)
-
-
-def border_gate_bank(rf_side: int = RF_SIDE) -> GateBank:
-    """The implemented bank: N=top row, S=bottom row, E=right col, W=left col."""
-    last = rf_side - 1
-    return GateBank(rf_side=rf_side, offsets=(
-        tuple((0, dx) for dx in range(rf_side)),     # N
-        tuple((last, dx) for dx in range(rf_side)),  # S
-        tuple((dy, last) for dy in range(rf_side)),  # E
-        tuple((dy, 0) for dy in range(rf_side)),     # W
-    ))
+# (dy, dx) pixel taps of the border AND gates relative to the RF origin.  The
+# gate index doubles as the event polarity and as the arbiter priority (lower
+# index wins simultaneous completions).
+GATE_TAPS = (
+    tuple((0, dx) for dx in range(RF_SIDE)),            # N = top row
+    tuple((RF_SIDE - 1, dx) for dx in range(RF_SIDE)),  # S = bottom row
+    tuple((dy, RF_SIDE - 1) for dy in range(RF_SIDE)),  # E = right column
+    tuple((dy, 0) for dy in range(RF_SIDE)),            # W = left column
+)
 
 
 # ---------------------------------------------------------------------------
@@ -102,23 +67,21 @@ class RfState:
 
     stored_feature: int = 0
     counter: int = 0
-    position: tuple[int, int] = (0, 0)  # (rf_row, rf_col)
 
 
-def firstand_pulse_winner(frame_codes: np.ndarray, rf_origin: tuple[int, int],
-                          gates: GateBank) -> int | None:
+def firstand_pulse_winner(frame_codes: np.ndarray, rf_origin: tuple[int, int]) -> int | None:
     """Winning gate of one RF for one pulse, or None if no gate completes.
 
-    A gate completes iff all its taps saw a return (code > 0); its firing
-    time is the max tap code.  Earliest completion wins; ties go to the
-    lowest gate index (N > S > E > W priority).
+    A gate completes iff all its GATE_TAPS saw a return (code > 0); its
+    firing time is the max tap code.  Earliest completion wins; ties go to
+    the lowest gate index (N > S > E > W priority).
     """
     r0, c0 = rf_origin
     h, w = frame_codes.shape
-    if r0 < 0 or c0 < 0 or r0 + gates.rf_side > h or c0 + gates.rf_side > w:
+    if r0 < 0 or c0 < 0 or r0 + RF_SIDE > h or c0 + RF_SIDE > w:
         raise ValueError(f"receptive field at {rf_origin} does not fit the frame")
     best_gate, best_time = None, None
-    for g, taps in enumerate(gates.offsets):
+    for g, taps in enumerate(GATE_TAPS):
         codes = [int(frame_codes[r0 + dy, c0 + dx]) for dy, dx in taps]
         if min(codes) == 0:
             continue
@@ -150,32 +113,61 @@ def firstand_rf_step(state: RfState, winner: int | None,
     return replace(state, counter=counter), None
 
 
-def _gate_maps(frame_codes: np.ndarray, gates: GateBank) -> np.ndarray:
-    """Firing-time maps over the stride-1 RF grid, shape (n_gates, Hr, Wr).
+def firstand_winner_maps(frames: np.ndarray) -> np.ndarray:
+    """Winner per frame and RF over the stride-1 grid, shape (K, Hr, Wr).
 
-    Incomplete gates read the never-fires sentinel.
+    -1 marks an RF where no gate completes.  Codes shift by -1 in uint16:
+    a no-return 0 becomes 65535 and the order of the other codes is kept, so
+    a gate's max tap is 65535 exactly when it cannot complete.  N and S are
+    the top and bottom rows of one horizontal 4-wide running max, E and W the
+    right and left columns of one vertical one.
     """
-    h, w = frame_codes.shape
-    hr, wr = h - gates.rf_side + 1, w - gates.rf_side + 1
-    times = np.empty((gates.n_gates, hr, wr), dtype=np.int32)
-    for g, taps in enumerate(gates.offsets):
-        stack = np.stack([frame_codes[dy:dy + hr, dx:dx + wr] for dy, dx in taps]).astype(np.int32)
-        t_fire = stack.max(axis=0)
-        t_fire[(stack == 0).any(axis=0)] = _NEVER_FIRES
-        times[g] = t_fire
-    return times
-
-
-def firstand_winner_map(frame_codes: np.ndarray, gates: GateBank) -> np.ndarray:
-    """Winner per RF over the stride-1 grid; -1 where no gate completes."""
-    times = _gate_maps(frame_codes, gates)
-    winner = np.argmin(times, axis=0).astype(np.int8)      # first min = priority order
-    winner[times.min(axis=0) >= _NEVER_FIRES] = -1
+    frames = np.asarray(frames, dtype=np.uint16)
+    _, h, w = frames.shape
+    if h < RF_SIDE or w < RF_SIDE:
+        raise ValueError(f"frames {h}x{w} smaller than the {RF_SIDE}x{RF_SIDE} receptive field")
+    hr, wr = h - RF_SIDE + 1, w - RF_SIDE + 1
+    codes = frames - np.uint16(1)
+    across = np.maximum(codes[:, :, :wr], codes[:, :, 1:wr + 1])
+    down = np.maximum(codes[:, :hr], codes[:, 1:hr + 1])
+    for d in range(2, RF_SIDE):
+        np.maximum(across, codes[:, :, d:d + wr], out=across)
+        np.maximum(down, codes[:, d:d + hr], out=down)
+    last = RF_SIDE - 1
+    best = across[:, :hr].copy()                                           # N
+    winner = np.zeros(best.shape, dtype=np.int8)
+    for g, t_fire in enumerate((across[:, last:], down[:, :, last:], down[:, :, :wr]), 1):
+        earlier = t_fire < best                                            # S, E, W
+        np.copyto(winner, g, where=earlier)
+        np.copyto(best, t_fire, where=earlier)
+    winner[best == np.iinfo(np.uint16).max] = -1
     return winner
 
 
-def firstand_convert(recording: Recording, gates: GateBank | None = None,
-                     params: FirstAndParams | None = None) -> EventStream:
+@functools.cache
+def _counter_table(success_threshold: int) -> tuple[np.ndarray, np.ndarray]:
+    """firstand_rf_step tabulated over 5 * state + winner + 1, with
+    state = 8 * stored + counter and winner -1 for none.
+
+    Returns (next, emitted): next holds 5 * next_state + 1, so adding the
+    next winner gives the next index; emitted holds the feature id or -1.
+    """
+    params = FirstAndParams(success_threshold=success_threshold)
+    next_index = np.empty(32 * 5, dtype=np.intp)
+    emitted = np.empty(32 * 5, dtype=np.int8)
+    for stored in range(4):
+        for counter in range(8):
+            for winner in range(-1, 4):
+                new, feature = firstand_rf_step(RfState(stored, counter),
+                                                winner if winner >= 0 else None, params)
+                i = 5 * (8 * stored + counter) + winner + 1
+                next_index[i] = 5 * (8 * new.stored_feature + new.counter) + 1
+                emitted[i] = -1 if feature is None else feature
+    next_index.flags.writeable = emitted.flags.writeable = False
+    return next_index, emitted
+
+
+def firstand_convert(recording: Recording, params: FirstAndParams | None = None) -> EventStream:
     """Simulate the First-AND circuit over a recording.
 
     One RF per stride-1 4x4 window (so a HxW frame yields an
@@ -184,65 +176,45 @@ def firstand_convert(recording: Recording, gates: GateBank | None = None,
     stored feature as polarity.  If a per-pulse FIFO capacity is set, events
     past the cap are dropped in arbiter order.
     """
-    gates = gates if gates is not None else border_gate_bank()
     params = params if params is not None else FirstAndParams()
-    if recording.height < gates.rf_side or recording.width < gates.rf_side:
-        raise ValueError(f"frames {recording.height}x{recording.width} smaller than the "
-                         f"{gates.rf_side}x{gates.rf_side} receptive field")
-    hr = recording.height - gates.rf_side + 1
-    wr = recording.width - gates.rf_side + 1
-    stored = np.zeros((hr, wr), dtype=np.int8)
-    counter = np.zeros((hr, wr), dtype=np.int8)
-    phi = params.success_threshold
+    winners = firstand_winner_maps(recording.frames)
+    hr, wr = winners.shape[1:]
+    next_index, emitted = _counter_table(params.success_threshold)
+    index = np.ones(hr * wr, dtype=np.intp)  # 5 * state + 1 at state 0 (stored N, counter 0)
     cap = params.fifo_capacity_per_pulse
 
     chunks = []
-    for k in range(recording.n_frames):
-        winner = firstand_winner_map(recording.frames[k], gates)
-        active = winner >= 0
-        same = active & (winner == stored)
-        diff = active & ~same
-
-        counter[same] = np.minimum(counter[same] + 1, 7)
-        emit = same & (counter >= phi)
-        counter[emit] = 0
-
-        counter[diff] = np.maximum(counter[diff] - 1, 0)
-        take_over = diff & (counter == 0)
-        stored[take_over] = winner[take_over]
-        counter[take_over] = 1
-
-        ys, xs = np.nonzero(emit)
-        if len(ys) == 0:
-            continue
-        if cap is not None and len(ys) > cap:
-            ys, xs = ys[:cap], xs[:cap]
-        chunks.append(make_events(np.full(len(ys), k * recording.pulse_period, dtype=np.int64),
-                                  ys, xs, stored[ys, xs]))
+    for k, winner in enumerate(winners.reshape(len(winners), hr * wr)):
+        index += winner
+        feature = emitted.take(index)
+        index = next_index.take(index)
+        cells = np.flatnonzero(feature >= 0)[:cap]
+        if len(cells):
+            chunks.append(make_events(np.full(len(cells), k * recording.pulse_period, dtype=np.int64),
+                                      cells // wr, cells % wr, feature[cells]))
 
     events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
     return EventStream(kind=StreamKind.FIRST_AND, grid_width=wr, grid_height=hr, events=events)
 
 
-def firstand_convert_reference(recording: Recording, gates: GateBank | None = None,
+def firstand_convert_reference(recording: Recording,
                                params: FirstAndParams | None = None) -> EventStream:
     """Step-by-step scalar simulator built on the per-RF operations.
 
     Exists as an independent cross-check for the vectorized converter; the
     two must agree event for event.
     """
-    gates = gates if gates is not None else border_gate_bank()
     params = params if params is not None else FirstAndParams()
-    hr = recording.height - gates.rf_side + 1
-    wr = recording.width - gates.rf_side + 1
-    states = {(r, c): RfState(position=(r, c)) for r in range(hr) for c in range(wr)}
+    hr = recording.height - RF_SIDE + 1
+    wr = recording.width - RF_SIDE + 1
+    states = {(r, c): RfState() for r in range(hr) for c in range(wr)}
     rows, cols, pols, times = [], [], [], []
     for k in range(recording.n_frames):
         frame = recording.frames[k]
         emitted = 0
         for r in range(hr):
             for c in range(wr):
-                winner = firstand_pulse_winner(frame, (r, c), gates)
+                winner = firstand_pulse_winner(frame, (r, c))
                 states[(r, c)], feature = firstand_rf_step(states[(r, c)], winner, params)
                 if feature is None:
                     continue

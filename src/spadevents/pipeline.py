@@ -93,7 +93,10 @@ def convert_recording(recording: Recording, kind: str,
                       params: PipelineParams | None = None) -> EventStream:
     p = params if params is not None else PipelineParams()
     if kind == "firstand":
-        cap = p.firstand_fifo_capacity if p.firstand_fifo_capacity > 0 else None
+        if p.firstand_fifo_capacity < 0:
+            raise ValueError(f"firstand_fifo_capacity must be non-negative (0 = unlimited), "
+                             f"got {p.firstand_fifo_capacity}")
+        cap = p.firstand_fifo_capacity or None
         return firstand_convert(recording, params=FirstAndParams(
             success_threshold=p.firstand_success_threshold, fifo_capacity_per_pulse=cap))
     if kind == "onoff":
@@ -183,6 +186,9 @@ def build_sample_set(sources: list, labels, pool_config: PoolConfig, *, sample_e
         raise ValueError("one label per source required")
     if not 0 <= activity_fraction <= 1:
         raise ValueError(f"activity_fraction must lie in [0, 1], got {activity_fraction}")
+    if sample_every < 1 or window_us < 1:
+        raise ValueError(f"sample_every and window_us must be positive, "
+                         f"got {sample_every} and {window_us}")
     from_frames = isinstance(sources[0], Recording)
     if from_frames:
         instants = [frame_sample_times(rec.n_frames, rec.pulse_period, sample_every)

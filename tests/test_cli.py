@@ -241,7 +241,11 @@ class TestEvaluateCommand:
         ("2", ["--activity-fraction", "1.5"], "activity_fraction"),
         ("2", ["--activity-fraction", "nan"], "activity_fraction"),
         ("3", ["--n-classes", "2"], "n_classes"),
-    ], ids=["fraction-above-one", "fraction-nan", "label-above-n-classes"])
+        ("2", ["--kind", "firstand", "--firstand-fifo-capacity", "-5"], "firstand_fifo_capacity"),
+        ("2", ["--kind", "frames", "--sample-every-frames", "0"], "sample_every"),
+        ("2", ["--feast-window-us", "0"], "window_us"),
+    ], ids=["fraction-above-one", "fraction-nan", "label-above-n-classes",
+            "negative-fifo-capacity", "zero-frame-interval", "zero-window"])
     def test_bad_evaluation_setting_is_an_error(self, tmp_path, capsys, classes, flags, name):
         rc = main(["evaluate", "--kind", "onoff", "--n-trials", "1", "--synth-classes", classes,
                    "--synth-recordings-per-class", "3", "--synth-frames", "30",
@@ -436,3 +440,13 @@ class TestImportCommand:
         rc = main(["import", "--reader", "spdrec", "--src", str(src),
                    "--out", str(tmp_path / "out")])
         assert rc == 1
+
+    @pytest.mark.parametrize("reader", ["nosuch_reader_module:make", "json:nosuch"],
+                             ids=["missing-module", "missing-callable"])
+    def test_unloadable_reader_is_an_error(self, reader, tmp_path, capsys):
+        rc = main(["import", "--reader", reader, "--src", str(tmp_path),
+                   "--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and reader in err
+        assert not (tmp_path / "out").exists()

@@ -5,20 +5,27 @@ import pytest
 
 from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
                              Recording, StreamKind, TruncatedError, make_events)
-from spadevents.eventgen import (FirstAndParams, GateBank, RfState,
-                                 best_two_threshold_split, border_gate_bank,
-                                 count_ratio_demo, datarate_stats, firstand_convert,
-                                 firstand_convert_reference, firstand_pulse_winner,
-                                 firstand_rf_step, firstand_winner_map, onoff_convert,
-                                 oobu_convert, polarity_count_ratio, read_stream,
-                                 write_stream)
+from spadevents.eventgen import (GATE_TAPS, FirstAndParams, RfState,
+                                 best_two_threshold_split, count_ratio_demo, datarate_stats,
+                                 firstand_convert, firstand_convert_reference,
+                                 firstand_pulse_winner, firstand_rf_step,
+                                 firstand_winner_maps, onoff_convert, oobu_convert,
+                                 polarity_count_ratio, read_stream, write_stream)
 
 
-def brute_force_winner(frame, rf_origin, gates):
+BORDER_TAPS = (
+    ((0, 0), (0, 1), (0, 2), (0, 3)),  # N = top row
+    ((3, 0), (3, 1), (3, 2), (3, 3)),  # S = bottom row
+    ((0, 3), (1, 3), (2, 3), (3, 3)),  # E = right col
+    ((0, 0), (1, 0), (2, 0), (3, 0)),  # W = left col
+)
+
+
+def brute_force_winner(frame, rf_origin):
     """Independent oracle: enumerate gate completion times with plain Python."""
     r0, c0 = rf_origin
     best = None  # (time, gate)
-    for g, taps in enumerate(gates.offsets):
+    for g, taps in enumerate(BORDER_TAPS):
         codes = [int(frame[r0 + dy, c0 + dx]) for dy, dx in taps]
         if all(c > 0 for c in codes):
             t = max(codes)
@@ -34,28 +41,18 @@ def recording_from(frames, pulse_period=10, class_id=0):
 
 class TestGateBank:
     def test_border_bank_geometry(self):
-        bank = border_gate_bank()
-        assert bank.n_gates == 4
-        assert all(len(taps) == 4 for taps in bank.offsets)
-        assert bank.offsets[0] == ((0, 0), (0, 1), (0, 2), (0, 3))   # N = top row
-        assert bank.offsets[1] == ((3, 0), (3, 1), (3, 2), (3, 3))   # S = bottom row
-        assert bank.offsets[2] == ((0, 3), (1, 3), (2, 3), (3, 3))   # E = right col
-        assert bank.offsets[3] == ((0, 0), (1, 0), (2, 0), (3, 0))   # W = left col
-
-    def test_unequal_tap_counts_rejected(self):
-        with pytest.raises(ValueError, match="same number"):
-            GateBank(rf_side=4, offsets=(((0, 0),), ((0, 0), (0, 1))))
+        assert GATE_TAPS == BORDER_TAPS
 
 
 class TestPulseWinner:
     def test_only_top_row_latched(self):
         frame = np.zeros((4, 4), dtype=np.uint16)
         frame[0] = [5, 6, 7, 8]
-        assert firstand_pulse_winner(frame, (0, 0), border_gate_bank()) == 0  # N
+        assert firstand_pulse_winner(frame, (0, 0)) == 0  # N
 
     def test_all_equal_tie_goes_to_priority(self):
         frame = np.full((4, 4), 5, dtype=np.uint16)
-        assert firstand_pulse_winner(frame, (0, 0), border_gate_bank()) == 0  # N first
+        assert firstand_pulse_winner(frame, (0, 0)) == 0  # N first
 
     def test_south_wins_on_earlier_completion(self):
         # written-out grid: N completes at 9, S at 4, both columns blocked by zeros
@@ -63,27 +60,30 @@ class TestPulseWinner:
                           [0, 1, 1, 0],
                           [0, 1, 1, 0],
                           [4, 3, 3, 3]], dtype=np.uint16)
-        bank = border_gate_bank()
-        assert firstand_pulse_winner(frame, (0, 0), bank) == 1  # S
-        assert brute_force_winner(frame, (0, 0), bank) == 1
+        assert firstand_pulse_winner(frame, (0, 0)) == 1  # S
+        assert brute_force_winner(frame, (0, 0)) == 1
 
     def test_no_complete_gate(self):
         frame = np.zeros((4, 4), dtype=np.uint16)
         frame[1:3, 1:3] = 7  # interior only; every border gate misses a tap
-        assert firstand_pulse_winner(frame, (0, 0), border_gate_bank()) is None
+        assert firstand_pulse_winner(frame, (0, 0)) is None
 
     def test_matches_brute_force_and_winner_map(self):
         rng = np.random.default_rng(21)
-        bank = border_gate_bank()
-        for _ in range(30):
-            frame = rng.integers(0, 4, size=(7, 7)).astype(np.uint16) * rng.integers(0, 9)
-            wmap = firstand_winner_map(frame, bank)
-            for r in range(4):
-                for c in range(4):
-                    want = brute_force_winner(frame, (r, c), bank)
-                    got = firstand_pulse_winner(frame, (r, c), bank)
-                    assert got == want
-                    assert (wmap[r, c] == -1 and want is None) or wmap[r, c] == want
+        extremes = np.array([0, 1, 65534, 65535], dtype=np.uint16)
+        for trial in range(30):
+            k, h, w = int(rng.integers(1, 4)), int(rng.integers(4, 9)), int(rng.integers(4, 9))
+            if trial % 2:
+                frames = rng.choice(extremes, size=(k, h, w))
+            else:
+                frames = rng.integers(0, 4, size=(k, h, w)).astype(np.uint16) * rng.integers(0, 9)
+            frames = frames.astype(np.uint16)
+            maps = firstand_winner_maps(frames)
+            assert maps.shape == (k, h - 3, w - 3)
+            for f, r, c in np.ndindex(maps.shape):
+                want = brute_force_winner(frames[f], (r, c))
+                assert firstand_pulse_winner(frames[f], (r, c)) == want
+                assert maps[f, r, c] == (-1 if want is None else want)
 
 
 class TestRfStep:
@@ -139,6 +139,27 @@ class TestRfStep:
                 assert winner is not None and winner != before.stored_feature
                 assert before.counter <= 1  # only a bottomed-out counter lets a new feature in
                 assert state.counter == 1
+
+    def test_exhaustive_against_written_out_rules(self):
+        for phi in range(1, 8):
+            params = FirstAndParams(success_threshold=phi)
+            for stored in range(4):
+                for counter in range(8):
+                    for winner in (None, 0, 1, 2, 3):
+                        # the counter rules, written out case by case
+                        if winner is None:
+                            want = (stored, counter, None)
+                        elif winner == stored and counter + 1 >= phi:  # phi <= 7
+                            want = (stored, 0, stored)
+                        elif winner == stored:
+                            want = (stored, counter + 1, None)
+                        elif counter <= 1:
+                            want = (winner, 1, None)
+                        else:
+                            want = (stored, counter - 1, None)
+                        new, emitted = firstand_rf_step(RfState(stored, counter), winner, params)
+                        assert (new.stored_feature, new.counter, emitted) == want, \
+                            (phi, stored, counter, winner)
 
 
 class TestFirstAndConvert:
@@ -196,6 +217,29 @@ class TestFirstAndConvert:
         reference = firstand_convert_reference(recording_from(frames),
                                                params=FirstAndParams(fifo_capacity_per_pulse=1))
         assert np.array_equal(capped.events, reference.events)
+
+    def test_fuzz_matches_reference_simulator(self):
+        rng = np.random.default_rng(2024)
+        extremes = np.array([0, 1, 65534, 65535], dtype=np.uint16)
+        for trial in range(60):
+            k = 0 if trial % 15 == 0 else int(rng.integers(1, 13))
+            h, w = (4, 4) if trial % 10 == 1 else (int(rng.integers(4, 9)), int(rng.integers(4, 9)))
+            style = trial % 4
+            if style == 0:
+                frames = np.zeros((k, h, w), dtype=np.uint16)
+            elif style == 1:
+                frames = np.full((k, h, w), 65535, dtype=np.uint16)
+            elif style == 2:
+                frames = rng.choice(extremes, size=(k, h, w), p=[0.2, 0.3, 0.2, 0.3])
+            else:
+                frames = rng.integers(0, 5, size=(k, h, w)) * rng.integers(0, 2, size=(k, h, w))
+            cap = (None, 0, 1, int(rng.integers(2, 6)))[trial // 4 % 4]
+            params = FirstAndParams(success_threshold=trial % 7 + 1, fifo_capacity_per_pulse=cap)
+            rec = recording_from(frames.astype(np.uint16))
+            fast = firstand_convert(rec, params=params)
+            slow = firstand_convert_reference(rec, params=params)
+            assert (fast.grid_height, fast.grid_width) == (h - 3, w - 3)
+            assert np.array_equal(fast.events, slow.events), (trial, params)
 
     def test_frames_smaller_than_rf_rejected(self):
         with pytest.raises(ValueError, match="smaller"):
