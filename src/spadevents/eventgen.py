@@ -134,12 +134,13 @@ def firstand_winner_maps(frames: np.ndarray) -> np.ndarray:
         np.maximum(across, codes[:, :, d:d + wr], out=across)
         np.maximum(down, codes[:, d:d + hr], out=down)
     last = RF_SIDE - 1
-    best = across[:, :hr].copy()                                           # N
+    times = (across[:, :hr], across[:, last:], down[:, :, last:], down[:, :, :wr])  # N, S, E, W
+    best = times[0].copy()
     winner = np.zeros(best.shape, dtype=np.int8)
-    for g, t_fire in enumerate((across[:, last:], down[:, :, last:], down[:, :, :wr]), 1):
-        earlier = t_fire < best                                            # S, E, W
+    for g in range(1, len(times)):
+        earlier = times[g] < best  # strict, so ties keep the lower index
         np.copyto(winner, g, where=earlier)
-        np.copyto(best, t_fire, where=earlier)
+        np.copyto(best, times[g], where=earlier)
     winner[best == np.iinfo(np.uint16).max] = -1
     return winner
 
@@ -190,7 +191,7 @@ def firstand_convert(recording: Recording, params: FirstAndParams | None = None)
         index = next_index.take(index)
         cells = np.flatnonzero(feature >= 0)[:cap]
         if len(cells):
-            chunks.append(make_events(np.full(len(cells), k * recording.pulse_period, dtype=np.int64),
+            chunks.append(make_events(np.full(len(cells), k * recording.pulse_period, np.int64),
                                       cells // wr, cells % wr, feature[cells]))
 
     events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)

@@ -441,7 +441,7 @@ class TestImportCommand:
                    "--out", str(tmp_path / "out")])
         assert rc == 1
 
-    @pytest.mark.parametrize("reader", ["nosuch_reader_module:make", "json:nosuch"],
+    @pytest.mark.parametrize("reader", ["nosuch.module:fn", "json:nosuch"],
                              ids=["missing-module", "missing-callable"])
     def test_unloadable_reader_is_an_error(self, reader, tmp_path, capsys):
         rc = main(["import", "--reader", reader, "--src", str(tmp_path),
