@@ -15,9 +15,6 @@ from enum import IntEnum
 
 import numpy as np
 
-# Depth code reserved for "no photon return on this pulse".
-NO_RETURN = 0
-
 # Laser pulsed at 100 kHz -> 10 us between depth frames.
 DEFAULT_PULSE_PERIOD_US = 10
 
@@ -248,39 +245,26 @@ def encode_aer(row: int, col: int, feature_class: int, pulse_index: int) -> int:
     Row, column and feature class must fit their fields; pulse_index is a
     free-running counter and is reduced modulo 2^16.
     """
-    if not 0 <= row <= AER_MAX_ROW:
-        raise ValueError(f"row {row} out of range 0..{AER_MAX_ROW}")
-    if not 0 <= col <= AER_MAX_COL:
-        raise ValueError(f"col {col} out of range 0..{AER_MAX_COL}")
-    if not 0 <= feature_class <= AER_MAX_CLASS:
-        raise ValueError(f"feature_class {feature_class} out of range 0..{AER_MAX_CLASS}")
-    if pulse_index < 0:
-        raise ValueError(f"pulse_index {pulse_index} must be non-negative")
-    return ((row << AER_ROW_SHIFT) | (col << AER_COL_SHIFT)
-            | (feature_class << AER_CLASS_SHIFT) | (pulse_index & AER_TIME_MASK))
+    return int(encode_aer_array(row, col, feature_class, pulse_index))
 
 
 def decode_aer(word: int) -> tuple[int, int, int, int]:
     """Unpack a 32-bit AER word into (row, col, feature_class, pulse_index)."""
-    word &= 0xFFFFFFFF
-    return (word >> AER_ROW_SHIFT,
-            (word >> AER_COL_SHIFT) & AER_MAX_COL,
-            (word >> AER_CLASS_SHIFT) & AER_MAX_CLASS,
-            word & AER_TIME_MASK)
+    return tuple(int(field) for field in decode_aer_array(word & 0xFFFFFFFF))
 
 
 def encode_aer_array(rows, cols, classes, pulses) -> np.ndarray:
-    """Vectorized encode_aer; returns uint32 words. Same range checks."""
+    """Pack events into uint32 AER words; out-of-range fields raise ValueError."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64)
     pulses = np.asarray(pulses, dtype=np.int64)
     if rows.size and (rows.min() < 0 or rows.max() > AER_MAX_ROW):
-        raise ValueError("row out of range 0..127")
+        raise ValueError(f"row out of range 0..{AER_MAX_ROW}")
     if cols.size and (cols.min() < 0 or cols.max() > AER_MAX_COL):
-        raise ValueError("col out of range 0..127")
+        raise ValueError(f"col out of range 0..{AER_MAX_COL}")
     if classes.size and (classes.min() < 0 or classes.max() > AER_MAX_CLASS):
-        raise ValueError("feature_class out of range 0..3")
+        raise ValueError(f"feature_class out of range 0..{AER_MAX_CLASS}")
     if pulses.size and pulses.min() < 0:
         raise ValueError("pulse_index must be non-negative")
     words = ((rows << AER_ROW_SHIFT) | (cols << AER_COL_SHIFT)
@@ -289,12 +273,10 @@ def encode_aer_array(rows, cols, classes, pulses) -> np.ndarray:
 
 
 def decode_aer_array(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    words = np.asarray(words, dtype=np.uint32)
-    w = words.astype(np.int64)
-    return ((w >> AER_ROW_SHIFT).astype(np.int64),
-            ((w >> AER_COL_SHIFT) & AER_MAX_COL).astype(np.int64),
-            ((w >> AER_CLASS_SHIFT) & AER_MAX_CLASS).astype(np.int64),
-            (w & AER_TIME_MASK).astype(np.int64))
+    """Unpack uint32 AER words into int64 (rows, cols, classes, pulses)."""
+    w = np.asarray(words, dtype=np.uint32).astype(np.int64)
+    return (w >> AER_ROW_SHIFT, (w >> AER_COL_SHIFT) & AER_MAX_COL,
+            (w >> AER_CLASS_SHIFT) & AER_MAX_CLASS, w & AER_TIME_MASK)
 
 
 # ---------------------------------------------------------------------------

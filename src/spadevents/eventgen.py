@@ -27,9 +27,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (AER_TIME_MASK, EVENT_DTYPE, FormatError, EventStream, Recording,
-                   StreamKind, encode_aer_array, decode_aer_array, make_events, read_framed,
-                   write_framed)
+from .core import (AER_MAX_COL, AER_MAX_ROW, AER_TIME_MASK, EVENT_DTYPE, FormatError,
+                   EventStream, Recording, StreamKind, encode_aer_array, decode_aer_array,
+                   make_events, read_framed, write_framed)
 
 RF_SIDE = 4
 
@@ -236,18 +236,25 @@ def firstand_convert_reference(recording: Recording,
 # ---------------------------------------------------------------------------
 
 
-def _frame_diffs(recording: Recording, change_threshold: int, on_is_increase: bool
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """(on, off) boolean maps per consecutive frame pair, shape (T-1, H, W)."""
+def _change_events(recording: Recording, change_threshold: int, on_is_increase: bool
+                   ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
+    """Change events of every consecutive frame pair.
+
+    Returns the (on, off) boolean maps, shape (T-1, H, W), the (k, y, x)
+    indices of every changed pixel in canonical order, and their polarity
+    (0 On, 1 Off) as uint8.
+    """
     if recording.n_frames < 2:
         raise ValueError("On-Off conversion needs at least two frames")
     if change_threshold <= 0:
         raise ValueError(f"change_threshold must be positive, got {change_threshold}")
-    codes = recording.frames.astype(np.int32)
-    diff = codes[1:] - codes[:-1]
+    frames = recording.frames
+    diff = np.subtract(frames[1:], frames[:-1], dtype=np.int32)
+    on, off = diff >= change_threshold, diff <= -change_threshold
     if not on_is_increase:
-        diff = -diff
-    return diff >= change_threshold, diff <= -change_threshold
+        on, off = off, on
+    changed = np.flatnonzero(on | off)  # row-major, so (k, y, x) canonical
+    return on, off, np.unravel_index(changed, on.shape), off.ravel()[changed].view(np.uint8)
 
 
 def onoff_convert(recording: Recording, change_threshold: int = 2,
@@ -259,9 +266,7 @@ def onoff_convert(recording: Recording, change_threshold: int = 2,
     -threshold.  No-return codes participate as plain zeros, so a target
     appearing over background produces On events and vice versa.
     """
-    on, off = _frame_diffs(recording, change_threshold, on_is_increase)
-    ks, ys, xs = np.nonzero(on | off)
-    pol = np.where(on[ks, ys, xs], 0, 1).astype(np.uint8)
+    _, _, (ks, ys, xs), pol = _change_events(recording, change_threshold, on_is_increase)
     events = make_events((ks + 1).astype(np.int64) * recording.pulse_period, ys, xs, pol)
     return EventStream(kind=StreamKind.ON_OFF, grid_width=recording.width,
                        grid_height=recording.height, events=events)
@@ -269,13 +274,10 @@ def onoff_convert(recording: Recording, change_threshold: int = 2,
 
 def _box3_counts(mask: np.ndarray) -> np.ndarray:
     """3x3 neighborhood counts (inclusive, zero padded), per frame pair."""
-    k, h, w = mask.shape
+    _, h, w = mask.shape
     padded = np.pad(mask.astype(np.int16), ((0, 0), (1, 1), (1, 1)))
-    out = np.zeros((k, h, w), dtype=np.int16)
-    for dy in range(3):
-        for dx in range(3):
-            out += padded[:, dy:dy + h, dx:dx + w]
-    return out
+    rows = padded[:, :h] + padded[:, 1:h + 1] + padded[:, 2:]
+    return rows[:, :, :w] + rows[:, :, 1:w + 1] + rows[:, :, 2:]
 
 
 def oobu_convert(recording: Recording, change_threshold: int = 2,
@@ -293,26 +295,21 @@ def oobu_convert(recording: Recording, change_threshold: int = 2,
     """
     if uni_count_threshold < bi_count_threshold or bi_count_threshold < 0:
         raise ValueError("thresholds must satisfy uni >= bi >= 0")
-    on, off = _frame_diffs(recording, change_threshold, on_is_increase)
-    c_on = _box3_counts(on)
-    c_off = _box3_counts(off)
-    trigger = on | off
+    on, off, kyx, pol = _change_events(recording, change_threshold, on_is_increase)
+    c_on = _box3_counts(on)[kyx]
+    c_off = _box3_counts(off)[kyx]
+    mixed = (c_on > 0) & (c_off > 0)
+    bi = mixed & (c_on > bi_count_threshold) & (c_off > bi_count_threshold)
+    uni = ~mixed & (np.maximum(c_on, c_off) > uni_count_threshold)
 
-    both = (c_on > 0) & (c_off > 0)
-    bi = trigger & both & (c_on > bi_count_threshold) & (c_off > bi_count_threshold)
-    uni = trigger & ~both & (np.maximum(c_on, c_off) > uni_count_threshold)
-
-    ks, ys, xs = np.nonzero(trigger)
-    pol = np.where(on[ks, ys, xs], 0, 1).astype(np.uint8)
-    aks, ays, axs = np.nonzero(bi | uni)
-    apol = np.where(bi[aks, ays, axs], 2, 3).astype(np.uint8)
-
-    t_all = np.concatenate([(ks + 1).astype(np.int64), (aks + 1).astype(np.int64)]) * recording.pulse_period
-    y_all = np.concatenate([ys, ays])
-    x_all = np.concatenate([xs, axs])
-    p_all = np.concatenate([pol, apol])
-    order = np.lexsort((p_all, x_all, y_all, t_all))
-    events = make_events(t_all[order], y_all[order], x_all[order], p_all[order])
+    # Each appended event follows its trigger: same (t, y, x), larger p, so
+    # the triggers' canonical order carries over without a sort.
+    trigger = np.repeat(np.arange(len(pol)), 1 + (bi | uni))
+    appended = np.zeros(len(trigger), dtype=bool)
+    appended[1:] = trigger[1:] == trigger[:-1]
+    p = np.where(appended, np.where(bi, 2, 3)[trigger], pol[trigger])
+    ks, ys, xs = (i[trigger] for i in kyx)
+    events = make_events((ks + 1).astype(np.int64) * recording.pulse_period, ys, xs, p)
     return EventStream(kind=StreamKind.OOBU, grid_width=recording.width,
                        grid_height=recording.height, events=events)
 
@@ -439,8 +436,9 @@ def write_stream(stream: EventStream, path) -> None:
         raise FormatError("AER words carry a 2-bit polarity; streams with more than "
                           "4 polarities cannot be serialized")
     if len(ev):
-        if int(ev["y"].max()) > 127 or int(ev["x"].max()) > 127:
+        if int(ev["y"].max()) > AER_MAX_ROW or int(ev["x"].max()) > AER_MAX_COL:
             raise FormatError("AER words address at most a 128x128 grid")
+        _check_events_fit(stream, path)
         gaps = np.diff(ev["t"], prepend=0)
         if gaps.min() < 0 or gaps.max() > AER_TIME_MASK:
             raise FormatError("AER words carry 16-bit timestamps: the first event and every "
@@ -472,11 +470,17 @@ def read_stream(path) -> EventStream:
     stream = EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
                          events=make_events(_unwrap_times(t_raw), rows, cols, pols),
                          polarity_count=pad if kind == StreamKind.FEATURE else 0)
-    if len(rows) and (rows.max() >= grid_h or cols.max() >= grid_w
-                      or pols.max() >= stream.polarity_count):
-        raise FormatError(f"{path}: events fall outside the {grid_w}x{grid_h} grid "
-                          f"or its {stream.polarity_count} polarities")
+    _check_events_fit(stream, path)
     return stream
+
+
+def _check_events_fit(stream: EventStream, path) -> None:
+    """Refuse events off the stream's grid or at or above its polarity count."""
+    ev = stream.events
+    if len(ev) and (ev["y"].max() >= stream.grid_height or ev["x"].max() >= stream.grid_width
+                    or ev["p"].max() >= stream.polarity_count):
+        raise FormatError(f"{path}: events fall outside the {stream.grid_width}x"
+                          f"{stream.grid_height} grid or its {stream.polarity_count} polarities")
 
 
 def _unwrap_times(t_raw: np.ndarray) -> np.ndarray:

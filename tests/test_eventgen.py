@@ -39,6 +39,50 @@ def recording_from(frames, pulse_period=10, class_id=0):
                      pulse_period=pulse_period, class_id=class_id, recording_id="t")
 
 
+def oobu_convert_reference(recording, change_threshold=2, uni_count_threshold=2,
+                           bi_count_threshold=1, on_is_increase=True):
+    """Independent oracle: the oobu_convert docstring rule, pixel by pixel.
+
+    Frame pair (k-1, k) gives On (0) / Off (1) where the signed change
+    reaches +/- change_threshold.  Each such event counts the On and Off
+    events of its 3x3 region (itself included); both present and both
+    counts > bi_count_threshold appends a bi-polar event (2), one polarity
+    present with its count > uni_count_threshold appends a uni-polar one (3).
+    """
+    frames = recording.frames
+    n, h, w = frames.shape
+    sign = 1 if on_is_increase else -1
+    t, y, x, p = [], [], [], []
+    for k in range(1, n):
+        polarity = {}
+        for r in range(h):
+            for c in range(w):
+                change = sign * (int(frames[k, r, c]) - int(frames[k - 1, r, c]))
+                if change >= change_threshold:
+                    polarity[r, c] = 0
+                elif change <= -change_threshold:
+                    polarity[r, c] = 1
+        for r in range(h):
+            for c in range(w):
+                if (r, c) not in polarity:
+                    continue
+                emitted = [polarity[r, c]]
+                around = [polarity.get((r + dr, c + dc)) for dr in (-1, 0, 1) for dc in (-1, 0, 1)]
+                n_on, n_off = around.count(0), around.count(1)
+                if n_on and n_off:
+                    if n_on > bi_count_threshold and n_off > bi_count_threshold:
+                        emitted.append(2)
+                elif max(n_on, n_off) > uni_count_threshold:
+                    emitted.append(3)
+                for pol in emitted:
+                    t.append(k * recording.pulse_period)
+                    y.append(r)
+                    x.append(c)
+                    p.append(pol)
+    return EventStream(kind=StreamKind.OOBU, grid_width=w, grid_height=h,
+                       events=make_events(np.array(t, dtype=np.int64), y, x, p))
+
+
 class TestGateBank:
     def test_border_bank_geometry(self):
         assert GATE_TAPS == BORDER_TAPS
@@ -358,6 +402,25 @@ class TestOobu:
         a.validate()
         assert np.array_equal(a.events, b.events)
 
+    def test_fuzz_matches_reference(self):
+        rng = np.random.default_rng(808)
+        for trial in range(120):
+            k = int(rng.integers(2, 9))
+            h, w = (1, 1) if trial % 20 == 0 else (int(rng.integers(1, 9)), int(rng.integers(1, 9)))
+            top = 65536 if trial % 3 == 0 else int(rng.integers(2, 9))
+            rec = recording_from(rng.integers(0, top, size=(k, h, w)),
+                                 pulse_period=int(rng.integers(1, 20)))
+            change = int(rng.integers(1, 6))
+            bi = int(rng.integers(0, 4))
+            uni = bi + int(rng.integers(0, 3))
+            on_is_increase = trial % 2 == 0
+            reference = oobu_convert_reference(rec, change, uni, bi, on_is_increase).events
+            fast = oobu_convert(rec, change_threshold=change, uni_count_threshold=uni,
+                                bi_count_threshold=bi, on_is_increase=on_is_increase)
+            assert np.array_equal(fast.events, reference), (trial, change, bi, uni)
+            onoff = onoff_convert(rec, change_threshold=change, on_is_increase=on_is_increase)
+            assert np.array_equal(onoff.events, reference[reference["p"] <= 1]), trial
+
     def test_threshold_order_validation(self):
         rec = recording_from(np.zeros((2, 5, 5)))
         with pytest.raises(ValueError):
@@ -511,6 +574,20 @@ class TestStreamFiles:
                              events=ev, polarity_count=16)
         with pytest.raises(ValueError, match="2-bit"):
             write_stream(stream, tmp_path / "f.spdevt")
+
+    @pytest.mark.parametrize("kind, polarity_count, x, p", [
+        (StreamKind.OOBU, 0, 10, 0),     # x beyond the 8x8 grid
+        (StreamKind.ON_OFF, 0, 1, 3),    # On-Off has 2 polarities
+        (StreamKind.FEATURE, 2, 1, 3),   # a 2-polarity feature stream
+    ], ids=["oobu-x10", "onoff-p3", "feature2-p3"])
+    def test_events_off_the_stream_refused(self, tmp_path, kind, polarity_count, x, p):
+        stream = EventStream(kind=kind, grid_width=8, grid_height=8,
+                             events=make_events([5], [1], [x], [p]),
+                             polarity_count=polarity_count)
+        path = tmp_path / "o.spdevt"
+        with pytest.raises(FormatError, match="outside the 8x8 grid"):
+            write_stream(stream, path)
+        assert not path.exists()
 
     def test_feature_polarity_count_round_trip(self, tmp_path):
         ev = make_events([0, 3, 9], [0, 1, 2], [1, 1, 0], [1, 0, 1])
