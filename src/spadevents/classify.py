@@ -89,17 +89,23 @@ def zoh_indices(length: int, target: int) -> np.ndarray:
     return (np.arange(target, dtype=np.int64) * length) // target
 
 
+# pool_1d and pool_2d take (..., C, Ay, Ax) regions: any leading axes batch
+# regions of one shape into rows of the result.
+def _check_regions(values: np.ndarray) -> None:
+    if values.ndim < 3 or values.shape[-2] < 1 or values.shape[-1] < 1:
+        raise ValueError(f"pooling needs (..., channels, rows, cols) with a non-empty region, "
+                         f"got shape {values.shape}")
+
+
 def pool_1d(values: np.ndarray, size: int) -> np.ndarray:
     """Row+column marginal pooling: per channel [resampled column sums,
-    resampled row sums], channels concatenated.  values is (C, Ay, Ax)."""
-    if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] < 1:
-        raise ValueError(f"pooling needs (channels, rows, cols) with a non-empty region, "
-                         f"got shape {values.shape}")
-    col_sums = values.sum(axis=1, dtype=np.float64)   # (C, Ax)
-    row_sums = values.sum(axis=2, dtype=np.float64)   # (C, Ay)
-    vx = col_sums[:, zoh_indices(values.shape[2], size)]
-    vy = row_sums[:, zoh_indices(values.shape[1], size)]
-    return np.concatenate([vx, vy], axis=1).reshape(-1)
+    resampled row sums], channels concatenated.  values is (..., C, Ay, Ax)."""
+    _check_regions(values)
+    col_sums = values.sum(axis=-2, dtype=np.float64)   # (..., C, Ax)
+    row_sums = values.sum(axis=-1, dtype=np.float64)   # (..., C, Ay)
+    vx = col_sums[..., zoh_indices(values.shape[-1], size)]
+    vy = row_sums[..., zoh_indices(values.shape[-2], size)]
+    return np.concatenate([vx, vy], axis=-1).reshape(*values.shape[:-3], -1)
 
 
 def _bilinear_coords(length: int, target: int) -> np.ndarray:
@@ -111,28 +117,23 @@ def _bilinear_coords(length: int, target: int) -> np.ndarray:
 
 def pool_2d(values: np.ndarray, size: int) -> np.ndarray:
     """Bilinear resize of each channel to size x size, flattened row-major
-    and concatenated across channels.  values is (C, Ay, Ax)."""
-    if values.ndim != 3 or values.shape[1] < 1 or values.shape[2] < 1:
-        raise ValueError(f"pooling needs (channels, rows, cols) with a non-empty region, "
-                         f"got shape {values.shape}")
-    _, ay, ax = values.shape
+    and concatenated across channels.  values is (..., C, Ay, Ax)."""
+    _check_regions(values)
+    ay, ax = values.shape[-2:]
     uy = _bilinear_coords(ay, size)
     ux = _bilinear_coords(ax, size)
     y0 = np.floor(uy).astype(np.int64)
     x0 = np.floor(ux).astype(np.int64)
-    y1 = np.minimum(y0 + 1, ay - 1)
-    x1 = np.minimum(x0 + 1, ax - 1)
     fy = (uy - y0)[:, None]
-    fx = (ux - x0)[None, :]
-    vals = values.astype(np.float64)
-    v00 = vals[:, y0[:, None], x0[None, :]]
-    v01 = vals[:, y0[:, None], x1[None, :]]
-    v10 = vals[:, y1[:, None], x0[None, :]]
-    v11 = vals[:, y1[:, None], x1[None, :]]
-    top = v00 * (1 - fx) + v01 * fx
-    bot = v10 * (1 - fx) + v11 * fx
-    out = top * (1 - fy) + bot * fy
-    return out.reshape(values.shape[0], -1).reshape(-1)
+    fx = ux - x0
+    # each row interpolated along x first, so rows[y0] and rows[y1] are the
+    # top and bottom edges of every bilinear cell; corners are taken in the
+    # input dtype and widened by the arithmetic
+    rows = (values.take(x0, axis=-1) * (1 - fx)
+            + values.take(np.minimum(x0 + 1, ax - 1), axis=-1) * fx)
+    out = (rows.take(y0, axis=-2) * (1 - fy)
+           + rows.take(np.minimum(y0 + 1, ay - 1), axis=-2) * fy)
+    return out.reshape(*values.shape[:-3], -1)
 
 
 def pool(values: np.ndarray, config: PoolConfig) -> np.ndarray:

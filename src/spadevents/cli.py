@@ -245,9 +245,9 @@ def cmd_evaluate(args) -> int:
 def sweep_rows(recordings, n_classes: int, cfg: ExperimentConfig) -> list[dict]:
     """Evaluate every (kind, feature mode, N, L, method) cell of the config.
 
-    Streams are converted once per kind and feature sources built once per
-    (kind, mode, N); pooling cells reuse them.  Row order is the
-    deterministic loop order, independent of cfg.jobs.
+    Streams are converted once per kind, feature sources built and regions
+    selected once per (kind, mode, N); pooling cells pool those regions in
+    batches.  Row order is the deterministic loop order, independent of cfg.jobs.
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
@@ -273,6 +273,7 @@ def sweep_rows(recordings, n_classes: int, cfg: ExperimentConfig) -> list[dict]:
                                      "seed": t.seed,
                                      "per_frame_acc": t.per_frame_accuracy,
                                      "per_recording_acc": t.per_recording_accuracy})
+            del groups   # free the regions before the next cell trains its features
     return rows
 
 

@@ -4,16 +4,19 @@ A pipeline turns each recording into classifier samples: convert frames to
 the chosen event stream (or keep raw frames), optionally pass events
 through a binary feature layer, replay them into a time surface, and at
 each classification instant select the active region and pool it into a
-fixed-length vector.  Feature vectors are built once; randomized
+fixed-length vector.  Regions are selected once per source group; each
+pooling cell pools them in batches of one crop shape.  Randomized
 recording-level splits then only retrain the linear readout, so split
 randomness is the sole source of accuracy variance.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
+from itertools import chain
 
 import numpy as np
 
@@ -172,43 +175,74 @@ def _frame_states(recording: Recording, times: np.ndarray):
         yield frame[None] / FRAME_CODE_SCALE, frame > 0
 
 
-def build_sample_set(sources: list, labels, pool_config: PoolConfig, *, sample_every: int,
-                     window_us: int = FeastParams.window_us,
-                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleSet:
-    """One pooled row per classification instant of every source.
+@dataclass
+class SampleRegions:
+    """Each classification instant's cropped active region, stacked one per row
+    with the crops of its (C, Ay, Ax) shape: bit-packed binary grids, or frames' scaled codes."""
 
-    sources are either Recordings (frame pipeline, sampled every
-    sample_every frames) or EventStreams (every sample_every events).  At
-    each instant the active region is selected and pooled per channel.
-    """
-    labels = np.asarray(labels, dtype=np.int64)
-    if len(sources) != len(labels):
-        raise ValueError("one label per source required")
+    counts: list[int]            # instants per source
+    channels: int
+    crops: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]   # shape -> (rows, crops)
+
+
+def select_regions(sources: list, *, sample_every: int | None,
+                   window_us: int = FeastParams.window_us,
+                   activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleRegions:
+    """Crop the active region at every instant of Recordings (frame pipeline,
+    sampled every sample_every frames) or EventStreams (every sample_every events)."""
+    if not sources:
+        raise ValueError("sample building needs at least one source")
     if not 0 <= activity_fraction <= 1:
         raise ValueError(f"activity_fraction must lie in [0, 1], got {activity_fraction}")
-    if sample_every < 1 or window_us < 1:
+    if (sample_every or 0) < 1 or window_us < 1:
         raise ValueError(f"sample_every and window_us must be positive, "
                          f"got {sample_every} and {window_us}")
     from_frames = isinstance(sources[0], Recording)
-    if from_frames:
-        instants = [frame_sample_times(rec.n_frames, rec.pulse_period, sample_every)
-                    for rec in sources]
-    else:
-        instants = [event_sample_indices(len(stream), sample_every) for stream in sources]
-    counts = [len(times) for times in instants]
+    instants = [frame_sample_times(src.n_frames, src.pulse_period, sample_every) if from_frames
+                else event_sample_indices(len(src), sample_every) for src in sources]
+    states = chain.from_iterable(
+        _frame_states(source, times) if from_frames else _stream_states(source, times, window_us)
+        for source, times in zip(sources, instants))
+    # shape -> rows, and the crops' bytes appended to one buffer that then
+    # backs the stack: no list of crops and no second copy of them
+    by_shape: dict[tuple[int, int, int], tuple[list, bytearray]] = {}
+    for row, (values, activity) in enumerate(states):
+        crop = region_from_activity(activity, activity_fraction).crop(values)
+        rows, data = by_shape.setdefault(crop.shape, ([], bytearray()))
+        rows.append(row)
+        data += crop.tobytes() if from_frames else np.packbits(crop).tobytes()
+    dtype = np.float64 if from_frames else np.uint8
+    crops = {shape: (np.array(rows, dtype=np.int64),
+                     np.frombuffer(data, dtype).reshape(len(rows), -1))
+             for shape, (rows, data) in by_shape.items()}
+    return SampleRegions([len(times) for times in instants],
+                         1 if from_frames else sources[0].polarity_count, crops)
+
+
+def build_sample_set(sources, labels, pool_config: PoolConfig, *, sample_every: int | None = None,
+                     window_us: int = FeastParams.window_us,
+                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleSet:
+    """One pooled row per classification instant: sources are a source list for
+    select_regions, or the SampleRegions it returned, which pooling cells share."""
+    regions = sources if isinstance(sources, SampleRegions) else select_regions(
+        sources, sample_every=sample_every, window_us=window_us,
+        activity_fraction=activity_fraction)
+    labels = np.asarray(labels, dtype=np.int64)
+    if len(regions.counts) != len(labels):
+        raise ValueError("one label per source required")
     # allocated once at its exact size: stacking a list of per-instant rows
     # instead fragments the heap and raised c8_cells' peak RSS by up to 3 MB
-    features = np.empty((sum(counts), pool_config.vector_length(
-        1 if from_frames else sources[0].polarity_count)))
-    row = 0
-    for source, times in zip(sources, instants):
-        states = (_frame_states(source, times) if from_frames
-                  else _stream_states(source, times, window_us))
-        for values, activity in states:
-            features[row] = pool(region_from_activity(activity, activity_fraction).crop(values),
-                                 pool_config)
-            row += 1
-    rec_index = np.repeat(np.arange(len(sources), dtype=np.int64), counts)
+    features = np.empty((sum(regions.counts), pool_config.vector_length(regions.channels)))
+    for shape, (rows, crops) in regions.crops.items():
+        # values pooled per block: bounds the float temporaries to a few MB
+        # whatever the channel count, region shape and pooling size
+        step = max(1, 32768 // max(features.shape[1], math.prod(shape)))
+        for start in range(0, len(rows), step):
+            block = crops[start:start + step]
+            if block.dtype == np.uint8:
+                block = np.unpackbits(block, axis=1, count=math.prod(shape))
+            features[rows[start:start + step]] = pool(block.reshape(-1, *shape), pool_config)
+    rec_index = np.repeat(np.arange(len(labels), dtype=np.int64), regions.counts)
     return SampleSet(features=features, labels=labels[rec_index], recording_index=rec_index,
                      recording_labels=labels)
 
@@ -253,21 +287,24 @@ def trial_seeds(base_seed: int, n_trials: int) -> list[int]:
 
 def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
                      jobs: int = 1, streams: list[EventStream] | None = None
-                     ) -> list[tuple[list[int], list]]:
-    """Sources feeding the sample builder, grouped with the trial seeds they serve.
+                     ) -> list[tuple[list[int], SampleRegions]]:
+    """Sample regions of the sources, grouped with the trial seeds they serve.
 
     Frames, raw streams and random feature streams serve every trial as one
     group.  Trained feature layers learn from the first trial's training
     split and stay frozen for the remaining trials, unless retrain_per_trial
     is set: then every trial trains its own features and gets its own group.
-    Pooling does not enter, so one call serves every pooling cell.
+    Regions are selected here; pooling does not enter, so one call serves
+    every pooling cell.
     """
+    select = partial(select_regions, sample_every=spec.effective_sample_every(),
+                     window_us=spec.feast_window_us, activity_fraction=spec.activity_fraction)
     if spec.kind == "frames":
-        return [(seeds, recordings)]
+        return [(seeds, select(recordings))]
     if streams is None:
         streams = convert_all(recordings, spec.kind, spec, jobs)
     if spec.feature_mode == "raw":
-        return [(seeds, streams)]
+        return [(seeds, select(streams))]
     trained = spec.feature_mode == "trained"
     groups = [[seed] for seed in seeds] if trained and spec.retrain_per_trial else [seeds]
     params = spec.feast_params(streams[0].polarity_count)
@@ -279,22 +316,18 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
             train_idx, _ = split_indices(len(streams), spec.train_fraction, group[0])
         features = prepare_binary_features(streams, spec.feature_mode, params,
                                            n_active=n_active, train_indices=train_idx)
-        out.append((group, infer_feature_streams(streams, features,
-                                                 window_us=spec.feast_window_us, jobs=jobs)))
+        out.append((group, select(infer_feature_streams(streams, features,
+                                                        window_us=spec.feast_window_us,
+                                                        jobs=jobs))))
     return out
 
 
-def evaluate_sources(groups: list[tuple[list[int], list]], labels, spec: PipelineSpec,
+def evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec: PipelineSpec,
                      n_classes: int) -> EvalReport:
-    """Pool each group's sources per spec and evaluate the readout on its trials."""
-    reports = []
-    for seeds, sources in groups:
-        samples = build_sample_set(sources, labels, spec.pool,
-                                   sample_every=spec.effective_sample_every(),
-                                   window_us=spec.feast_window_us,
-                                   activity_fraction=spec.activity_fraction)
-        reports.append(evaluate_samples(samples, n_classes, seeds,
-                                        spec.ridge_lambda, spec.train_fraction))
+    """Pool each group's regions per spec and evaluate the readout on its trials."""
+    reports = [evaluate_samples(build_sample_set(regions, labels, spec.pool), n_classes, seeds,
+                                spec.ridge_lambda, spec.train_fraction)
+               for seeds, regions in groups]
     return reports[0] if len(reports) == 1 else _merge_reports(reports)
 
 

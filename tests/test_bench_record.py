@@ -45,3 +45,59 @@ def test_record_summarises_every_workload_and_seed(bench_record, tmp_path, monke
                                         "runs": [1.0, 5.0, 9.0]}
     assert a["per_layer"] == {"x.self_s": {"unit": "s", "value": 13.0}}
     assert a["correct"] and out["workloads"]["b"]["2024"]["correct"] is False
+
+
+BENCHMARK = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
+                            {"name": "acc", "better": "higher", "bound": 0.1}]}
+
+
+def fake_record(run_s, acc=0.5, correct=True, failed=0, seeds=("2024", "4242")):
+    cell = {"correct": correct, "failed": failed,
+            "end_to_end": {"run_s": {"median": run_s}, "acc": {"median": acc}}}
+    return {"workloads": {"w": {seed: cell for seed in seeds}}}
+
+
+def run_compare(bench_record, tmp_path, old, new):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(BENCHMARK))
+    paths = []
+    for name, record in (("old.json", old), ("new.json", new)):
+        (tmp_path / name).write_text(json.dumps(record))
+        paths.append(str(tmp_path / name))
+    return bench_record.main(["--compare", *paths, "--root", str(tmp_path)])
+
+
+@pytest.mark.parametrize("new, rc", [
+    (fake_record(1.0), 0),                      # unchanged
+    (fake_record(0.4), 0),                      # faster
+    (fake_record(1.2), 0),                      # slower, inside the 25% bound
+    (fake_record(1.3), 1),                      # slower by more than the bound
+    (fake_record(1.0, acc=0.46), 0),            # higher-is-better metric, inside 10%
+    (fake_record(1.0, acc=0.44), 1),            # and past it
+    (fake_record(1.0, correct=False), 1),       # a new run was not correct
+    (fake_record(1.0, failed=2), 1),
+    (fake_record(1.0, seeds=("2024",)), 1),     # a seed of the old record is missing
+])
+def test_compare_exit_code(bench_record, tmp_path, capsys, new, rc):
+    assert run_compare(bench_record, tmp_path, fake_record(1.0), new) == rc
+    assert ("WORSE" in capsys.readouterr().out) == bool(rc)
+
+
+def test_compare_prints_medians_ratio_and_verdict(bench_record, tmp_path, capsys):
+    old = fake_record(2.0)
+    new = fake_record(1.0)
+    new["workloads"]["w"]["4242"] = fake_record(3.0)["workloads"]["w"]["4242"]
+    assert run_compare(bench_record, tmp_path, old, new) == 1
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:3]): line.split()[3:] for line in lines[1:]}
+    assert rows[("w", "2024", "run_s")] == ["2", "1", "0.500", "<=1.25", "ok"]
+    assert rows[("w", "4242", "run_s")] == ["2", "3", "1.500", "<=1.25", "WORSE"]
+    assert rows[("w", "2024", "acc")] == ["0.5", "0.5", "1.000", ">=0.9", "ok"]
+    assert len(rows) == 4
+
+
+def test_zero_old_median(bench_record):
+    benchmark = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}
+    lines, bad = bench_record.compare(fake_record(0.0), fake_record(0.0), benchmark)
+    assert not bad and "1.000" in lines[1]
+    lines, bad = bench_record.compare(fake_record(0.0), fake_record(0.1), benchmark)
+    assert bad

@@ -130,6 +130,51 @@ class TestPool2d:
         assert len(pool(values, PoolConfig(method="2d", size=2))) == 4
 
 
+class TestBatchedPooling:
+    """A stack of same-shape crops pooled in one call gives each crop's row."""
+
+    SHAPES = [(1, 1), (1, 7), (6, 1), (3, 9), (13, 8), (17, 17), (32, 32)]
+    SIZES = [1, 2, 3, 5, 12, 24]
+
+    @staticmethod
+    def crops(rng, channels, ay, ax, n=4):
+        """Binary crops (uint8) and frame crops (scaled depth codes, as views of
+        larger frames, the way a per-instant crop reads a full grid)."""
+        binary = (rng.random((n, channels, ay, ax)) < 0.4).astype(np.uint8)
+        frames = rng.integers(0, 65536, (n, channels, ay + 3, ax + 5)) / 65535.0
+        return binary, frames[..., 2:2 + ay, 1:1 + ax]
+
+    @pytest.mark.parametrize("pool_fn", [pool_1d, pool_2d])
+    @pytest.mark.parametrize("channels", [1, 2, 16])
+    def test_stack_equals_per_crop_calls(self, pool_fn, channels):
+        rng = np.random.default_rng(channels)
+        for ay, ax in self.SHAPES:
+            binary, frame_views = self.crops(rng, channels, ay, ax)
+            for views in (binary, frame_views):
+                stack = np.ascontiguousarray(views)
+                for size in self.SIZES:
+                    out = pool_fn(stack, size)
+                    expect = np.stack([pool_fn(crop, size) for crop in views])
+                    assert out.shape == (len(stack), len(expect[0]))
+                    assert np.array_equal(out, expect), (ay, ax, size, stack.dtype)
+
+    @pytest.mark.parametrize("method", ["1d", "2d"])
+    def test_several_leading_axes(self, method):
+        rng = np.random.default_rng(5)
+        binary, frame_views = self.crops(rng, 2, 5, 7, n=6)
+        config = PoolConfig(method=method, size=4)
+        for views in (binary, frame_views):
+            out = pool(np.ascontiguousarray(views).reshape(2, 3, 2, 5, 7), config)
+            assert out.shape == (2, 3, config.vector_length(2))
+            assert np.array_equal(out.reshape(6, -1), [pool(crop, config) for crop in views])
+
+    @pytest.mark.parametrize("pool_fn", [pool_1d, pool_2d])
+    @pytest.mark.parametrize("shape", [(4, 4), (3, 0, 4), (2, 3, 4, 0)])
+    def test_empty_or_flat_regions_rejected(self, pool_fn, shape):
+        with pytest.raises(ValueError, match="non-empty region"):
+            pool_fn(np.ones(shape), 2)
+
+
 class TestSamplingCadence:
     def test_frame_instants_example(self):
         times = frame_sample_times(80, pulse_period=10, every=8)

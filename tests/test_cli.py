@@ -17,7 +17,7 @@ from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordi
                                load_recording, save_recording, synth_generate)
 from spadevents.eventgen import oobu_convert, read_stream, write_stream
 from spadevents.feast import load_features
-from spadevents.pipeline import PipelineParams, PipelineSpec
+from spadevents.pipeline import PipelineParams, PipelineSpec, run_pipeline, trial_seeds
 from test_dataio import huge_recording_header
 from test_formats import mutate
 
@@ -310,6 +310,36 @@ class TestSweepCommand:
         assert len(swept) == 3
         assert [[r[c] for c in columns] for r in swept] == \
                [[r[c] for c in columns] for r in evaluated]
+
+
+    @pytest.mark.parametrize("retrain", ["false", "true"])
+    def test_rows_equal_cell_by_cell_run_pipeline(self, retrain):
+        # sweep_rows selects each group's regions once and pools every cell
+        # from them; run_pipeline selects afresh for every single cell
+        cfg = make_config(None, {
+            "synth_classes": "3", "synth_recordings_per_class": "3", "synth_frames": "60",
+            "synth_grid": "24", "kinds": "frames,firstand,onoff,oobu",
+            "feature_modes": "raw,random,trained", "neuron_counts": "2",
+            "feast_active_bits": "8", "pool_sizes": "1,6", "pool_methods": "1d,2d",
+            "n_trials": "2", "retrain_per_trial": retrain})
+        recordings, n_classes = cli.load_dataset(cfg)
+        swept = [tuple(row[c] for c in cli._SWEEP_COLUMNS)
+                 for row in cli.sweep_rows(recordings, n_classes, cfg)]
+        seeds = trial_seeds(cfg.seed, cfg.n_trials)
+        expected = []
+        for kind in cfg.kinds:
+            for mode in (["raw"] if kind == "frames" else cfg.feature_modes):
+                for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts):
+                    for size in cfg.pool_sizes:
+                        for method in cfg.pool_methods:
+                            spec = cli.pipeline_spec_from(cfg, kind, mode, n_neurons,
+                                                          PoolConfig(method=method, size=size))
+                            report = run_pipeline(recordings, spec, n_classes, seeds)
+                            expected += [(kind, mode, n_neurons, size, method, t.trial,
+                                          t.seed, t.per_frame_accuracy,
+                                          t.per_recording_accuracy) for t in report.trials]
+        assert len(swept) == (1 + 3 * 3) * 2 * 2 * 2
+        assert swept == expected
 
 
 # A non-default value for every PipelineParams field, as config overrides.

@@ -1,5 +1,7 @@
 """End-to-end pipeline orchestration: conversion, features, samples, evaluation."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from spadevents.feast import FeastParams, random_binary_features
 from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineSpec, build_sample_set,
                                  convert_all, convert_recording, infer_feature_streams,
                                  parallel_map, prepare_binary_features,
-                                 run_pipeline, trial_seeds)
+                                 run_pipeline, select_regions, trial_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +158,72 @@ class TestSampleBuilding:
         assert np.array_equal(samples.recording_index,
                               np.repeat(np.arange(len(sources)), counts))
         assert np.array_equal(samples.labels, np.repeat(labels, counts))
+
+    @pytest.mark.parametrize("kind", ["frames", "firstand", "onoff", "oobu", "feature"])
+    @pytest.mark.parametrize("fraction", [0.0, DEFAULT_ACTIVITY_FRACTION, 1.0])
+    def test_shared_regions_match_reference(self, oracle_sources, kind, fraction):
+        sources, every = oracle_sources[kind]
+        labels = np.arange(len(sources)) % 3
+        regions = select_regions(sources, sample_every=every, activity_fraction=fraction)
+        narrow = np.float64 if kind == "frames" else np.uint8
+        assert all(crops.dtype == narrow for _, crops in regions.crops.values())
+        for method in ("1d", "2d"):
+            for size in (1, 3, 12, 24):
+                config = PoolConfig(method=method, size=size)
+                blocks = [reference_frame_rows(src, config, every, fraction) if kind == "frames"
+                          else reference_stream_rows(src, config, every,
+                                                     activity_fraction=fraction)
+                          for src in sources]
+                samples = build_sample_set(regions, labels, config)
+                assert np.array_equal(samples.features, np.concatenate(blocks)), (method, size)
+                assert np.array_equal(samples.labels,
+                                      np.repeat(labels, [len(block) for block in blocks]))
+
+    def test_no_sources_rejected(self):
+        with pytest.raises(ValueError, match="at least one source"):
+            build_sample_set([], [], PoolConfig(), sample_every=8)
+
+    def test_settings_checked_against_sources(self, tiny_dataset):
+        with pytest.raises(ValueError, match="sample_every"):
+            build_sample_set(tiny_dataset[:2], [0, 1], PoolConfig())
+        regions = select_regions(tiny_dataset[:2], sample_every=8)
+        with pytest.raises(ValueError, match="one label per source"):
+            build_sample_set(regions, [0], PoolConfig())
+
+    def test_peak_memory_bounded_by_output_and_crops(self):
+        """16-channel 32x32 feature streams dense enough that nearly every
+        region is the full grid, so the crops share one shape.  Selection may
+        hold the stored (bit-packed) crops plus the eighth a growing buffer
+        over-allocates and 1 MB; the whole build that plus the output and 4 MB.
+        A second copy of the crops, or unpacked or float-widened crops, break it."""
+        rng = np.random.default_rng(0)
+        streams = []
+        for _ in range(4):
+            n = 12000
+            events = make_events(np.arange(n) * 2, rng.integers(0, 32, n),
+                                 rng.integers(0, 32, n), rng.integers(0, 16, n))
+            streams.append(EventStream(kind=StreamKind.FEATURE, grid_width=32, grid_height=32,
+                                       polarity_count=16, events=events))
+        config = PoolConfig(method="2d", size=12)
+
+        def traced_peak(fn):
+            tracemalloc.start()
+            try:
+                result = fn()
+                return result, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        regions, select_peak = traced_peak(lambda: select_regions(streams, sample_every=40))
+        stored = sum(rows.nbytes + crops.nbytes for rows, crops in regions.crops.values())
+        assert max(len(rows) for rows, _ in regions.crops.values()) > 1000
+        assert stored < 1200 * 16 * 32 * 32 / 8 + 1200 * 8
+        assert select_peak <= 1.25 * stored + 2 ** 20
+        del regions
+        samples, peak = traced_peak(
+            lambda: build_sample_set(streams, [0, 1, 2, 3], config, sample_every=40))
+        assert samples.features.shape == (1200, config.vector_length(16))
+        assert peak <= samples.features.nbytes + stored + 4 * 2 ** 20
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
     def test_activity_fraction_outside_unit_interval_rejected(self, tiny_dataset, fraction):
