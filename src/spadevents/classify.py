@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -282,7 +282,6 @@ class SampleSet:
 
 @dataclass
 class TrialResult:
-    trial: int
     seed: int
     per_frame_accuracy: float
     per_recording_accuracy: float
@@ -290,11 +289,10 @@ class TrialResult:
 
 @dataclass
 class EvalReport:
-    per_frame_mean: float
-    per_frame_std: float
-    per_recording_mean: float
-    per_recording_std: float
-    n_trials: int
+    """One cell's result: its trials, in order (a trial's index is its
+    position), and the totals over them.  The accuracy summaries are
+    derived from the trials, so a report joined from several is consistent."""
+
     trials: list[TrialResult]
     confusion: np.ndarray               # per-sample over all trials, rows = true class
     samples_per_recording_mean: float
@@ -302,15 +300,32 @@ class EvalReport:
     n_no_sample_recordings: int         # test recordings without samples, over all trials
     extra: dict = field(default_factory=dict)
 
+    @property
+    def n_trials(self) -> int:
+        return len(self.trials)
+
+    @property
+    def per_frame_mean(self) -> float:
+        return float(np.mean([t.per_frame_accuracy for t in self.trials]))
+
+    @property
+    def per_frame_std(self) -> float:
+        return float(np.std([t.per_frame_accuracy for t in self.trials]))
+
+    @property
+    def per_recording_mean(self) -> float:
+        return float(np.mean([t.per_recording_accuracy for t in self.trials]))
+
+    @property
+    def per_recording_std(self) -> float:
+        return float(np.std([t.per_recording_accuracy for t in self.trials]))
+
     def to_dict(self) -> dict:
         return {
             "per_frame": {"mean": self.per_frame_mean, "std": self.per_frame_std},
             "per_recording": {"mean": self.per_recording_mean, "std": self.per_recording_std},
             "n_trials": self.n_trials,
-            "trials": [{"trial": t.trial, "seed": t.seed,
-                        "per_frame_accuracy": t.per_frame_accuracy,
-                        "per_recording_accuracy": t.per_recording_accuracy}
-                       for t in self.trials],
+            "trials": [{"trial": i, **asdict(t)} for i, t in enumerate(self.trials)],
             "confusion": self.confusion.tolist(),
             "samples_per_recording": {"mean": self.samples_per_recording_mean,
                                       "std": self.samples_per_recording_std},
@@ -325,8 +340,8 @@ class EvalReport:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["trial", "seed", "per_frame_acc", "per_recording_acc"])
-            for t in self.trials:
-                writer.writerow([t.trial, t.seed, f"{t.per_frame_accuracy:.6f}",
+            for i, t in enumerate(self.trials):
+                writer.writerow([i, t.seed, f"{t.per_frame_accuracy:.6f}",
                                  f"{t.per_recording_accuracy:.6f}"])
 
 
@@ -344,13 +359,12 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
     if len(labels) and (labels.min() < 0 or labels.max() >= n_classes):
         raise ValueError(f"class labels must lie in [0, n_classes) with n_classes = "
                          f"{n_classes}, got {labels.min()}..{labels.max()}")
-    per_frame, per_recording = [], []
     trials = []
     confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
     n_no_sample = 0
     rec_of_sample = samples.recording_index
 
-    for trial, seed in enumerate(seeds):
+    for seed in seeds:
         train_recs, test_recs = split_indices(samples.n_recordings, train_fraction, seed)
         train_mask = np.isin(rec_of_sample, train_recs)
         test_mask = np.isin(rec_of_sample, test_recs)
@@ -371,20 +385,12 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
         rec_truth = samples.recording_labels[test_recs]
         rec_acc = float(np.mean(votes == rec_truth))
 
-        per_frame.append(frame_acc)
-        per_recording.append(rec_acc)
-        trials.append(TrialResult(trial=trial, seed=int(seed),
-                                  per_frame_accuracy=frame_acc,
+        trials.append(TrialResult(seed=int(seed), per_frame_accuracy=frame_acc,
                                   per_recording_accuracy=rec_acc))
         np.add.at(confusion, (truth, pred), 1)
 
     spr = samples.samples_per_recording()
     return EvalReport(
-        per_frame_mean=float(np.mean(per_frame)),
-        per_frame_std=float(np.std(per_frame)),
-        per_recording_mean=float(np.mean(per_recording)),
-        per_recording_std=float(np.std(per_recording)),
-        n_trials=len(seeds),
         trials=trials,
         confusion=confusion,
         samples_per_recording_mean=float(spr.mean()) if len(spr) else 0.0,

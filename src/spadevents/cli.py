@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import PoolConfig
+from .classify import EvalReport, PoolConfig
 from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
                      make_config)
 from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
@@ -242,95 +242,73 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def sweep_rows(recordings, n_classes: int, cfg: ExperimentConfig) -> list[dict]:
-    """Evaluate every (kind, feature mode, N, L, method) cell of the config.
+def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
+                ) -> list[tuple[tuple, EvalReport]]:
+    """(cell key, report) for every (kind, feature mode, N, L, method) cell of
+    the config; the key's fields are _CELL_COLUMNS.
 
     Streams are converted once per kind, feature sources built and regions
     selected once per (kind, mode, N); pooling cells pool those regions in
-    batches.  Row order is the deterministic loop order, independent of cfg.jobs.
+    batches.  Cell order is the deterministic loop order, independent of
+    cfg.jobs, and make_config refuses repeated axis values, so every key is
+    unique.
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    rows = []
+    cells = []
     for kind in cfg.kinds:
         if kind == "frames":
-            streams, cells = None, [("raw", 0)]
+            streams, layers = None, [("raw", 0)]
         else:
             streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
-            cells = [(mode, n_neurons) for mode in cfg.feature_modes
-                     for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)]
-        for mode, n_neurons in cells:
+            layers = [(mode, n_neurons) for mode in cfg.feature_modes
+                      for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)]
+        for mode, n_neurons in layers:
             base = pipeline_spec_from(cfg, kind, mode, n_neurons)
             groups = pipeline_sources(recordings, base, seeds, cfg.jobs, streams)
             for pool_size in cfg.pool_sizes:
                 for method in cfg.pool_methods:
                     spec = replace(base, pool=PoolConfig(method=method, size=pool_size))
-                    report = evaluate_sources(groups, labels, spec, n_classes)
-                    for t in report.trials:
-                        rows.append({"kind": kind, "feature_mode": mode,
-                                     "n_neurons": n_neurons, "pool_size": pool_size,
-                                     "pool_method": method, "trial": t.trial,
-                                     "seed": t.seed,
-                                     "per_frame_acc": t.per_frame_accuracy,
-                                     "per_recording_acc": t.per_recording_accuracy})
+                    cells.append(((kind, mode, n_neurons, pool_size, method),
+                                  evaluate_sources(groups, labels, spec, n_classes)))
             del groups   # free the regions before the next cell trains its features
-    return rows
+    return cells
 
 
-_SWEEP_COLUMNS = ["kind", "feature_mode", "n_neurons", "pool_size", "pool_method",
-                  "trial", "seed", "per_frame_acc", "per_recording_acc"]
+_CELL_COLUMNS = ["kind", "feature_mode", "n_neurons", "pool_size", "pool_method"]
+_SUMMARY_STATS = ["per_frame_mean", "per_frame_std", "per_recording_mean", "per_recording_std"]
 
 
-def write_sweep_csv(rows: list[dict], path) -> None:
+def _write_csv(path, columns: list[str], rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(_SWEEP_COLUMNS)
-        for row in rows:
-            writer.writerow([row["kind"], row["feature_mode"], row["n_neurons"],
-                             row["pool_size"], row["pool_method"], row["trial"], row["seed"],
-                             f"{row['per_frame_acc']:.6f}", f"{row['per_recording_acc']:.6f}"])
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
-def summarize_sweep(rows: list[dict]) -> list[dict]:
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = (row["kind"], row["feature_mode"], row["n_neurons"],
-               row["pool_size"], row["pool_method"])
-        groups.setdefault(key, []).append(row)
-    summary = []
-    for key, members in groups.items():
-        pf = np.array([m["per_frame_acc"] for m in members])
-        pr = np.array([m["per_recording_acc"] for m in members])
-        summary.append({"kind": key[0], "feature_mode": key[1], "n_neurons": key[2],
-                        "pool_size": key[3], "pool_method": key[4],
-                        "per_frame_mean": float(pf.mean()), "per_frame_std": float(pf.std()),
-                        "per_recording_mean": float(pr.mean()),
-                        "per_recording_std": float(pr.std())})
-    return summary
+def write_sweep_csv(cells: list[tuple[tuple, EvalReport]], path) -> None:
+    """One row per trial of every cell."""
+    _write_csv(path, [*_CELL_COLUMNS, "trial", "seed", "per_frame_acc", "per_recording_acc"],
+               ([*key, i, t.seed, f"{t.per_frame_accuracy:.6f}",
+                 f"{t.per_recording_accuracy:.6f}"]
+                for key, report in cells for i, t in enumerate(report.trials)))
 
 
-def write_summary_csv(summary: list[dict], path) -> None:
-    cols = ["kind", "feature_mode", "n_neurons", "pool_size", "pool_method",
-            "per_frame_mean", "per_frame_std", "per_recording_mean", "per_recording_std"]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(cols)
-        for row in summary:
-            writer.writerow([row["kind"], row["feature_mode"], row["n_neurons"],
-                             row["pool_size"], row["pool_method"],
-                             f"{row['per_frame_mean']:.6f}", f"{row['per_frame_std']:.6f}",
-                             f"{row['per_recording_mean']:.6f}", f"{row['per_recording_std']:.6f}"])
+def write_summary_csv(cells: list[tuple[tuple, EvalReport]], path) -> None:
+    """One row per cell: mean and std of its trials' accuracies."""
+    _write_csv(path, _CELL_COLUMNS + _SUMMARY_STATS,
+               ([*key, *(f"{getattr(report, stat):.6f}" for stat in _SUMMARY_STATS)]
+                for key, report in cells))
 
 
-def write_sweep_charts(summary: list[dict], out: Path) -> None:
-    kinds = sorted({row["kind"] for row in summary})
-    for kind in kinds:
+def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None:
+    for kind in sorted({key[0] for key, _ in cells}):
         series = []
         for mode in ("raw", "random", "trained"):
             for method in ("1d", "2d"):
-                pts = sorted((row["pool_size"], row["per_frame_mean"]) for row in summary
-                             if row["kind"] == kind and row["feature_mode"] == mode
-                             and row["pool_method"] == method)
+                pts = sorted((size, report.per_frame_mean)
+                             for (k, m, _, size, meth), report in cells
+                             if (k, m, meth) == (kind, mode, method))
                 if pts:
                     series.append((f"{mode}/{method}", [p[0] for p in pts], [p[1] for p in pts]))
         if series:
@@ -342,15 +320,15 @@ def write_sweep_charts(summary: list[dict], out: Path) -> None:
 def cmd_sweep(args) -> int:
     cfg = resolve_config(args)
     recordings, n_classes = load_dataset(cfg)
-    rows = sweep_rows(recordings, n_classes, cfg)
-    summary = summarize_sweep(rows)
+    cells = sweep_cells(recordings, n_classes, cfg)
+    n_rows = sum(report.n_trials for _, report in cells)
     with staged_output(args.out) as out:
-        write_sweep_csv(rows, out / "sweep.csv")
-        write_summary_csv(summary, out / "summary.csv")
+        write_sweep_csv(cells, out / "sweep.csv")
+        write_summary_csv(cells, out / "summary.csv")
         if args.svg:
-            write_sweep_charts(summary, out)
-        write_run_record(out, "sweep", cfg, {"n_rows": len(rows)})
-    print(f"swept {len(summary)} cells ({len(rows)} rows) -> {args.out}")
+            write_sweep_charts(cells, out)
+        write_run_record(out, "sweep", cfg, {"n_rows": n_rows})
+    print(f"swept {len(cells)} cells ({n_rows} rows) -> {args.out}")
     return 0
 
 

@@ -114,6 +114,10 @@ def make_config(config_path: str | Path | None = None,
         setattr(cfg, key, _parse_value(key, kind, str(text)))
     if cfg.n_trials < 1:
         raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials}")
+    for key in _LIST_ELEMENT_TYPES:   # the sweep axes: one cell per value combination
+        values = getattr(cfg, key)
+        if len(set(values)) != len(values):
+            raise ValueError(f"{key} repeats a value: {','.join(map(str, values))}")
     return cfg
 
 

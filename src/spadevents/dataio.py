@@ -12,8 +12,8 @@ On-disk recording format ("SPDREC01", all integers little-endian):
     22      ...   frame_count * height * width u16 depth codes, row-major
 
 A dataset manifest is a text file with one recording per line:
-``path<TAB>class_id<TAB>recording_id``.  Relative paths resolve against
-the manifest's directory.
+``path<TAB>class_id<TAB>recording_id``, class_id in [0, MAX_CLASS_ID].
+Relative paths resolve against the manifest's directory.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .core import (DEFAULT_PULSE_PERIOD_US, DimensionError, FormatError, Recordi
 
 RECORDING_MAGIC = b"SPDREC01"
 _HEADER = struct.Struct("<8sHHIIH")
+MAX_CLASS_ID = 0xFFFF   # the u16 class_id field
 
 
 # ---------------------------------------------------------------------------
@@ -95,8 +96,12 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
 
 def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
     """Read a manifest file; n_classes defaults to max class_id + 1."""
+    try:
+        lines = Path(path).read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: undecodable text ({exc.reason} at byte {exc.start})") from None
     entries = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
             continue
@@ -110,6 +115,9 @@ def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
         if class_id < 0 or (n_classes is not None and class_id >= n_classes):
             bound = "negative" if class_id < 0 else f"not below n_classes {n_classes}"
             raise FormatError(f"{path}:{lineno}: class_id {class_id} is {bound}")
+        if class_id > MAX_CLASS_ID:
+            raise FormatError(f"{path}:{lineno}: class_id {class_id} is above {MAX_CLASS_ID}, "
+                              f"the largest a SPDREC01 recording holds")
         entries.append(ManifestEntry(path=parts[0], class_id=class_id, recording_id=parts[2]))
     if not entries:
         raise FormatError(f"{path}: manifest is empty")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 from itertools import chain
 
@@ -185,7 +185,7 @@ class SampleRegions:
     crops: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]   # shape -> (rows, crops)
 
 
-def select_regions(sources: list, *, sample_every: int | None,
+def select_regions(sources: list, *, sample_every: int,
                    window_us: int = FeastParams.window_us,
                    activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleRegions:
     """Crop the active region at every instant of Recordings (frame pipeline,
@@ -194,7 +194,7 @@ def select_regions(sources: list, *, sample_every: int | None,
         raise ValueError("sample building needs at least one source")
     if not 0 <= activity_fraction <= 1:
         raise ValueError(f"activity_fraction must lie in [0, 1], got {activity_fraction}")
-    if (sample_every or 0) < 1 or window_us < 1:
+    if sample_every < 1 or window_us < 1:
         raise ValueError(f"sample_every and window_us must be positive, "
                          f"got {sample_every} and {window_us}")
     from_frames = isinstance(sources[0], Recording)
@@ -219,14 +219,9 @@ def select_regions(sources: list, *, sample_every: int | None,
                          1 if from_frames else sources[0].polarity_count, crops)
 
 
-def build_sample_set(sources, labels, pool_config: PoolConfig, *, sample_every: int | None = None,
-                     window_us: int = FeastParams.window_us,
-                     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleSet:
-    """One pooled row per classification instant: sources are a source list for
-    select_regions, or the SampleRegions it returned, which pooling cells share."""
-    regions = sources if isinstance(sources, SampleRegions) else select_regions(
-        sources, sample_every=sample_every, window_us=window_us,
-        activity_fraction=activity_fraction)
+def build_sample_set(regions: SampleRegions, labels, pool_config: PoolConfig) -> SampleSet:
+    """One pooled row per classification instant of select_regions' regions,
+    which every pooling cell of a source group shares."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(regions.counts) != len(labels):
         raise ValueError("one label per source required")
@@ -324,11 +319,18 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
 
 def evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec: PipelineSpec,
                      n_classes: int) -> EvalReport:
-    """Pool each group's regions per spec and evaluate the readout on its trials."""
+    """Pool each group's regions per spec and evaluate the readout on its trials.
+
+    The groups' reports join into one: trials in group order, confusion and
+    the no-sample count summed, sample stats from the last group (every
+    group samples the same events).
+    """
     reports = [evaluate_samples(build_sample_set(regions, labels, spec.pool), n_classes, seeds,
                                 spec.ridge_lambda, spec.train_fraction)
                for seeds, regions in groups]
-    return reports[0] if len(reports) == 1 else _merge_reports(reports)
+    return replace(reports[-1], trials=[t for rep in reports for t in rep.trials],
+                   confusion=sum(rep.confusion for rep in reports),
+                   n_no_sample_recordings=sum(rep.n_no_sample_recordings for rep in reports))
 
 
 def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int,
@@ -338,21 +340,3 @@ def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
     groups = pipeline_sources(recordings, spec, seeds, jobs, streams)
     return evaluate_sources(groups, labels, spec, n_classes)
-
-
-def _merge_reports(reports: list[EvalReport]) -> EvalReport:
-    """One report over every trial; confusion and the no-sample count summed,
-    sample stats from the last group (every group samples the same events)."""
-    trials = [t for rep in reports for t in rep.trials]
-    for i, t in enumerate(trials):
-        t.trial = i
-    pf = np.array([t.per_frame_accuracy for t in trials])
-    pr = np.array([t.per_recording_accuracy for t in trials])
-    last = reports[-1]
-    return EvalReport(per_frame_mean=float(pf.mean()), per_frame_std=float(pf.std()),
-                      per_recording_mean=float(pr.mean()), per_recording_std=float(pr.std()),
-                      n_trials=len(trials), trials=trials,
-                      confusion=sum(rep.confusion for rep in reports),
-                      samples_per_recording_mean=last.samples_per_recording_mean,
-                      samples_per_recording_std=last.samples_per_recording_std,
-                      n_no_sample_recordings=sum(rep.n_no_sample_recordings for rep in reports))

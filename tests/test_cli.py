@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import json
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -70,6 +71,22 @@ class TestConfig:
         rc = main([*command, "--n-trials", "0", "--out", str(tmp_path / "o"), *SMALL])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("kinds", "frames,frames"), ("feature_modes", "raw,raw"), ("neuron_counts", "1,2,1"),
+        ("pool_sizes", "1,1"), ("pool_methods", "1d,2d,1d"),
+    ])
+    def test_repeated_axis_value_is_an_error(self, key, value, tmp_path, capsys):
+        with pytest.raises(ValueError, match=key):
+            make_config(None, {key: value})
+        axes = {"kinds": "frames", "feature_modes": "raw", "neuron_counts": "1",
+                "pool_sizes": "1", "pool_methods": "1d", key: value}
+        flags = [item for k, v in axes.items() for item in (f"--{k.replace('_', '-')}", v)]
+        rc = main(["sweep", *flags, "--n-trials", "1", "--out", str(tmp_path / "o"), *SMALL])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and key in err
         assert not (tmp_path / "o").exists()
 
 
@@ -200,6 +217,47 @@ class TestConvertCommand:
             outcomes.add(refused)
         assert outcomes == {False, True}
 
+    def test_manifest_mutants_are_converted_or_refused(self, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        assert main(["synth", "--out", str(ds), "--synth-classes", "2",
+                     "--synth-recordings-per-class", "2", "--synth-frames", "6",
+                     "--synth-grid", "12", "--seed", "3"]) == 0
+        capsys.readouterr()
+        data = (ds / "manifest.tsv").read_bytes()
+        lines = data.decode().splitlines(keepends=True)
+        assert len(lines) == 4
+        path, _, rec_id = lines[0].rstrip("\n").split("\t")
+        (ds / "subdir").mkdir()
+        named = {
+            "dropped-field": f"{path}\t0\n",
+            "class-id-not-integer": f"{path}\tone\t{rec_id}\n",
+            "negative-class-id": f"{path}\t-1\t{rec_id}\n",
+            "class-id-2**64": f"{path}\t{2 ** 64}\t{rec_id}\n",
+            "missing-file": f"missing.spdrec\t0\t{rec_id}\n",
+            "duplicate-path": lines[0] + lines[0].replace(rec_id, rec_id + "b"),
+            "directory-as-path": f"subdir\t0\t{rec_id}\n",
+            "empty-file": "",
+        }
+        rng = np.random.default_rng(10)
+        cases = [(name, (lines[1] + text + lines[2]).encode() if text else b"")
+                 for name, text in named.items()]
+        cases += [(f"mutant-{i}", mutate(data, len(data), rng)) for i in range(40)]
+        outcomes = set()
+        for name, mutant in cases:
+            (ds / "manifest.tsv").write_bytes(mutant)
+            out = tmp_path / f"ev-{name}"
+            rc = main(["convert", "--manifest", str(ds / "manifest.tsv"),
+                       "--kind", "oobu", "--out", str(out)])
+            err = capsys.readouterr().err
+            if rc == 0:
+                assert name not in named, name
+                shutil.rmtree(out)
+            else:
+                assert rc == 1 and err.startswith("error:"), (name, rc, err)
+                assert not out.exists() and not out.with_name(out.name + ".partial").exists()
+            outcomes.add(rc)
+        assert outcomes == {0, 1}
+
 
 class TestTrainFeaturesCommand:
     def test_writes_feature_files(self, dataset_dir, tmp_path):
@@ -253,6 +311,18 @@ class TestEvaluateCommand:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error:") and name in err
+        assert not (tmp_path / "eval").exists()
+
+    def test_class_id_beyond_recording_format_is_an_error(self, dataset_dir, tmp_path, capsys):
+        manifest = dataset_dir / "manifest.tsv"
+        lines = manifest.read_text().splitlines()
+        path, _, rec_id = lines[0].split("\t")
+        manifest.write_text("\n".join([f"{path}\t{2 ** 64}\t{rec_id}", *lines[1:]]) + "\n")
+        rc = main(["evaluate", "--kind", "onoff", "--n-trials", "1",
+                   "--manifest", str(manifest), "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "manifest.tsv:1" in err
         assert not (tmp_path / "eval").exists()
 
 
@@ -314,7 +384,7 @@ class TestSweepCommand:
 
     @pytest.mark.parametrize("retrain", ["false", "true"])
     def test_rows_equal_cell_by_cell_run_pipeline(self, retrain):
-        # sweep_rows selects each group's regions once and pools every cell
+        # sweep_cells selects each group's regions once and pools every cell
         # from them; run_pipeline selects afresh for every single cell
         cfg = make_config(None, {
             "synth_classes": "3", "synth_recordings_per_class": "3", "synth_frames": "60",
@@ -323,8 +393,7 @@ class TestSweepCommand:
             "feast_active_bits": "8", "pool_sizes": "1,6", "pool_methods": "1d,2d",
             "n_trials": "2", "retrain_per_trial": retrain})
         recordings, n_classes = cli.load_dataset(cfg)
-        swept = [tuple(row[c] for c in cli._SWEEP_COLUMNS)
-                 for row in cli.sweep_rows(recordings, n_classes, cfg)]
+        swept = cli.sweep_cells(recordings, n_classes, cfg)
         seeds = trial_seeds(cfg.seed, cfg.n_trials)
         expected = []
         for kind in cfg.kinds:
@@ -334,12 +403,18 @@ class TestSweepCommand:
                         for method in cfg.pool_methods:
                             spec = cli.pipeline_spec_from(cfg, kind, mode, n_neurons,
                                                           PoolConfig(method=method, size=size))
-                            report = run_pipeline(recordings, spec, n_classes, seeds)
-                            expected += [(kind, mode, n_neurons, size, method, t.trial,
-                                          t.seed, t.per_frame_accuracy,
-                                          t.per_recording_accuracy) for t in report.trials]
-        assert len(swept) == (1 + 3 * 3) * 2 * 2 * 2
-        assert swept == expected
+                            expected.append(((kind, mode, n_neurons, size, method),
+                                             run_pipeline(recordings, spec, n_classes, seeds)))
+        assert len(swept) == (1 + 3 * 3) * 2 * 2
+        assert [key for key, _ in swept] == [key for key, _ in expected]
+        for (key, got), (_, want) in zip(swept, expected):
+            assert got.trials == want.trials, key
+            assert [t.seed for t in got.trials] == seeds, key
+            assert np.array_equal(got.confusion, want.confusion), key
+            assert ((got.per_frame_mean, got.per_frame_std,
+                     got.per_recording_mean, got.per_recording_std)
+                    == (want.per_frame_mean, want.per_frame_std,
+                        want.per_recording_mean, want.per_recording_std)), key
 
 
 # A non-default value for every PipelineParams field, as config overrides.

@@ -124,12 +124,27 @@ class TestManifest:
     @pytest.mark.parametrize("class_id, n_classes, message", [
         ("x", None, "not an integer"), ("1.0", None, "not an integer"),
         ("-1", None, "negative"), ("3", 3, "not below n_classes 3"),
+        ("65536", None, "above 65535"), (str(2 ** 64), None, "above 65535"),
     ])
     def test_bad_class_id_is_format_error(self, tmp_path, class_id, n_classes, message):
         path = tmp_path / "manifest.tsv"
         path.write_text(f"a.spdrec\t0\ta\nb.spdrec\t{class_id}\tb\n")
         with pytest.raises(FormatError, match=f"manifest.tsv:2: .*{message}"):
             load_manifest(path, n_classes=n_classes)
+
+    def test_undecodable_manifest_is_format_error(self, tmp_path):
+        path = tmp_path / "manifest.tsv"
+        path.write_bytes(b"a.spdrec\t0\ta\nb.spdrec\t1\t\xb0b\n")
+        with pytest.raises(FormatError, match="manifest.tsv: undecodable text"):
+            load_manifest(path)
+
+    def test_largest_class_id_accepted(self, tmp_path):
+        # 65535 is the largest class_id the u16 field of SPDREC01 holds
+        path = tmp_path / "manifest.tsv"
+        path.write_text("a.spdrec\t0\ta\nb.spdrec\t65535\tb\n")
+        manifest = load_manifest(path)
+        assert manifest.entries[1].class_id == 65535
+        assert manifest.n_classes == 65536
 
 
 class TestAugment:

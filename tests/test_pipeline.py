@@ -131,14 +131,14 @@ class TestSampleBuilding:
         n = 402
         ev = make_events(np.arange(n) * 7, np.zeros(n), np.zeros(n), np.zeros(n))
         stream = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8, events=ev)
-        samples = build_sample_set([stream], [0], PoolConfig(method="2d", size=4),
-                                   sample_every=201)
+        samples = build_sample_set(select_regions([stream], sample_every=201), [0],
+                                   PoolConfig(method="2d", size=4))
         assert samples.features.shape == (2, 4 * 16)
 
     def test_empty_stream_gives_zero_rows(self):
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8)
-        samples = build_sample_set([stream], [0], PoolConfig(method="1d", size=4),
-                                   sample_every=74)
+        samples = build_sample_set(select_regions([stream], sample_every=74), [0],
+                                   PoolConfig(method="1d", size=4))
         assert samples.features.shape == (0, 2 * 8)
         assert samples.labels.shape == samples.recording_index.shape == (0,)
 
@@ -149,7 +149,7 @@ class TestSampleBuilding:
         sources, every = oracle_sources[kind]
         config = PoolConfig(method=method, size=size)
         labels = np.arange(len(sources)) % 3
-        samples = build_sample_set(sources, labels, config, sample_every=every)
+        samples = build_sample_set(select_regions(sources, sample_every=every), labels, config)
         blocks = [reference_frame_rows(src, config, every) if kind == "frames"
                   else reference_stream_rows(src, config, every) for src in sources]
         assert len(blocks[-1]) == 0
@@ -181,11 +181,11 @@ class TestSampleBuilding:
 
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError, match="at least one source"):
-            build_sample_set([], [], PoolConfig(), sample_every=8)
+            select_regions([], sample_every=8)
 
     def test_settings_checked_against_sources(self, tiny_dataset):
         with pytest.raises(ValueError, match="sample_every"):
-            build_sample_set(tiny_dataset[:2], [0, 1], PoolConfig())
+            select_regions(tiny_dataset[:2], sample_every=0)
         regions = select_regions(tiny_dataset[:2], sample_every=8)
         with pytest.raises(ValueError, match="one label per source"):
             build_sample_set(regions, [0], PoolConfig())
@@ -221,22 +221,22 @@ class TestSampleBuilding:
         assert select_peak <= 1.25 * stored + 2 ** 20
         del regions
         samples, peak = traced_peak(
-            lambda: build_sample_set(streams, [0, 1, 2, 3], config, sample_every=40))
+            lambda: build_sample_set(select_regions(streams, sample_every=40), [0, 1, 2, 3],
+                                     config))
         assert samples.features.shape == (1200, config.vector_length(16))
         assert peak <= samples.features.nbytes + stored + 4 * 2 ** 20
 
     @pytest.mark.parametrize("fraction", [-0.1, 1.5, float("nan")])
     def test_activity_fraction_outside_unit_interval_rejected(self, tiny_dataset, fraction):
         with pytest.raises(ValueError, match="activity_fraction"):
-            build_sample_set(tiny_dataset[:2], [0, 1], PoolConfig(), sample_every=8,
-                             activity_fraction=fraction)
+            select_regions(tiny_dataset[:2], sample_every=8, activity_fraction=fraction)
 
     @pytest.mark.parametrize("fraction", [0.0, 1.0])
     def test_activity_fraction_bounds_allowed(self, oracle_sources, fraction):
         config = PoolConfig()
         for kind, (sources, every) in oracle_sources.items():
-            samples = build_sample_set(sources, [0] * len(sources), config,
-                                       sample_every=every, activity_fraction=fraction)
+            regions = select_regions(sources, sample_every=every, activity_fraction=fraction)
+            samples = build_sample_set(regions, [0] * len(sources), config)
             blocks = [reference_frame_rows(src, config, every, fraction) if kind == "frames"
                       else reference_stream_rows(src, config, every,
                                                  activity_fraction=fraction)
@@ -246,8 +246,8 @@ class TestSampleBuilding:
     def test_sample_set_bookkeeping(self, tiny_dataset):
         streams = convert_all(tiny_dataset, "oobu")
         labels = [rec.class_id for rec in tiny_dataset]
-        samples = build_sample_set(streams, labels, PoolConfig(method="1d", size=4),
-                                   sample_every=201)
+        samples = build_sample_set(select_regions(streams, sample_every=201), labels,
+                                   PoolConfig(method="1d", size=4))
         assert samples.n_recordings == len(tiny_dataset)
         assert len(samples.features) == len(samples.labels) == len(samples.recording_index)
         spr = samples.samples_per_recording()
@@ -256,8 +256,8 @@ class TestSampleBuilding:
 
     def test_frame_sources(self, tiny_dataset):
         labels = [rec.class_id for rec in tiny_dataset]
-        samples = build_sample_set(tiny_dataset, labels, PoolConfig(method="2d", size=4),
-                                   sample_every=8)
+        samples = build_sample_set(select_regions(tiny_dataset, sample_every=8), labels,
+                                   PoolConfig(method="2d", size=4))
         assert samples.features.shape == (len(tiny_dataset) * 10, 16)
         assert samples.features.max() <= 1.0
 
