@@ -10,7 +10,6 @@ concatenated, so polarity information reaches the linear readout.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -287,6 +286,9 @@ class TrialResult:
     per_recording_accuracy: float
 
 
+TRIAL_COLUMNS = ["trial", "seed", "per_frame_acc", "per_recording_acc"]
+
+
 @dataclass
 class EvalReport:
     """One cell's result: its trials, in order (a trial's index is its
@@ -336,13 +338,10 @@ class EvalReport:
     def write_json(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
-    def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["trial", "seed", "per_frame_acc", "per_recording_acc"])
-            for i, t in enumerate(self.trials):
-                writer.writerow([i, t.seed, f"{t.per_frame_accuracy:.6f}",
-                                 f"{t.per_recording_accuracy:.6f}"])
+    def trial_rows(self) -> list[list]:
+        """One CSV row per trial, in TRIAL_COLUMNS order."""
+        return [[i, t.seed, f"{t.per_frame_accuracy:.6f}", f"{t.per_recording_accuracy:.6f}"]
+                for i, t in enumerate(self.trials)]
 
 
 def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],

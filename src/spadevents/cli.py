@@ -1,10 +1,11 @@
 """Command-line harness: dataset synthesis/import, conversion, training,
 evaluation and parameter sweeps.
 
-Every run resolves its configuration (defaults < config file < flags),
-writes all outputs into a staging directory and promotes it atomically on
-success, and records a ``run.json`` sufficient to reproduce the run bit for
-bit.
+``main`` runs every command the same way: it resolves the configuration
+(defaults < config file < flags), refuses an existing output directory
+before any work, lets the command write into a staging directory, records
+a ``run.json`` sufficient to reproduce the run bit for bit, and promotes
+the directory atomically on success.
 """
 
 from __future__ import annotations
@@ -23,17 +24,18 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import EvalReport, PoolConfig
+from .classify import TRIAL_COLUMNS, EvalReport, PoolConfig
 from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
                      make_config)
+from .core import AER_TIME_MASK
 from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
                      load_manifest_recordings, ratio_demo_synth_config, save_manifest,
                      save_recording, split_indices, synth_generate, SynthConfig,
                      write_dataset)
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features, feast_train, binarize
-from .pipeline import (PipelineParams, PipelineSpec, convert_all, evaluate_sources,
-                       pipeline_sources, run_pipeline, trial_seeds)
+from .pipeline import (EVENT_KINDS, KINDS, PipelineParams, PipelineSpec, convert_all,
+                       evaluate_sources, pipeline_sources, run_pipeline, trial_seeds)
 from .svgchart import write_line_chart
 
 
@@ -72,6 +74,13 @@ def write_run_record(out: Path, command: str, cfg: ExperimentConfig, extra: dict
     (out / "run.json").write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
     # the resolved config in --config form, so any run can be replayed exactly
     (out / "run.cfg").write_text(config_to_text(cfg))
+
+
+def _write_csv(path, columns: list[str], rows) -> None:
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -117,19 +126,29 @@ def pipeline_spec_from(cfg: ExperimentConfig, kind: str, feature_mode: str, n_ne
                         pool=pool if pool is not None else PoolConfig(), **shared)
 
 
+_RATE_COLUMNS = ["recording_id", "frame_bytes", "event_bytes", "fold_reduction"]
+
+
+def convert_with_rates(recordings, kind: str, cfg: ExperimentConfig):
+    """A kind's streams, each recording's data-rate row (_RATE_COLUMNS) and
+    each recording's fold reduction, in recording order."""
+    streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
+    stats = [datarate_stats(rec, stream) for rec, stream in zip(recordings, streams)]
+    rows = [[rec.recording_id, s.frame_bytes, s.event_bytes, f"{s.fold_reduction:.6f}"]
+            for rec, s in zip(recordings, stats)]
+    return streams, rows, [s.fold_reduction for s in stats]
+
+
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each takes (args, cfg, staging directory), writes its outputs
+# there and returns (run.json extras or None, summary line); main does the rest.
 # ---------------------------------------------------------------------------
 
 
-def cmd_synth(args) -> int:
-    cfg = resolve_config(args)
+def cmd_synth(args, cfg: ExperimentConfig, out: Path):
     manifest, recordings = synth_generate(synth_config_from(cfg))
-    with staged_output(args.out) as out:
-        write_dataset(manifest, recordings, out)
-        write_run_record(out, "synth", cfg)
-    print(f"wrote {len(recordings)} recordings to {args.out}")
-    return 0
+    write_dataset(manifest, recordings, out)
+    return None, f"wrote {len(recordings)} recordings to {args.out}"
 
 
 def _resolve_reader(spec: str):
@@ -149,49 +168,39 @@ def _resolve_reader(spec: str):
         raise ValueError(f"cannot load reader {spec!r}: {exc}") from None
 
 
-def cmd_import(args) -> int:
-    cfg = resolve_config(args)
+def cmd_import(args, cfg: ExperimentConfig, out: Path):
     reader = _resolve_reader(args.reader)
-    with staged_output(args.out) as out:
-        entries = []
-        n_classes = 0
-        count = 0
-        for rec in reader(Path(args.src)):
-            name = f"{rec.recording_id or f'rec{count:06d}'}.spdrec"
-            save_recording(rec, out / name)
-            entries.append(ManifestEntry(path=name, class_id=rec.class_id,
-                                         recording_id=rec.recording_id or f"rec{count:06d}"))
-            n_classes = max(n_classes, rec.class_id + 1)
-            count += 1
-        if count == 0:
-            raise ValueError(f"reader produced no recordings from {args.src}")
-        save_manifest(DatasetManifest(entries=entries, n_classes=n_classes),
-                      out / "manifest.tsv")
-        write_run_record(out, "import", cfg, {"reader": args.reader, "src": str(args.src)})
-    print(f"imported {count} recordings to {args.out}")
-    return 0
+    entries = []
+    n_classes = 0
+    count = 0
+    for rec in reader(Path(args.src)):
+        name = f"{rec.recording_id or f'rec{count:06d}'}.spdrec"
+        save_recording(rec, out / name)
+        entries.append(ManifestEntry(path=name, class_id=rec.class_id,
+                                     recording_id=rec.recording_id or f"rec{count:06d}"))
+        n_classes = max(n_classes, rec.class_id + 1)
+        count += 1
+    if count == 0:
+        raise ValueError(f"reader produced no recordings from {args.src}")
+    save_manifest(DatasetManifest(entries=entries, n_classes=n_classes), out / "manifest.tsv")
+    return ({"reader": args.reader, "src": str(args.src)},
+            f"imported {count} recordings to {args.out}")
 
 
-def cmd_convert(args) -> int:
-    cfg = resolve_config(args)
+def cmd_convert(args, cfg: ExperimentConfig, out: Path):
     recordings, _ = load_dataset(cfg)
-    with staged_output(args.out) as out:
-        streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
-        with open(out / "datarate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["recording_id", "frame_bytes", "event_bytes", "fold_reduction"])
-            for rec, stream in zip(recordings, streams):
-                write_stream(stream, out / f"{rec.recording_id}.spdevt")
-                stats = datarate_stats(rec, stream)
-                writer.writerow([rec.recording_id, stats.frame_bytes, stats.event_bytes,
-                                 f"{stats.fold_reduction:.6f}"])
-        write_run_record(out, "convert", cfg, {"kind": args.kind})
-    print(f"converted {len(recordings)} recordings ({args.kind}) to {args.out}")
-    return 0
+    for rec in recordings:   # event times step by pulse periods; AER words hold 16-bit gaps
+        if rec.pulse_period > AER_TIME_MASK:
+            raise ValueError(f"recording {rec.recording_id}: pulse period {rec.pulse_period} us "
+                             f"exceeds the {AER_TIME_MASK} us SPDEVT01 event time field")
+    streams, rows, _ = convert_with_rates(recordings, args.kind, cfg)
+    for rec, stream in zip(recordings, streams):
+        write_stream(stream, out / f"{rec.recording_id}.spdevt")
+    _write_csv(out / "datarate.csv", _RATE_COLUMNS, rows)
+    return {"kind": args.kind}, f"converted {len(recordings)} recordings ({args.kind}) to {args.out}"
 
 
-def cmd_train_features(args) -> int:
-    cfg = resolve_config(args)
+def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
     recordings, _ = load_dataset(cfg)
     streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
     if args.use_all:
@@ -203,43 +212,33 @@ def cmd_train_features(args) -> int:
     params = spec.feast_params(streams[0].polarity_count)
     trained = feast_train([streams[i] for i in train_idx], params)
     n_active = min(cfg.feast_active_bits, params.weight_length)
-    with staged_output(args.out) as out:
-        save_features(trained, out / "features_continuous.spdfea")
-        save_features(binarize(trained, n_active), out / "features_binary.spdfea")
-        (out / "win_counts.json").write_text(json.dumps(
-            {"win_counts": trained.win_counts.tolist()}, indent=2) + "\n")
-        write_run_record(out, "train-features", cfg,
-                         {"kind": args.kind, "neurons": args.neurons, "n_active": n_active})
-    print(f"trained {args.neurons} features on {len(train_idx)} recordings -> {args.out}")
-    return 0
+    save_features(trained, out / "features_continuous.spdfea")
+    save_features(binarize(trained, n_active), out / "features_binary.spdfea")
+    (out / "win_counts.json").write_text(json.dumps(
+        {"win_counts": trained.win_counts.tolist()}, indent=2) + "\n")
+    return ({"kind": args.kind, "neurons": args.neurons, "n_active": n_active},
+            f"trained {args.neurons} features on {len(train_idx)} recordings -> {args.out}")
 
 
-def cmd_evaluate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_evaluate(args, cfg: ExperimentConfig, out: Path):
     recordings, n_classes = load_dataset(cfg)
     spec = pipeline_spec_from(cfg, args.kind, args.feature_mode, args.neurons,
                               PoolConfig(method=args.pool_method, size=args.pool_size))
     streams = None
     if args.kind != "frames":
-        streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
+        streams, _, folds = convert_with_rates(recordings, args.kind, cfg)
     report = run_pipeline(recordings, spec, n_classes,
                           trial_seeds(cfg.seed, cfg.n_trials), jobs=cfg.jobs, streams=streams)
     if streams is not None:
-        folds = [datarate_stats(rec, s).fold_reduction
-                 for rec, s in zip(recordings, streams)]
         report.extra["datarate"] = {"mean_fold_reduction": float(np.mean(folds)),
                                     "min_fold_reduction": float(np.min(folds)),
                                     "max_fold_reduction": float(np.max(folds))}
-    with staged_output(args.out) as out:
-        report.write_json(out / "report.json")
-        report.write_csv(out / "report.csv")
-        write_run_record(out, "evaluate", cfg,
-                         {"kind": args.kind, "feature_mode": args.feature_mode,
-                          "neurons": args.neurons, "pool_size": args.pool_size,
-                          "pool_method": args.pool_method})
-    print(f"per-frame {report.per_frame_mean:.4f} +/- {report.per_frame_std:.4f}  "
-          f"per-recording {report.per_recording_mean:.4f} +/- {report.per_recording_std:.4f}")
-    return 0
+    report.write_json(out / "report.json")
+    _write_csv(out / "report.csv", TRIAL_COLUMNS, report.trial_rows())
+    return ({"kind": args.kind, "feature_mode": args.feature_mode, "neurons": args.neurons,
+             "pool_size": args.pool_size, "pool_method": args.pool_method},
+            f"per-frame {report.per_frame_mean:.4f} +/- {report.per_frame_std:.4f}  "
+            f"per-recording {report.per_recording_mean:.4f} +/- {report.per_recording_std:.4f}")
 
 
 def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
@@ -279,28 +278,6 @@ _CELL_COLUMNS = ["kind", "feature_mode", "n_neurons", "pool_size", "pool_method"
 _SUMMARY_STATS = ["per_frame_mean", "per_frame_std", "per_recording_mean", "per_recording_std"]
 
 
-def _write_csv(path, columns: list[str], rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows(rows)
-
-
-def write_sweep_csv(cells: list[tuple[tuple, EvalReport]], path) -> None:
-    """One row per trial of every cell."""
-    _write_csv(path, [*_CELL_COLUMNS, "trial", "seed", "per_frame_acc", "per_recording_acc"],
-               ([*key, i, t.seed, f"{t.per_frame_accuracy:.6f}",
-                 f"{t.per_recording_accuracy:.6f}"]
-                for key, report in cells for i, t in enumerate(report.trials)))
-
-
-def write_summary_csv(cells: list[tuple[tuple, EvalReport]], path) -> None:
-    """One row per cell: mean and std of its trials' accuracies."""
-    _write_csv(path, _CELL_COLUMNS + _SUMMARY_STATS,
-               ([*key, *(f"{getattr(report, stat):.6f}" for stat in _SUMMARY_STATS)]
-                for key, report in cells))
-
-
 def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None:
     for kind in sorted({key[0] for key, _ in cells}):
         series = []
@@ -317,23 +294,22 @@ def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None
                              x_label="pool size", y_label="per-frame accuracy")
 
 
-def cmd_sweep(args) -> int:
-    cfg = resolve_config(args)
+def cmd_sweep(args, cfg: ExperimentConfig, out: Path):
     recordings, n_classes = load_dataset(cfg)
     cells = sweep_cells(recordings, n_classes, cfg)
     n_rows = sum(report.n_trials for _, report in cells)
-    with staged_output(args.out) as out:
-        write_sweep_csv(cells, out / "sweep.csv")
-        write_summary_csv(cells, out / "summary.csv")
-        if args.svg:
-            write_sweep_charts(cells, out)
-        write_run_record(out, "sweep", cfg, {"n_rows": n_rows})
-    print(f"swept {len(cells)} cells ({n_rows} rows) -> {args.out}")
-    return 0
+    # sweep.csv: one row per trial of every cell; summary.csv: one row per cell
+    _write_csv(out / "sweep.csv", [*_CELL_COLUMNS, *TRIAL_COLUMNS],
+               ([*key, *row] for key, report in cells for row in report.trial_rows()))
+    _write_csv(out / "summary.csv", _CELL_COLUMNS + _SUMMARY_STATS,
+               ([*key, *(f"{getattr(report, stat):.6f}" for stat in _SUMMARY_STATS)]
+                for key, report in cells))
+    if args.svg:
+        write_sweep_charts(cells, out)
+    return {"n_rows": n_rows}, f"swept {len(cells)} cells ({n_rows} rows) -> {args.out}"
 
 
-def cmd_demo_ratio(args) -> int:
-    cfg = resolve_config(args)
+def cmd_demo_ratio(args, cfg: ExperimentConfig, out: Path):
     if cfg.manifest:
         recordings, n_classes = load_dataset(cfg)
         if n_classes != 3:
@@ -348,39 +324,24 @@ def cmd_demo_ratio(args) -> int:
         "bi_uni": {"accuracy": result.bi_uni_accuracy,
                    "thresholds": list(result.bi_uni_thresholds)},
     }
-    with staged_output(args.out) as out:
-        (out / "ratio_demo.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        write_run_record(out, "demo-ratio", cfg)
-    print(f"On/Off ratio accuracy {result.on_off_accuracy:.4f}  "
-          f"Bi/Uni ratio accuracy {result.bi_uni_accuracy:.4f}")
-    return 0
+    (out / "ratio_demo.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    return None, (f"On/Off ratio accuracy {result.on_off_accuracy:.4f}  "
+                  f"Bi/Uni ratio accuracy {result.bi_uni_accuracy:.4f}")
 
 
-def cmd_datarate(args) -> int:
-    cfg = resolve_config(args)
+def cmd_datarate(args, cfg: ExperimentConfig, out: Path):
     recordings, _ = load_dataset(cfg)
-    kinds = [k for k in cfg.kinds if k != "frames"]
-    with staged_output(args.out) as out:
-        with open(out / "datarate.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["kind", "recording_id", "frame_bytes", "event_bytes",
-                             "fold_reduction"])
-            means = {}
-            for kind in kinds:
-                streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
-                folds = []
-                for rec, stream in zip(recordings, streams):
-                    stats = datarate_stats(rec, stream)
-                    folds.append(stats.fold_reduction)
-                    writer.writerow([kind, rec.recording_id, stats.frame_bytes,
-                                     stats.event_bytes, f"{stats.fold_reduction:.6f}"])
-                means[kind] = float(np.mean(folds))
-        (out / "summary.json").write_text(json.dumps(
-            {"mean_fold_reduction": means}, indent=2, sort_keys=True) + "\n")
-        write_run_record(out, "datarate", cfg)
-    for kind, fold in means.items():
-        print(f"{kind}: mean fold reduction {fold:.2f}")
-    return 0
+    rows, means = [], {}
+    for kind in cfg.kinds:
+        if kind != "frames":
+            _, kind_rows, folds = convert_with_rates(recordings, kind, cfg)
+            rows += [[kind, *row] for row in kind_rows]
+            means[kind] = float(np.mean(folds))
+    _write_csv(out / "datarate.csv", ["kind", *_RATE_COLUMNS], rows)
+    (out / "summary.json").write_text(json.dumps(
+        {"mean_fold_reduction": means}, indent=2, sort_keys=True) + "\n")
+    return None, "\n".join(f"{kind}: mean fold reduction {fold:.2f}"
+                           for kind, fold in means.items())
 
 
 # ---------------------------------------------------------------------------
@@ -397,9 +358,9 @@ def add_common_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def resolve_config(args) -> ExperimentConfig:
-    overrides = {key: getattr(args, f"cfg_{key}") for key in config_field_names()
-                 if getattr(args, f"cfg_{key}", None) is not None}
-    return make_config(args.config, overrides)
+    # make_config skips the flags left at None
+    return make_config(args.config, {key: getattr(args, f"cfg_{key}")
+                                     for key in config_field_names()})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -421,12 +382,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("convert", help="convert a dataset to one event-stream kind")
     add_common_flags(p)
-    p.add_argument("--kind", required=True, choices=["firstand", "onoff", "oobu"])
+    p.add_argument("--kind", required=True, choices=EVENT_KINDS)
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("train-features", help="train and binarize a feature set")
     add_common_flags(p)
-    p.add_argument("--kind", required=True, choices=["firstand", "onoff", "oobu"])
+    p.add_argument("--kind", required=True, choices=EVENT_KINDS)
     p.add_argument("--neurons", type=int, default=PipelineSpec.n_neurons)
     p.add_argument("--use-all", action="store_true",
                    help="train on every recording instead of the first trial split")
@@ -434,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="evaluate one pipeline configuration")
     add_common_flags(p)
-    p.add_argument("--kind", required=True, choices=["frames", "firstand", "onoff", "oobu"])
+    p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--feature-mode", default=PipelineSpec.feature_mode,
                    choices=["raw", "random", "trained"])
     p.add_argument("--neurons", type=int, default=PipelineSpec.n_neurons)
@@ -460,10 +421,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        cfg = resolve_config(args)
+        with staged_output(args.out) as out:
+            extra, message = args.func(args, cfg, out)
+            write_run_record(out, args.command, cfg, extra)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if message:   # datarate over no event kind has nothing to report
+        print(message)
+    return 0
 
 
 if __name__ == "__main__":

@@ -18,6 +18,7 @@ Relative paths resolve against the manifest's directory.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -30,6 +31,7 @@ from .core import (DEFAULT_PULSE_PERIOD_US, DimensionError, FormatError, Recordi
 RECORDING_MAGIC = b"SPDREC01"
 _HEADER = struct.Struct("<8sHHIIH")
 MAX_CLASS_ID = 0xFFFF   # the u16 class_id field
+MAX_GRID_SIDE = 0xFFFF  # the u16 width and height fields
 
 
 # ---------------------------------------------------------------------------
@@ -203,8 +205,15 @@ class SynthConfig:
     def __post_init__(self):
         if not 0.0 <= self.p_false_positive <= 1.0 or not 0.0 <= self.p_false_negative <= 1.0:
             raise ValueError("noise probabilities must lie in [0, 1]")
-        if self.timing_jitter_sigma < 0:
-            raise ValueError("timing_jitter_sigma must be non-negative")
+        if not 0.0 <= self.timing_jitter_sigma < math.inf:
+            raise ValueError(f"timing_jitter_sigma must be non-negative and finite, "
+                             f"got {self.timing_jitter_sigma}")
+        for name in ("target_depth_code", "distractor_depth_code"):
+            if not 1 <= getattr(self, name) <= 65535:   # code 0 means no return
+                raise ValueError(f"{name} must lie in 1..65535, got {getattr(self, name)}")
+        if not (1 <= self.grid_width <= MAX_GRID_SIDE and 1 <= self.grid_height <= MAX_GRID_SIDE):
+            raise ValueError(f"grid sides must lie in 1..{MAX_GRID_SIDE}, "
+                             f"got {self.grid_width}x{self.grid_height}")
 
 
 def default_silhouettes(n_classes: int, seed: int = 0) -> list[np.ndarray]:

@@ -17,6 +17,7 @@ the best-matching neuron index as its polarity.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -47,8 +48,9 @@ class FeastParams:
             raise ValueError(f"roi_side must be odd, got {self.roi_side}")
         if not 0.0 < self.mix_rate < 1.0:
             raise ValueError(f"mix_rate must lie strictly in (0, 1), got {self.mix_rate}")
-        if self.shrink_step <= 0 or self.grow_step <= 0:
-            raise ValueError("shrink_step and grow_step must be positive")
+        if not (0 < self.shrink_step < math.inf and 0 < self.grow_step < math.inf):
+            raise ValueError(f"shrink_step and grow_step must be positive and finite, got "
+                             f"{self.shrink_step} and {self.grow_step}")
         if self.window_us <= 0:
             raise ValueError("window_us must be positive")
 

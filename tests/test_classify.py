@@ -10,7 +10,7 @@ from spadevents.classify import (ClassifierWeights, PoolConfig, Region, RidgeAcc
                                  frame_sample_times, one_hot, pool,
                                  pool_1d, pool_2d, predict_batch,
                                  recording_vote, region_from_activity,
-                                 train_classifier, zoh_indices)
+                                 train_classifier, zoh_indices, TRIAL_COLUMNS)
 from spadevents.core import TimeSurface, make_events
 from spadevents.dataio import split_indices
 
@@ -425,14 +425,14 @@ class TestEvaluate:
         samples = separable_samples()
         report = evaluate_samples(samples, 3, seeds=[0, 1])
         report.write_json(tmp_path / "r.json")
-        report.write_csv(tmp_path / "r.csv")
         import json
         data = json.loads((tmp_path / "r.json").read_text())
         assert data["n_trials"] == 2
         assert len(data["trials"]) == 2
-        lines = (tmp_path / "r.csv").read_text().strip().splitlines()
-        assert lines[0] == "trial,seed,per_frame_acc,per_recording_acc"
-        assert len(lines) == 3
+        assert TRIAL_COLUMNS == ["trial", "seed", "per_frame_acc", "per_recording_acc"]
+        rows = report.trial_rows()
+        assert [row[:2] for row in rows] == [[0, 0], [1, 1]]
+        assert all(len(row) == len(TRIAL_COLUMNS) for row in rows)
 
     def test_samples_per_recording_stats(self):
         samples = separable_samples(samples_per_rec=4)

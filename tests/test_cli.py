@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -257,6 +258,30 @@ class TestConvertCommand:
                 assert not out.exists() and not out.with_name(out.name + ".partial").exists()
             outcomes.add(rc)
         assert outcomes == {0, 1}
+
+
+    def test_pulse_period_beyond_event_time_field_refused_before_converting(
+            self, tmp_path, capsys, monkeypatch):
+        _, recordings = synth_generate(SynthConfig(n_classes=2, recordings_per_class=2,
+                                                   frames_per_recording=6, grid_width=12,
+                                                   grid_height=12, seed=3))
+        recordings[2].pulse_period = 70000
+        lines = []
+        for rec in recordings:
+            save_recording(rec, tmp_path / f"{rec.recording_id}.spdrec")
+            lines.append(f"{rec.recording_id}.spdrec\t{rec.class_id}\t{rec.recording_id}\n")
+        (tmp_path / "manifest.tsv").write_text("".join(lines))
+
+        def convert_all(*args, **kwargs):
+            raise AssertionError("converted before the pulse periods were checked")
+        monkeypatch.setattr(cli, "convert_all", convert_all)
+        rc = main(["convert", "--kind", "oobu", "--out", str(tmp_path / "ev"),
+                   "--manifest", str(tmp_path / "manifest.tsv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and recordings[2].recording_id in err
+        assert "pulse period 70000" in err
+        assert not (tmp_path / "ev").exists()
 
 
 class TestTrainFeaturesCommand:
@@ -555,3 +580,81 @@ class TestImportCommand:
         assert rc == 1
         assert err.startswith("error:") and reader in err
         assert not (tmp_path / "out").exists()
+
+
+class TestRunner:
+    @pytest.mark.parametrize("command", [["evaluate", "--kind", "oobu"], ["sweep"],
+                                         ["train-features", "--kind", "oobu"]])
+    def test_existing_out_refused_before_loading(self, command, tmp_path, capsys, monkeypatch):
+        def load_dataset(cfg):
+            raise AssertionError("dataset loaded before the --out check")
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        out = tmp_path / "o"
+        out.mkdir()
+        (out / "keep.txt").write_text("kept\n")
+        assert main([*command, "--out", str(out), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "already exists" in err
+        assert [p.name for p in out.iterdir()] == ["keep.txt"]
+        assert not out.with_name("o.partial").exists()
+
+    @pytest.mark.parametrize("flag", ["--feast-shrink-step", "--feast-grow-step"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_feast_step_is_an_error(self, flag, value, dataset_dir, tmp_path, capsys):
+        rc = main(["train-features", "--kind", "oobu", "--neurons", "2", f"{flag}={value}",
+                   "--out", str(tmp_path / "f"), "--manifest", str(dataset_dir / "manifest.tsv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "shrink_step and grow_step" in err
+        assert not (tmp_path / "f").exists()
+
+    # each value is refused by SynthConfig before anything is allocated
+    @pytest.mark.parametrize("flag, value, name", [
+        ("--synth-grid", "100000", "grid sides"),
+        ("--synth-target-depth", "70000", "target_depth_code"),
+        ("--synth-distractor-depth", "0", "distractor_depth_code"),
+        ("--synth-jitter-sigma", "nan", "timing_jitter_sigma"),
+        ("--synth-jitter-sigma", "inf", "timing_jitter_sigma"),
+    ])
+    def test_out_of_domain_synth_setting_is_an_error(self, flag, value, name, tmp_path, capsys):
+        rc = main(["synth", "--out", str(tmp_path / "ds"), *SMALL, f"{flag}={value}"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and name in err
+        assert not (tmp_path / "ds").exists()
+
+
+# The pinned config: synth 3 classes x 3 recordings x 30 frames of 16x16 at
+# seed 7, then every command on it, run from one directory with relative
+# paths (run.json and run.cfg record them).  tests/pinned_outputs.json holds
+# the SHA-256 of every output file and the printed summary lines.  The bytes
+# depend on the host's numpy and BLAS; after a deliberate change of either,
+# or of the outputs, re-derive the file from a run of PINNED_COMMANDS.
+PINNED_SYNTH = ["--synth-classes", "3", "--synth-recordings-per-class", "3",
+                "--synth-frames", "30", "--synth-grid", "16", "--seed", "7"]
+PINNED_MANIFEST = ["--manifest", "ds/manifest.tsv"]
+PINNED_COMMANDS = [
+    ["synth", "--out", "ds", *PINNED_SYNTH],
+    ["import", "--reader", "spdrec", "--src", "ds", "--out", "imported", *PINNED_SYNTH],
+    ["convert", "--kind", "oobu", "--out", "converted", *PINNED_MANIFEST],
+    ["train-features", "--kind", "oobu", "--neurons", "2", "--out", "features",
+     *PINNED_MANIFEST],
+    ["evaluate", "--kind", "oobu", "--feature-mode", "trained", "--neurons", "2",
+     "--pool-size", "4", "--n-trials", "3", "--out", "evaluated", *PINNED_MANIFEST],
+    ["sweep", "--kinds", "frames,oobu", "--feature-modes", "raw,trained", "--neuron-counts", "2",
+     "--pool-sizes", "2,4", "--pool-methods", "1d,2d", "--n-trials", "2", "--svg",
+     "--out", "swept", *PINNED_MANIFEST],
+    ["demo-ratio", "--out", "demo", *PINNED_MANIFEST],
+    ["datarate", "--kinds", "firstand,onoff,oobu", "--out", "rates", *PINNED_MANIFEST],
+]
+
+
+def test_pinned_config_outputs_are_unchanged(tmp_path, capsys, monkeypatch):
+    pinned = json.loads((Path(__file__).parent / "pinned_outputs.json").read_text())
+    monkeypatch.chdir(tmp_path)
+    for command in PINNED_COMMANDS:
+        assert main(command) == 0, command
+    digests = {p.relative_to(tmp_path).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+               for p in sorted(tmp_path.rglob("*")) if p.is_file()}
+    assert digests == pinned["sha256"]
+    assert capsys.readouterr().out.splitlines() == pinned["stdout"]

@@ -235,6 +235,27 @@ class TestSynth:
         _, b = synth_generate(self.noiseless_config(seed=2, p_false_positive=0.05))
         assert any(not np.array_equal(ra.frames, rb.frames) for ra, rb in zip(a, b))
 
+    # every value here is refused by SynthConfig itself, before any allocation
+    @pytest.mark.parametrize("field, value, match", [
+        ("timing_jitter_sigma", float("nan"), "timing_jitter_sigma"),
+        ("timing_jitter_sigma", float("inf"), "timing_jitter_sigma"),
+        ("timing_jitter_sigma", -0.5, "timing_jitter_sigma"),
+        ("target_depth_code", 0, "target_depth_code"),
+        ("target_depth_code", 70000, "target_depth_code"),
+        ("distractor_depth_code", -1, "distractor_depth_code"),
+        ("distractor_depth_code", 65536, "distractor_depth_code"),
+        ("grid_width", 100000, "grid sides"),
+        ("grid_height", 65536, "grid sides"),
+    ])
+    def test_out_of_domain_value_refused(self, field, value, match):
+        with pytest.raises(ValueError, match=match):
+            self.noiseless_config(**{field: value})
+
+    def test_domain_edges_accepted(self):
+        cfg = self.noiseless_config(target_depth_code=1, distractor_depth_code=65535)
+        _, recs = synth_generate(cfg)
+        assert set(np.unique(recs[0].frames)) <= {0, 1, 65535}
+
     def test_oversized_silhouette_rejected(self):
         big = np.ones((10, 10), dtype=bool)
         other = big.copy()

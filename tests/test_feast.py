@@ -140,6 +140,12 @@ class TestParams:
         with pytest.raises(ValueError):
             FeastParams(n_neurons=1, polarity_count=1, mix_rate=1.0)
 
+    @pytest.mark.parametrize("field", ["shrink_step", "grow_step"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0, -0.001])
+    def test_non_finite_or_non_positive_step_refused(self, field, value):
+        with pytest.raises(ValueError, match="shrink_step and grow_step"):
+            FeastParams(n_neurons=1, polarity_count=1, **{field: value})
+
     def test_weight_length(self):
         assert FeastParams(n_neurons=3, polarity_count=4, roi_side=5).weight_length == 100
 
