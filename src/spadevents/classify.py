@@ -20,6 +20,7 @@ from .dataio import split_indices
 
 DEFAULT_ACTIVITY_FRACTION = 0.1
 DEFAULT_RIDGE_LAMBDA = 0.1
+POOL_METHODS = ("1d", "2d")
 
 
 @dataclass(frozen=True)
@@ -46,12 +47,12 @@ class Region:
 
 @dataclass
 class PoolConfig:
-    method: str = "2d"   # "1d" | "2d"
+    method: str = "2d"   # one of POOL_METHODS
     size: int = 12       # resample target L
 
     def __post_init__(self):
-        if self.method not in ("1d", "2d"):
-            raise ValueError(f"pool method must be '1d' or '2d', got {self.method!r}")
+        if self.method not in POOL_METHODS:
+            raise ValueError(f"pool method must be one of {POOL_METHODS}, got {self.method!r}")
         if self.size < 1:
             raise ValueError(f"pool size must be positive, got {self.size}")
 

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .classify import TRIAL_COLUMNS, EvalReport, PoolConfig
+from .classify import POOL_METHODS, TRIAL_COLUMNS, EvalReport, PoolConfig
 from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
                      make_config)
 from .core import AER_TIME_MASK
@@ -33,9 +33,10 @@ from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
                      save_recording, split_indices, synth_generate, SynthConfig,
                      write_dataset)
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
-from .feast import save_features, feast_train, binarize
-from .pipeline import (EVENT_KINDS, KINDS, PipelineParams, PipelineSpec, convert_all,
-                       evaluate_sources, pipeline_sources, run_pipeline, trial_seeds)
+from .feast import save_features
+from .pipeline import (EVENT_KINDS, FEATURE_MODES, KINDS, PipelineParams, PipelineSpec,
+                       convert_all, evaluate_sources, pipeline_sources,
+                       prepare_binary_features, run_pipeline, trial_seeds)
 from .svgchart import write_line_chart
 
 
@@ -209,14 +210,12 @@ def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
         train_idx, _ = split_indices(len(streams), cfg.train_fraction,
                                      trial_seeds(cfg.seed, 1)[0])
     spec = pipeline_spec_from(cfg, args.kind, "trained", args.neurons)
-    params = spec.feast_params(streams[0].polarity_count)
-    trained = feast_train([streams[i] for i in train_idx], params)
-    n_active = min(cfg.feast_active_bits, params.weight_length)
+    trained, binary = prepare_binary_features(streams, spec, train_idx)
     save_features(trained, out / "features_continuous.spdfea")
-    save_features(binarize(trained, n_active), out / "features_binary.spdfea")
+    save_features(binary, out / "features_binary.spdfea")
     (out / "win_counts.json").write_text(json.dumps(
         {"win_counts": trained.win_counts.tolist()}, indent=2) + "\n")
-    return ({"kind": args.kind, "neurons": args.neurons, "n_active": n_active},
+    return ({"kind": args.kind, "neurons": args.neurons, "n_active": binary.n_active},
             f"trained {args.neurons} features on {len(train_idx)} recordings -> {args.out}")
 
 
@@ -281,8 +280,8 @@ _SUMMARY_STATS = ["per_frame_mean", "per_frame_std", "per_recording_mean", "per_
 def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None:
     for kind in sorted({key[0] for key, _ in cells}):
         series = []
-        for mode in ("raw", "random", "trained"):
-            for method in ("1d", "2d"):
+        for mode in FEATURE_MODES:
+            for method in POOL_METHODS:
                 pts = sorted((size, report.per_frame_mean)
                              for (k, m, _, size, meth), report in cells
                              if (k, m, meth) == (kind, mode, method))
@@ -397,10 +396,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common_flags(p)
     p.add_argument("--kind", required=True, choices=KINDS)
     p.add_argument("--feature-mode", default=PipelineSpec.feature_mode,
-                   choices=["raw", "random", "trained"])
+                   choices=FEATURE_MODES)
     p.add_argument("--neurons", type=int, default=PipelineSpec.n_neurons)
     p.add_argument("--pool-size", type=int, default=PoolConfig.size)
-    p.add_argument("--pool-method", default=PoolConfig.method, choices=["1d", "2d"])
+    p.add_argument("--pool-method", default=PoolConfig.method, choices=POOL_METHODS)
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("sweep", help="accuracy sweep over kinds, N, L and pooling")

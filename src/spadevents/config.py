@@ -12,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, field
 from pathlib import Path
 
+from .classify import POOL_METHODS
 from .dataio import SynthConfig
-from .pipeline import PipelineParams
+from .pipeline import FEATURE_MODES, KINDS, PipelineParams
 
 
 @dataclass
@@ -37,11 +38,11 @@ class ExperimentConfig(PipelineParams):
     augment: bool = False              # x8 mirror/rotation expansion after load/synth
 
     # sweep axes ("frames" is the frame-based baseline, raw mode only)
-    kinds: list = field(default_factory=lambda: ["frames", "firstand", "onoff", "oobu"])
-    feature_modes: list = field(default_factory=lambda: ["raw", "random", "trained"])
+    kinds: list = field(default_factory=lambda: list(KINDS))
+    feature_modes: list = field(default_factory=lambda: list(FEATURE_MODES))
     neuron_counts: list = field(default_factory=lambda: [1, 2, 3, 4, 9, 16])
     pool_sizes: list = field(default_factory=lambda: [1, 2, 3, 4, 6, 8, 12, 16, 24])
-    pool_methods: list = field(default_factory=lambda: ["1d", "2d"])
+    pool_methods: list = field(default_factory=lambda: list(POOL_METHODS))
 
     # classification
     n_trials: int = 5
@@ -56,6 +57,8 @@ _LIST_ELEMENT_TYPES = {
     "neuron_counts": int,
     "pool_sizes": int,
 }
+# the value set of each string axis; the integer axes (N, L) take values >= 1
+_AXIS_CHOICES = {"kinds": KINDS, "feature_modes": FEATURE_MODES, "pool_methods": POOL_METHODS}
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -116,8 +119,14 @@ def make_config(config_path: str | Path | None = None,
         raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials}")
     for key in _LIST_ELEMENT_TYPES:   # the sweep axes: one cell per value combination
         values = getattr(cfg, key)
-        if len(set(values)) != len(values):
-            raise ValueError(f"{key} repeats a value: {','.join(map(str, values))}")
+        listed = ",".join(map(str, values))
+        if not values or len(set(values)) != len(values):
+            raise ValueError(f"{key} must list one or more distinct values, got {listed!r}")
+        choices = _AXIS_CHOICES.get(key)
+        if choices is not None and not set(values) <= set(choices):
+            raise ValueError(f"{key} must be drawn from {','.join(choices)}, got {listed}")
+        if choices is None and min(values) < 1:
+            raise ValueError(f"{key} must be at least 1, got {listed}")
     return cfg
 
 

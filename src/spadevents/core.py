@@ -161,7 +161,8 @@ class EventStream:
 
     events is a structured array with fields t, y, x, p.  Canonical order is
     nondecreasing t with ties broken row-major (y, then x), then polarity,
-    so identical inputs always serialize identically.
+    so identical inputs always serialize identically.  Construction refuses
+    events off the grid or at or above the polarity count.
     """
 
     kind: StreamKind
@@ -172,13 +173,18 @@ class EventStream:
 
     def __post_init__(self):
         if self.grid_width < 1 or self.grid_height < 1:
-            raise ValueError("stream grid must be non-empty")
+            raise ValueError(f"empty grid {self.grid_width}x{self.grid_height}")
         if self.events.dtype != EVENT_DTYPE:
             raise ValueError(f"events must use EVENT_DTYPE, got {self.events.dtype}")
         if self.polarity_count == 0:
             self.polarity_count = KIND_POLARITIES.get(self.kind, 0)
         if self.polarity_count < 1:
             raise ValueError("polarity_count must be set for FEATURE streams")
+        ev = self.events
+        if len(ev) and (ev["x"].max() >= self.grid_width or ev["y"].max() >= self.grid_height
+                        or ev["p"].max() >= self.polarity_count):
+            raise ValueError(f"events fall outside the {self.grid_width}x{self.grid_height} "
+                             f"grid or its {self.polarity_count} polarities")
 
     def __len__(self) -> int:
         return len(self.events)
@@ -197,17 +203,6 @@ class EventStream:
         eq_x = eq_y & (a["x"] == b["x"])
         le_p = eq_x & (a["p"] <= b["p"])
         return bool(np.all(lt | lt_y | lt_x | le_p))
-
-    def validate(self) -> None:
-        ev = self.events
-        if len(ev) == 0:
-            return
-        if ev["x"].max(initial=0) >= self.grid_width or ev["y"].max(initial=0) >= self.grid_height:
-            raise ValueError("event coordinates fall outside the stream grid")
-        if int(ev["p"].max(initial=0)) >= self.polarity_count:
-            raise ValueError("event polarity exceeds the stream's polarity count")
-        if not self.is_canonical():
-            raise ValueError("events are not in canonical (t, y, x, p) order")
 
 
 def make_events(t, y, x, p) -> np.ndarray:

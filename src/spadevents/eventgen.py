@@ -418,11 +418,11 @@ def datarate_stats(recording: Recording, stream: EventStream) -> DataRateStats:
 # what the 2-bit polarity field can address) and must be 0 for the other
 # kinds, whose count follows from the kind; the reserved field must be 0.
 # Every word must address a cell of the header's grid and a polarity below
-# the stream's count.  The word's 16-bit time field carries t (microseconds)
-# modulo 2^16; the reader unwraps it monotonically.  That reconstructs
-# timestamps exactly only if the first event lies before t = 65 536 us and
-# consecutive events are less than 65 536 us apart, so the writer refuses
-# other streams.
+# the stream's count, as every EventStream's events do.  The word's 16-bit
+# time field carries t (microseconds) modulo 2^16; the reader unwraps it
+# monotonically.  That reconstructs timestamps exactly only if the first
+# event lies before t = 65 536 us and consecutive events are less than
+# 65 536 us apart, so the writer refuses other streams.
 # ---------------------------------------------------------------------------
 
 STREAM_MAGIC = b"SPDEVT01"
@@ -433,16 +433,16 @@ def write_stream(stream: EventStream, path) -> None:
     """Serialize a stream as AER words; grid and polarity must fit the word."""
     ev = stream.events
     if stream.polarity_count > 4:
-        raise FormatError("AER words carry a 2-bit polarity; streams with more than "
-                          "4 polarities cannot be serialized")
+        raise FormatError(f"{path}: AER words carry a 2-bit polarity; streams with more "
+                          f"than 4 polarities cannot be serialized")
     if len(ev):
         if int(ev["y"].max()) > AER_MAX_ROW or int(ev["x"].max()) > AER_MAX_COL:
-            raise FormatError("AER words address at most a 128x128 grid")
-        _check_events_fit(stream, path)
+            raise FormatError(f"{path}: AER words address at most a 128x128 grid")
         gaps = np.diff(ev["t"], prepend=0)
         if gaps.min() < 0 or gaps.max() > AER_TIME_MASK:
-            raise FormatError("AER words carry 16-bit timestamps: the first event and every "
-                              "gap between consecutive events must lie in 0..65535 us")
+            raise FormatError(f"{path}: AER words carry 16-bit timestamps: the first event "
+                              f"and every gap between consecutive events must lie in "
+                              f"0..65535 us")
     feature = stream.kind == StreamKind.FEATURE
     words = encode_aer_array(ev["y"], ev["x"], ev["p"], ev["t"])
     write_framed(path, _STREAM_HEADER, STREAM_MAGIC,
@@ -464,23 +464,13 @@ def read_stream(path) -> EventStream:
         raise FormatError(f"{path}: pad byte {pad} must be 0 for a {kind.name} stream")
     if reserved != 0:
         raise FormatError(f"{path}: reserved field {reserved} must be 0")
-    if grid_w < 1 or grid_h < 1:
-        raise FormatError(f"{path}: empty grid {grid_w}x{grid_h}")
     rows, cols, pols, t_raw = decode_aer_array(np.frombuffer(payload, dtype="<u4"))
-    stream = EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
-                         events=make_events(_unwrap_times(t_raw), rows, cols, pols),
-                         polarity_count=pad if kind == StreamKind.FEATURE else 0)
-    _check_events_fit(stream, path)
-    return stream
-
-
-def _check_events_fit(stream: EventStream, path) -> None:
-    """Refuse events off the stream's grid or at or above its polarity count."""
-    ev = stream.events
-    if len(ev) and (ev["y"].max() >= stream.grid_height or ev["x"].max() >= stream.grid_width
-                    or ev["p"].max() >= stream.polarity_count):
-        raise FormatError(f"{path}: events fall outside the {stream.grid_width}x"
-                          f"{stream.grid_height} grid or its {stream.polarity_count} polarities")
+    try:
+        return EventStream(kind=kind, grid_width=grid_w, grid_height=grid_h,
+                           events=make_events(_unwrap_times(t_raw), rows, cols, pols),
+                           polarity_count=pad if kind == StreamKind.FEATURE else 0)
+    except ValueError as exc:   # an empty grid, or events off it or its polarities
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _unwrap_times(t_raw: np.ndarray) -> np.ndarray:

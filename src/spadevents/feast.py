@@ -134,9 +134,6 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int,
         raise ValueError(f"window_us must be positive, got {window_us}")
     ev = stream.events
     n = len(ev)
-    if n and (ev["x"].max() >= stream.grid_width or ev["y"].max() >= stream.grid_height
-              or ev["p"].max() >= stream.polarity_count):
-        raise ValueError("events fall outside the stream grid or polarity range")
     r = roi_side // 2
     # a halo of r never-fired cells turns every window into a plain slice
     shape = (stream.polarity_count, stream.grid_height + 2 * r, stream.grid_width + 2 * r)
@@ -262,11 +259,6 @@ def binarize(features: ContinuousFeatureSet, n_active: int) -> BinaryFeatureSet:
     return BinaryFeatureSet(bits=bits, n_active=n_active,
                             polarity_count=features.polarity_count,
                             roi_side=features.roi_side)
-
-
-def random_binary_features(params: FeastParams, n_active: int) -> BinaryFeatureSet:
-    """Untrained baseline: binarize the seeded random initial weights."""
-    return binarize(initial_features(params), n_active)
 
 
 def feast_infer(stream: EventStream, features: BinaryFeatureSet,

@@ -26,11 +26,12 @@ from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConf
 from .core import EventStream, Recording, TimeSurface
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
-from .feast import (BinaryFeatureSet, FeastParams, binarize, feast_infer, feast_train,
-                    random_binary_features)
+from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize, feast_infer,
+                    feast_train, initial_features)
 
 EVENT_KINDS = ("firstand", "onoff", "oobu")
 KINDS = ("frames",) + EVENT_KINDS
+FEATURE_MODES = ("raw", "random", "trained")
 
 # Raw depth codes are scaled into [0, 1] for the frame-based pipeline so the
 # ridge regularizer acts on comparable magnitudes across pipelines.
@@ -123,23 +124,24 @@ def convert_all(recordings: list[Recording], kind: str,
 # ---------------------------------------------------------------------------
 
 
-def prepare_binary_features(streams: list[EventStream], mode: str, params: FeastParams,
-                            n_active: int = 32,
-                            train_indices: np.ndarray | None = None) -> BinaryFeatureSet:
-    """Trained or random binary feature set under the same seed protocol.
+def prepare_binary_features(streams: list[EventStream], spec: PipelineSpec,
+                            train_indices: np.ndarray | None = None
+                            ) -> tuple[ContinuousFeatureSet, BinaryFeatureSet]:
+    """The continuous and binary feature sets of a "random" or "trained" spec.
 
-    "trained" runs the adaptive-threshold pass over the training-split
-    streams (in index order) and binarizes the result; "random" binarizes
-    the same seeded initial weights untouched.
+    "trained" runs the adaptive-threshold pass over the streams at
+    train_indices (every stream when None), in index order; "random" keeps
+    the seeded initial weights.  Both binarize to feast_active_bits, clamped
+    to the weight length.
     """
-    if mode == "random":
-        return random_binary_features(params, n_active)
-    if mode == "trained":
+    params = spec.feast_params(streams[0].polarity_count)
+    if spec.feature_mode == "trained":
         if train_indices is None:
             train_indices = np.arange(len(streams))
-        trained = feast_train([streams[i] for i in train_indices], params)
-        return binarize(trained, n_active)
-    raise ValueError(f"unknown feature mode {mode!r} (expected 'random' or 'trained')")
+        continuous = feast_train([streams[i] for i in train_indices], params)
+    else:
+        continuous = initial_features(params)
+    return continuous, binarize(continuous, min(spec.feast_active_bits, params.weight_length))
 
 
 def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet,
@@ -259,8 +261,9 @@ class PipelineSpec(PipelineParams):
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r} (expected one of {KINDS})")
-        if self.feature_mode not in ("raw", "random", "trained"):
-            raise ValueError(f"unknown feature_mode {self.feature_mode!r}")
+        if self.feature_mode not in FEATURE_MODES:
+            raise ValueError(f"unknown feature_mode {self.feature_mode!r} "
+                             f"(expected one of {FEATURE_MODES})")
         if self.kind == "frames" and self.feature_mode != "raw":
             raise ValueError("feature layers operate on event streams, not frames")
 
@@ -302,15 +305,11 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
         return [(seeds, select(streams))]
     trained = spec.feature_mode == "trained"
     groups = [[seed] for seed in seeds] if trained and spec.retrain_per_trial else [seeds]
-    params = spec.feast_params(streams[0].polarity_count)
-    n_active = min(spec.feast_active_bits, params.weight_length)
     out = []
     for group in groups:
-        train_idx = None
-        if trained:
-            train_idx, _ = split_indices(len(streams), spec.train_fraction, group[0])
-        features = prepare_binary_features(streams, spec.feature_mode, params,
-                                           n_active=n_active, train_indices=train_idx)
+        train_idx = (split_indices(len(streams), spec.train_fraction, group[0])[0]
+                     if trained else None)
+        _, features = prepare_binary_features(streams, spec, train_idx)
         out.append((group, select(infer_feature_streams(streams, features,
                                                         window_us=spec.feast_window_us,
                                                         jobs=jobs))))

@@ -10,14 +10,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadevents import cli
+from spadevents import cli, pipeline
 from spadevents.classify import PoolConfig
 from spadevents.cli import main
 from spadevents.config import make_config, parse_kv_text
 from spadevents.core import FormatError
 from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
                                load_recording, save_recording, synth_generate)
-from spadevents.eventgen import oobu_convert, read_stream, write_stream
+from spadevents.eventgen import onoff_convert, oobu_convert, read_stream, write_stream
 from spadevents.feast import load_features
 from spadevents.pipeline import PipelineParams, PipelineSpec, run_pipeline, trial_seeds
 from test_dataio import huge_recording_header
@@ -74,9 +74,13 @@ class TestConfig:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
+    # repeated values, empty axes, values outside an axis's set, and N or L below 1
     @pytest.mark.parametrize("key, value", [
         ("kinds", "frames,frames"), ("feature_modes", "raw,raw"), ("neuron_counts", "1,2,1"),
         ("pool_sizes", "1,1"), ("pool_methods", "1d,2d,1d"),
+        ("kinds", ""), ("pool_sizes", ""), ("kinds", "oobu,bogus"),
+        ("feature_modes", "bogus"), ("pool_methods", "3d"), ("neuron_counts", "-3"),
+        ("pool_sizes", "0"),
     ])
     def test_repeated_axis_value_is_an_error(self, key, value, tmp_path, capsys):
         with pytest.raises(ValueError, match=key):
@@ -284,6 +288,29 @@ class TestConvertCommand:
         assert not (tmp_path / "ev").exists()
 
 
+    def test_unwritable_stream_refusal_names_its_file(self, tmp_path, capsys):
+        _, recordings = synth_generate(SynthConfig(n_classes=1, recordings_per_class=3,
+                                                   frames_per_recording=6, grid_width=12,
+                                                   grid_height=12, seed=3))
+        late = recordings[1]
+        late.pulse_period = 65535         # the largest period convert lets through
+        late.frames[1] = late.frames[0]   # so the first On-Off event comes at frame 2
+        assert onoff_convert(late).events["t"][0] == 2 * 65535
+        lines = []
+        for rec in recordings:
+            save_recording(rec, tmp_path / f"{rec.recording_id}.spdrec")
+            lines.append(f"{rec.recording_id}.spdrec\t{rec.class_id}\t{rec.recording_id}\n")
+        (tmp_path / "manifest.tsv").write_text("".join(lines))
+        out = tmp_path / "ev"
+        rc = main(["convert", "--kind", "onoff", "--out", str(out),
+                   "--manifest", str(tmp_path / "manifest.tsv")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and f"{late.recording_id}.spdevt:" in err
+        assert "16-bit timestamps" in err
+        assert not out.exists() and not out.with_name(out.name + ".partial").exists()
+
+
 class TestTrainFeaturesCommand:
     def test_writes_feature_files(self, dataset_dir, tmp_path):
         out = tmp_path / "feat"
@@ -296,6 +323,26 @@ class TestTrainFeaturesCommand:
         assert binary.bits.shape == (4, 100)
         wins = json.loads((out / "win_counts.json").read_text())["win_counts"]
         assert len(wins) == 4
+
+    def test_binary_set_is_the_one_evaluate_trains(self, dataset_dir, tmp_path, monkeypatch):
+        manifest = str(dataset_dir / "manifest.tsv")
+        assert main(["train-features", "--kind", "oobu", "--neurons", "4",
+                     "--out", str(tmp_path / "feat"), "--manifest", manifest]) == 0
+        prepare = pipeline.prepare_binary_features
+        built = []
+
+        def recording_prepare(*args, **kwargs):
+            continuous, binary = prepare(*args, **kwargs)
+            built.append(binary)
+            return continuous, binary
+        monkeypatch.setattr(pipeline, "prepare_binary_features", recording_prepare)
+        assert main(["evaluate", "--kind", "oobu", "--feature-mode", "trained",
+                     "--neurons", "4", "--n-trials", "2", "--out", str(tmp_path / "eval"),
+                     "--manifest", manifest]) == 0
+        assert len(built) == 1   # trained on trial 0's split, frozen for trial 1
+        saved = load_features(tmp_path / "feat" / "features_binary.spdfea")
+        assert saved.n_active == built[0].n_active
+        assert np.array_equal(saved.bits, built[0].bits)
 
 
 class TestEvaluateCommand:

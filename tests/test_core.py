@@ -113,12 +113,9 @@ class TestDomainTypes:
         good = make_events([1, 1, 1, 2], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0])
         s = EventStream(kind=StreamKind.OOBU, grid_width=2, grid_height=2, events=good)
         assert s.is_canonical()
-        s.validate()
         bad = make_events([2, 1], [0, 0], [0, 0], [0, 0])
         s = EventStream(kind=StreamKind.OOBU, grid_width=2, grid_height=2, events=bad)
         assert not s.is_canonical()
-        with pytest.raises(ValueError):
-            s.validate()
 
     def test_canonical_sort_matches_check(self):
         rng = np.random.default_rng(5)
@@ -130,9 +127,31 @@ class TestDomainTypes:
 
     def test_out_of_grid_events_rejected(self):
         ev = make_events([0], [9], [0], [0])
-        s = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)
         with pytest.raises(ValueError, match="outside"):
-            s.validate()
+            EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)
+
+    # one event on an 8x8 grid; the first value off it along one field
+    @pytest.mark.parametrize("kind, polarity_count, y, x, p", [
+        (StreamKind.OOBU, 0, 1, 8, 0),
+        (StreamKind.OOBU, 0, 8, 1, 0),
+        (StreamKind.OOBU, 0, 1, 1, 4),
+        (StreamKind.ON_OFF, 0, 1, 8, 0),
+        (StreamKind.ON_OFF, 0, 8, 1, 0),
+        (StreamKind.ON_OFF, 0, 1, 1, 2),     # On-Off has 2 polarities
+        (StreamKind.FEATURE, 2, 1, 8, 0),
+        (StreamKind.FEATURE, 2, 8, 1, 0),
+        (StreamKind.FEATURE, 2, 1, 1, 2),    # a 2-polarity feature stream
+    ], ids=["oobu-x", "oobu-y", "oobu-p", "onoff-x", "onoff-y", "onoff-p",
+            "feature2-x", "feature2-y", "feature2-p"])
+    def test_events_off_the_stream_refused(self, kind, polarity_count, y, x, p):
+        ev = make_events([5], [y], [x], [p])
+        with pytest.raises(ValueError, match="outside the 8x8 grid"):
+            EventStream(kind=kind, grid_width=8, grid_height=8, events=ev,
+                        polarity_count=polarity_count)
+        # one step back along the refused field fits
+        fits = make_events([5], [min(y, 7)], [min(x, 7)], [max(p - 1, 0)])
+        assert len(EventStream(kind=kind, grid_width=8, grid_height=8, events=fits,
+                               polarity_count=polarity_count)) == 1
 
 
 class TestTimeSurface:

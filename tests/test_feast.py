@@ -12,7 +12,7 @@ from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.eventgen import oobu_convert
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                               event_rois, feast_infer, feast_train, initial_features,
-                              load_features, random_binary_features, save_features)
+                              load_features, save_features)
 
 
 # Per-event reference: a running TimeSurface, read through a zero-padded crop
@@ -322,8 +322,8 @@ class TestInference:
 
     def test_one_output_event_per_input(self):
         stream = stripe_stream(grid=16, cycles=3)
-        features = random_binary_features(
-            FeastParams(n_neurons=4, polarity_count=1, roi_side=5, seed=1), 8)
+        params = FeastParams(n_neurons=4, polarity_count=1, roi_side=5, seed=1)
+        features = binarize(initial_features(params), 8)
         out = feast_infer(stream, features)
         assert len(out) == len(stream)
         assert out.kind == StreamKind.FEATURE
@@ -344,8 +344,8 @@ class TestInference:
         assert len(out) == 1
 
     def test_polarity_mismatch_rejected(self):
-        features = random_binary_features(
-            FeastParams(n_neurons=2, polarity_count=4, roi_side=3, seed=0), 4)
+        params = FeastParams(n_neurons=2, polarity_count=4, roi_side=3, seed=0)
+        features = binarize(initial_features(params), 4)
         stream = stream_of([0], [0], [0], [0], polarity_count=2)
         with pytest.raises(ValueError, match="polarities"):
             feast_infer(stream, features)
@@ -439,14 +439,16 @@ class TestBatchedRois:
         stream = stream_of([], [], [], [], polarity_count=3)
         for inclusive in (False, True):
             assert event_rois(stream, 5, 100, inclusive).shape == (0, 75)
-        features = random_binary_features(FeastParams(n_neurons=4, polarity_count=3), 8)
+        params = FeastParams(n_neurons=4, polarity_count=3)
+        features = binarize(initial_features(params), 8)
         assert len(feast_infer(stream, features)) == 0
 
     def test_out_of_range_events_rejected(self):
-        with pytest.raises(ValueError):
-            event_rois(stream_of([0], [8], [0], [0]), 3, 100, inclusive=True)
-        with pytest.raises(ValueError):
-            event_rois(stream_of([0], [0], [0], [2]), 3, 100, inclusive=True)
+        # event_rois trusts the stream: no stream holds such events to pass it
+        with pytest.raises(ValueError, match="outside"):
+            stream_of([0], [8], [0], [0])
+        with pytest.raises(ValueError, match="outside"):
+            stream_of([0], [0], [0], [2])
 
     # a small block size splits every stream into many blocks, a partial one last
     @pytest.mark.parametrize("block_rows", [7, feast._BLOCK_ROWS])
@@ -454,7 +456,7 @@ class TestBatchedRois:
         monkeypatch.setattr(feast, "_BLOCK_ROWS", block_rows)
         params = FeastParams(n_neurons=9, polarity_count=4, seed=3)
         trained = binarize(feast_train(oobu_streams[:3], params), 32)
-        for features in (random_binary_features(params, 32), trained):
+        for features in (binarize(initial_features(params), 32), trained):
             for stream in oobu_streams:
                 got = feast_infer(stream, features, window_us=params.window_us).events["p"]
                 assert np.array_equal(got, reference_infer(stream, features, params.window_us))

@@ -12,7 +12,7 @@ from spadevents.core import FormatError
 from spadevents.dataio import SynthConfig, load_recording, save_recording, synth_generate
 from spadevents.eventgen import firstand_convert, oobu_convert, read_stream, write_stream
 from spadevents.feast import (FeastParams, binarize, feast_infer, initial_features,
-                              load_features, random_binary_features, save_features)
+                              load_features, save_features)
 
 MUTANTS_PER_SAMPLE = 400
 
@@ -30,7 +30,7 @@ def samples(tmp_path_factory):
     items = [("recording", rec, 22, load_recording, save_recording),
              ("firstand", firstand_convert(rec), 22, read_stream, write_stream),
              ("oobu", oobu, 22, read_stream, write_stream),
-             ("feature", feast_infer(oobu, random_binary_features(params, 8)), 22,
+             ("feature", feast_infer(oobu, binarize(initial_features(params), 8)), 22,
               read_stream, write_stream),
              ("binary", binarize(initial_features(params), 8), 16,
               load_features, save_features),

@@ -10,7 +10,7 @@ from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sa
                                  frame_sample_times, pool, region_from_activity)
 from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
 from spadevents.dataio import SynthConfig, synth_generate
-from spadevents.feast import FeastParams, random_binary_features
+from spadevents.feast import FeastParams, binarize, initial_features
 from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineSpec, build_sample_set,
                                  convert_all, convert_recording, infer_feature_streams,
                                  parallel_map, prepare_binary_features,
@@ -119,7 +119,7 @@ def oracle_sources(tiny_dataset):
         sources[kind] = (streams + [empty], PipelineSpec(kind=kind).effective_sample_every())
     oobu = sources["oobu"][0][:-1]
     params = PipelineSpec(n_neurons=4, seed=3).feast_params(oobu[0].polarity_count)
-    features = infer_feature_streams(oobu, random_binary_features(params, 16))
+    features = infer_feature_streams(oobu, binarize(initial_features(params), 16))
     empty = EventStream(kind=StreamKind.FEATURE, grid_width=24, grid_height=24,
                         polarity_count=4)
     sources["feature"] = (features + [empty], 201)
@@ -265,8 +265,8 @@ class TestSampleBuilding:
 class TestFeatureLayer:
     def test_feature_streams_inherit_cadence_length(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:4], "oobu")
-        params = PipelineSpec(n_neurons=4, seed=1).feast_params(streams[0].polarity_count)
-        features = prepare_binary_features(streams, "random", params, n_active=16)
+        spec = PipelineSpec(feature_mode="random", n_neurons=4, seed=1, feast_active_bits=16)
+        _, features = prepare_binary_features(streams, spec)
         out = infer_feature_streams(streams, features)
         for raw, feat in zip(streams, out):
             assert len(feat) == len(raw)
@@ -274,19 +274,33 @@ class TestFeatureLayer:
 
     def test_trained_features_use_training_split_only(self, tiny_dataset):
         streams = convert_all(tiny_dataset, "oobu")
-        params = PipelineSpec(n_neurons=4, seed=1).feast_params(streams[0].polarity_count)
+        spec = PipelineSpec(feature_mode="trained", n_neurons=4, seed=1, feast_active_bits=16)
         idx_a = np.arange(3)
         idx_b = np.arange(len(streams) - 3, len(streams))
-        fa = prepare_binary_features(streams, "trained", params, 16, train_indices=idx_a)
-        fb = prepare_binary_features(streams, "trained", params, 16, train_indices=idx_b)
+        _, fa = prepare_binary_features(streams, spec, train_indices=idx_a)
+        _, fb = prepare_binary_features(streams, spec, train_indices=idx_b)
         assert not np.array_equal(fa.bits, fb.bits)
+        # None trains on every stream, in index order
+        every, _ = prepare_binary_features(streams, spec)
+        listed, _ = prepare_binary_features(streams, spec, np.arange(len(streams)))
+        assert np.array_equal(every.weights, listed.weights)
 
     def test_random_mode_ignores_streams(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:2], "onoff")
-        params = PipelineSpec(n_neurons=4, seed=5).feast_params(streams[0].polarity_count)
-        fa = prepare_binary_features(streams[:1], "random", params, 16)
-        fb = prepare_binary_features(streams, "random", params, 16)
+        spec = PipelineSpec(feature_mode="random", n_neurons=4, seed=5, feast_active_bits=16)
+        _, fa = prepare_binary_features(streams[:1], spec)
+        continuous, fb = prepare_binary_features(streams, spec)
         assert np.array_equal(fa.bits, fb.bits)
+        initial = initial_features(spec.feast_params(streams[0].polarity_count))
+        assert np.array_equal(continuous.weights, initial.weights)
+        assert np.array_equal(fb.bits, binarize(initial, 16).bits)
+
+    def test_active_bits_clamped_to_weight_length(self, tiny_dataset):
+        streams = convert_all(tiny_dataset[:1], "onoff")   # 2 polarities x 3x3 ROI: 18 weights
+        spec = PipelineSpec(feature_mode="random", n_neurons=2, feast_roi_side=3,
+                            feast_active_bits=32)
+        _, binary = prepare_binary_features(streams, spec)
+        assert binary.n_active == 18 and binary.bits.all()
 
 
 class TestRunPipeline:
