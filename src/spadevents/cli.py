@@ -35,7 +35,7 @@ from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features
 from .pipeline import (EVENT_KINDS, FEATURE_MODES, KINDS, PipelineParams, PipelineSpec,
-                       convert_all, evaluate_sources, pipeline_sources,
+                       convert_all, evaluate_sources, feature_rois, pipeline_sources,
                        prepare_binary_features, run_pipeline, trial_seeds)
 from .svgchart import write_line_chart
 
@@ -202,6 +202,7 @@ def cmd_convert(args, cfg: ExperimentConfig, out: Path):
 
 
 def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
+    spec = pipeline_spec_from(cfg, args.kind, "trained", args.neurons)
     recordings, _ = load_dataset(cfg)
     streams = convert_all(recordings, args.kind, cfg, jobs=cfg.jobs)
     if args.use_all:
@@ -209,7 +210,6 @@ def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
     else:
         train_idx, _ = split_indices(len(streams), cfg.train_fraction,
                                      trial_seeds(cfg.seed, 1)[0])
-    spec = pipeline_spec_from(cfg, args.kind, "trained", args.neurons)
     trained, binary = prepare_binary_features(streams, spec, train_idx)
     save_features(trained, out / "features_continuous.spdfea")
     save_features(binary, out / "features_binary.spdfea")
@@ -220,9 +220,9 @@ def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
 
 
 def cmd_evaluate(args, cfg: ExperimentConfig, out: Path):
-    recordings, n_classes = load_dataset(cfg)
     spec = pipeline_spec_from(cfg, args.kind, args.feature_mode, args.neurons,
                               PoolConfig(method=args.pool_method, size=args.pool_size))
+    recordings, n_classes = load_dataset(cfg)
     streams = None
     if args.kind != "frames":
         streams, _, folds = convert_with_rates(recordings, args.kind, cfg)
@@ -245,29 +245,32 @@ def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
     """(cell key, report) for every (kind, feature mode, N, L, method) cell of
     the config; the key's fields are _CELL_COLUMNS.
 
-    Streams are converted once per kind, feature sources built and regions
-    selected once per (kind, mode, N); pooling cells pool those regions in
-    batches.  Cell order is the deterministic loop order, independent of
-    cfg.jobs, and make_config refuses repeated axis values, so every key is
-    unique.
+    Streams are converted and their ROIs extracted once per kind, feature
+    sources built and regions selected once per (kind, mode, N); pooling
+    cells pool those regions in batches.  Cell order is the deterministic
+    loop order, independent of cfg.jobs, and make_config refuses repeated
+    axis values, so every key is unique.
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
+    # every cell's spec is built, and so checked, before any work
+    plan = [(kind, [pipeline_spec_from(cfg, kind, mode, n_neurons)
+                    for mode in (("raw",) if kind == "frames" else cfg.feature_modes)
+                    for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)])
+            for kind in cfg.kinds]
     cells = []
-    for kind in cfg.kinds:
-        if kind == "frames":
-            streams, layers = None, [("raw", 0)]
-        else:
+    for kind, bases in plan:
+        streams = rois = None
+        if kind != "frames":
             streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
-            layers = [(mode, n_neurons) for mode in cfg.feature_modes
-                      for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)]
-        for mode, n_neurons in layers:
-            base = pipeline_spec_from(cfg, kind, mode, n_neurons)
-            groups = pipeline_sources(recordings, base, seeds, cfg.jobs, streams)
+            if any(base.feature_mode != "raw" for base in bases):
+                rois = feature_rois(streams, cfg)
+        for base in bases:
+            groups = pipeline_sources(recordings, base, seeds, cfg.jobs, streams, rois)
             for pool_size in cfg.pool_sizes:
                 for method in cfg.pool_methods:
                     spec = replace(base, pool=PoolConfig(method=method, size=pool_size))
-                    cells.append(((kind, mode, n_neurons, pool_size, method),
+                    cells.append(((kind, base.feature_mode, base.n_neurons, pool_size, method),
                                   evaluate_sources(groups, labels, spec, n_classes)))
             del groups   # free the regions before the next cell trains its features
     return cells

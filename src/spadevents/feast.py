@@ -13,6 +13,10 @@ After training, each neuron's largest weights are set to 1 (the same count
 per neuron, keeping AND/popcount matching unbiased) and the binary set runs
 as an event-based convolutional layer: every input event is re-emitted with
 the best-matching neuron index as its polarity.
+
+Training and inference read the same per-event ROIs: event_rois extracts a
+stream's exclusive reads once, bit-packed, and inference derives its
+inclusive reads from them by lighting each event's own cell.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -91,6 +95,9 @@ class BinaryFeatureSet:
     roi_side: int
 
     def __post_init__(self):
+        # inference scores in float32, exact for integer sums below 2**24
+        if self.n_active >= 2**24:
+            raise ValueError(f"n_active must be below 2**24, got {self.n_active}")
         pops = self.bits.sum(axis=1)
         if not np.all(pops == self.n_active):
             raise ValueError(f"every neuron must have exactly {self.n_active} active bits, "
@@ -113,20 +120,22 @@ def initial_features(params: FeastParams) -> ContinuousFeatureSet:
                                 win_counts=np.zeros(params.n_neurons, dtype=np.int64))
 
 
-def event_rois(stream: EventStream, roi_side: int, window_us: int,
-               inclusive: bool) -> np.ndarray:
-    """Every event's binary ROI as one row of an (E, P*D*D) uint8 matrix.
+def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray:
+    """Every event's binary ROI, bit-packed: row i of an (E, ceil(P*D*D/8))
+    uint8 matrix is np.packbits of event i's ROI flattened in (polarity, row,
+    col) order.
 
-    Row i is the binary time surface at event i's time t, read over the
-    roi_side x roi_side window centered on the event and flattened in
-    (polarity, row, col) order; cells off the grid read 0.  A cell is lit
-    when its last event is younger than window_us.  The surface holds events
-    0..i for an inclusive read and 0..i-1 for an exclusive one.
+    The ROI is the binary time surface at event i's time t, read over the
+    roi_side x roi_side window centered on the event; cells off the grid
+    read 0.  A cell is lit when its last event is younger than window_us.
+    The read is exclusive: the surface holds events 0..i-1.  An inclusive
+    read (events 0..i) differs only in event i's own cell, the window's
+    center in its polarity, which it always lights.
 
     The ROIs do not depend on any weights, so they are extracted once, one
     step per run of equal timestamps: the cells lit on the surface before
     the run, OR the run's own cells whose first index in the run precedes
-    the event (or is the event, for an inclusive read).
+    the event.
     """
     if roi_side % 2 != 1 or roi_side < 1:
         raise ValueError(f"roi_side must be odd and positive, got {roi_side}")
@@ -155,25 +164,41 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int,
         np.minimum.at(first, cells, index)
         # age < window  <=>  last > t - window; NEVER itself is never lit
         lit = last_windows[:, y, x] > max(t - window_us, NEVER)
-        lit |= first_windows[:, y, x] < (index + inclusive)[:, None, None]
+        lit |= first_windows[:, y, x] < index[:, None, None]
         out[a:b] = lit.transpose(1, 0, 2, 3).reshape(b - a, -1)
         last[cells] = t
         first[cells] = n
-    return out
+    return np.packbits(out, axis=1)
 
 
-# Rows per block when ROI rows are widened to float64 or int64, so that the
-# wide copies stay a few MB however long the stream is.
-_BLOCK_ROWS = 4096
+def _stream_rois(stream: EventStream, rois: np.ndarray | None, roi_side: int,
+                 window_us: int) -> np.ndarray:
+    """The stream's packed event_rois: the precomputed matrix, checked for
+    its shape, or extracted now."""
+    if rois is None:
+        return event_rois(stream, roi_side, window_us)
+    width = (stream.polarity_count * roi_side * roi_side + 7) // 8
+    if rois.shape != (len(stream), width):
+        raise ValueError(f"ROI matrix of shape {rois.shape} does not fit a stream of "
+                         f"{len(stream)} events and {width}-byte rows")
+    return rois
 
 
-def _unit_rows(rois: np.ndarray):
-    """The nonzero ROI rows in order, each divided by its L2 norm sqrt(popcount)."""
-    active = rois.sum(axis=1)
-    lit = np.flatnonzero(active)
-    for start in range(0, len(lit), _BLOCK_ROWS):
-        block = lit[start:start + _BLOCK_ROWS]
-        yield from rois[block] / np.sqrt(active[block])[:, None]
+# Rows per block when packed ROI rows are unpacked and widened to float, so
+# that the wide copies stay small however long the stream is.  With float32
+# scoring, 4096-row blocks raised the c8_cells benchmark's peak RSS from 72.0
+# to 74.3 MB against 1024-row ones; 512-row blocks saved nothing more.
+_BLOCK_ROWS = 1024
+
+
+def _unit_blocks(rois: np.ndarray, length: int):
+    """The nonzero rows of a packed ROI matrix in order, unpacked to length
+    and divided by their L2 norm sqrt(popcount), a block of rows at a time."""
+    for start in range(0, len(rois), _BLOCK_ROWS):
+        block = np.unpackbits(rois[start:start + _BLOCK_ROWS], axis=1, count=length)
+        active = block.sum(axis=1)
+        lit = np.flatnonzero(active)
+        yield block[lit] / np.sqrt(active[lit])[:, None]
 
 
 def _as_stream_list(stream) -> list[EventStream]:
@@ -184,7 +209,8 @@ def _as_stream_list(stream) -> list[EventStream]:
 
 def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams,
                 check_invariants: bool = False,
-                features: ContinuousFeatureSet | None = None) -> ContinuousFeatureSet:
+                features: ContinuousFeatureSet | None = None,
+                rois: Sequence[np.ndarray] | None = None) -> ContinuousFeatureSet:
     """Single ordered pass over the stream(s); returns the adapted features.
 
     Each event's binary ROI is read from a running time surface before the
@@ -192,12 +218,18 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     skipped if all-zero, L2-normalized and matched against all neurons by
     cosine distance.  The surface resets between streams; weights and
     thresholds persist.  Deterministic for a fixed seed and stream order.
-    A stream's ROIs come from event_rois before its sequential updates.
 
-    Passing a feature set continues training from it (on a copy) instead of
-    the seeded random initialization.
+    A stream's ROIs are its event_rois matrix, passed in rois (one per
+    stream, as the feature layer's inference also reads them) or extracted
+    here before the stream's sequential updates.  Passing a feature set
+    continues training from it (on a copy) instead of the seeded random
+    initialization.
     """
     streams = _as_stream_list(stream)
+    if rois is None:
+        rois = [None] * len(streams)
+    elif len(rois) != len(streams):
+        raise ValueError(f"{len(rois)} ROI matrices for {len(streams)} streams")
     if features is None:
         features = initial_features(params)
     else:
@@ -210,32 +242,35 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     thresholds = features.thresholds
     wins = features.win_counts
     mix = params.mix_rate
+    keep = 1.0 - mix
     shrink = params.shrink_step
     grow = params.grow_step
     total_events = 0
 
-    for s in streams:
+    for s, packed in zip(streams, rois):
         if s.polarity_count != params.polarity_count:
             raise ValueError(f"stream has {s.polarity_count} polarities, "
                              f"params expect {params.polarity_count}")
         total_events += len(s)
-        rois = event_rois(s, params.roi_side, params.window_us, inclusive=False)
-        for roi_n in _unit_rows(rois):
-            dist = 1.0 - weights @ roi_n
-            masked = np.where(dist < thresholds, dist, np.inf)
-            winner = int(masked.argmin())
-            if masked[winner] < np.inf:
-                wins[winner] += 1
-                mixed = (1.0 - mix) * weights[winner] + mix * roi_n
-                # the Euclidean norm exactly as np.linalg.norm computes it
-                weights[winner] = mixed / np.sqrt(mixed.dot(mixed))
-                thresholds[winner] = max(thresholds[winner] - shrink, 0.0)
-            else:
-                np.minimum(thresholds + grow, 2.0, out=thresholds)
-            if check_invariants:
-                norms = np.linalg.norm(weights, axis=1)
-                assert np.abs(norms - 1.0).max() <= 1e-9, "weight norm drifted"
-                assert thresholds.min() >= 0.0 and thresholds.max() <= 2.0, "threshold out of range"
+        packed = _stream_rois(s, packed, params.roi_side, params.window_us)
+        for unit in _unit_blocks(packed, params.weight_length):
+            for roi_n, pull in zip(unit, mix * unit):
+                dist = 1.0 - weights @ roi_n
+                masked = np.where(dist < thresholds, dist, np.inf)
+                winner = int(masked.argmin())
+                if masked[winner] < np.inf:
+                    wins[winner] += 1
+                    mixed = keep * weights[winner] + pull
+                    # the Euclidean norm exactly as np.linalg.norm computes it
+                    weights[winner] = mixed / math.sqrt(mixed.dot(mixed))
+                    thresholds[winner] = max(thresholds[winner] - shrink, 0.0)
+                else:
+                    np.minimum(thresholds + grow, 2.0, out=thresholds)
+                if check_invariants:
+                    norms = np.linalg.norm(weights, axis=1)
+                    assert np.abs(norms - 1.0).max() <= 1e-9, "weight norm drifted"
+                    assert thresholds.min() >= 0.0 and thresholds.max() <= 2.0, \
+                        "threshold out of range"
 
     if total_events == 0:
         warnings.warn("feast_train saw no events; returning the initial random features",
@@ -262,26 +297,36 @@ def binarize(features: ContinuousFeatureSet, n_active: int) -> BinaryFeatureSet:
 
 
 def feast_infer(stream: EventStream, features: BinaryFeatureSet,
-                window_us: int = 2000) -> EventStream:
+                window_us: int = 2000, rois: np.ndarray | None = None) -> EventStream:
     """Run the binary features as an event-based convolutional layer.
 
     Every input event updates the running input surface before the ROI
     read (an inclusive read, so the ROI is never empty), is scored against each neuron
     by popcount(bits AND roi), and is re-emitted at the same location and
     time with the argmax neuron as polarity (ties to the lowest index).
-    Emits exactly one feature event per input event.  The popcounts are
-    int64 matmuls of the event_rois matrix with the bits, a block of rows
-    at a time.
+    Emits exactly one feature event per input event.
+
+    The inclusive ROIs are the stream's exclusive event_rois (passed in
+    rois, or extracted here) with each event's own cell set.  The popcounts
+    are float32 matmuls of those rows with the bits, a block of rows at a
+    time: every product is 0 or 1 and every score at most n_active < 2**24,
+    so float32 holds each sum exactly in any order and equal scores stay
+    equal.
     """
     if stream.polarity_count != features.polarity_count:
         raise ValueError(f"stream has {stream.polarity_count} polarities, "
                          f"features expect {features.polarity_count}")
-    rois = event_rois(stream, features.roi_side, window_us, inclusive=True)
-    bits = features.bits.T.astype(np.int64)
+    area = features.roi_side * features.roi_side
+    rois = _stream_rois(stream, rois, features.roi_side, window_us)
+    # the window's center in the event's own polarity
+    own = stream.events["p"].astype(np.intp) * area + area // 2
+    bits = features.bits.T.astype(np.float32)
     out_p = np.empty(len(rois), dtype=np.uint8)
     for start in range(0, len(rois), _BLOCK_ROWS):
-        block = rois[start:start + _BLOCK_ROWS].astype(np.int64)
-        out_p[start:start + _BLOCK_ROWS] = np.argmax(block @ bits, axis=1)
+        block = np.unpackbits(rois[start:start + _BLOCK_ROWS], axis=1,
+                              count=stream.polarity_count * area)
+        block[np.arange(len(block)), own[start:start + _BLOCK_ROWS]] = 1
+        out_p[start:start + _BLOCK_ROWS] = np.argmax(block.astype(np.float32) @ bits, axis=1)
     ev = stream.events
     events = make_events(ev["t"].copy(), ev["y"].copy(), ev["x"].copy(), out_p)
     return EventStream(kind=StreamKind.FEATURE, grid_width=stream.grid_width,

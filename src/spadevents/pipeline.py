@@ -26,8 +26,8 @@ from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConf
 from .core import EventStream, Recording, TimeSurface
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
-from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize, feast_infer,
-                    feast_train, initial_features)
+from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize, event_rois,
+                    feast_infer, feast_train, initial_features)
 
 EVENT_KINDS = ("firstand", "onoff", "oobu")
 KINDS = ("frames",) + EVENT_KINDS
@@ -79,7 +79,7 @@ class PipelineParams:
 
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
-    """Order-preserving map, optionally across processes.
+    """Order-preserving map, optionally across processes (stream conversion).
 
     Work items must be independent and fn deterministic, so results do not
     depend on the worker count.
@@ -124,13 +124,23 @@ def convert_all(recordings: list[Recording], kind: str,
 # ---------------------------------------------------------------------------
 
 
+def feature_rois(streams: list[EventStream], params: PipelineParams) -> list[np.ndarray]:
+    """Each stream's bit-packed event_rois, the one ROI extraction that the
+    feature layer's training and inference share.  They depend only on the
+    stream, feast_roi_side and feast_window_us: never on N, the weights or
+    the training split."""
+    return [event_rois(s, params.feast_roi_side, params.feast_window_us) for s in streams]
+
+
 def prepare_binary_features(streams: list[EventStream], spec: PipelineSpec,
-                            train_indices: np.ndarray | None = None
+                            train_indices: np.ndarray | None = None,
+                            rois: list[np.ndarray] | None = None
                             ) -> tuple[ContinuousFeatureSet, BinaryFeatureSet]:
     """The continuous and binary feature sets of a "random" or "trained" spec.
 
     "trained" runs the adaptive-threshold pass over the streams at
-    train_indices (every stream when None), in index order; "random" keeps
+    train_indices (every stream when None), in index order, reading their
+    rows of rois (feature_rois of the streams) when given; "random" keeps
     the seeded initial weights.  Both binarize to feast_active_bits, clamped
     to the weight length.
     """
@@ -138,7 +148,8 @@ def prepare_binary_features(streams: list[EventStream], spec: PipelineSpec,
     if spec.feature_mode == "trained":
         if train_indices is None:
             train_indices = np.arange(len(streams))
-        continuous = feast_train([streams[i] for i in train_indices], params)
+        continuous = feast_train([streams[i] for i in train_indices], params,
+                                 rois=None if rois is None else [rois[i] for i in train_indices])
     else:
         continuous = initial_features(params)
     return continuous, binarize(continuous, min(spec.feast_active_bits, params.weight_length))
@@ -146,9 +157,13 @@ def prepare_binary_features(streams: list[EventStream], spec: PipelineSpec,
 
 def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet,
                           window_us: int = FeastParams.window_us,
-                          jobs: int = 1) -> list[EventStream]:
-    return parallel_map(partial(feast_infer, features=features, window_us=window_us),
-                        streams, jobs)
+                          rois: list[np.ndarray] | None = None) -> list[EventStream]:
+    """feast_infer over the streams, in-process, reading rois (feature_rois
+    of the streams) when given."""
+    if rois is None:
+        rois = [None] * len(streams)
+    return [feast_infer(stream, features, window_us, packed)
+            for stream, packed in zip(streams, rois)]
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +281,9 @@ class PipelineSpec(PipelineParams):
                              f"(expected one of {FEATURE_MODES})")
         if self.kind == "frames" and self.feature_mode != "raw":
             raise ValueError("feature layers operate on event streams, not frames")
+        if self.feature_mode != "raw" and self.feast_active_bits < 1:
+            raise ValueError(f"feast_active_bits must be at least 1, "
+                             f"got {self.feast_active_bits}")
 
     def effective_sample_every(self) -> int:
         # feature streams emit one event per input event, so they inherit
@@ -284,7 +302,8 @@ def trial_seeds(base_seed: int, n_trials: int) -> list[int]:
 
 
 def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
-                     jobs: int = 1, streams: list[EventStream] | None = None
+                     jobs: int = 1, streams: list[EventStream] | None = None,
+                     rois: list[np.ndarray] | None = None
                      ) -> list[tuple[list[int], SampleRegions]]:
     """Sample regions of the sources, grouped with the trial seeds they serve.
 
@@ -292,8 +311,10 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     group.  Trained feature layers learn from the first trial's training
     split and stay frozen for the remaining trials, unless retrain_per_trial
     is set: then every trial trains its own features and gets its own group.
-    Regions are selected here; pooling does not enter, so one call serves
-    every pooling cell.
+    Feature layers read the streams' ROIs from rois (feature_rois of the
+    streams), extracted here when not given; every group and split shares
+    them.  Regions are selected here; pooling does not enter, so one call
+    serves every pooling cell.
     """
     select = partial(select_regions, sample_every=spec.effective_sample_every(),
                      window_us=spec.feast_window_us, activity_fraction=spec.activity_fraction)
@@ -303,16 +324,17 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
         streams = convert_all(recordings, spec.kind, spec, jobs)
     if spec.feature_mode == "raw":
         return [(seeds, select(streams))]
+    if rois is None:
+        rois = feature_rois(streams, spec)
     trained = spec.feature_mode == "trained"
     groups = [[seed] for seed in seeds] if trained and spec.retrain_per_trial else [seeds]
     out = []
     for group in groups:
         train_idx = (split_indices(len(streams), spec.train_fraction, group[0])[0]
                      if trained else None)
-        _, features = prepare_binary_features(streams, spec, train_idx)
+        _, features = prepare_binary_features(streams, spec, train_idx, rois)
         out.append((group, select(infer_feature_streams(streams, features,
-                                                        window_us=spec.feast_window_us,
-                                                        jobs=jobs))))
+                                                        spec.feast_window_us, rois))))
     return out
 
 

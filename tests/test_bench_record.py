@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -45,6 +46,64 @@ def test_record_summarises_every_workload_and_seed(bench_record, tmp_path, monke
                                         "runs": [1.0, 5.0, 9.0]}
     assert a["per_layer"] == {"x.self_s": {"unit": "s", "value": 13.0}}
     assert a["correct"] and out["workloads"]["b"]["2024"]["correct"] is False
+
+
+def test_base_runs_pair_with_head_runs(bench_record, tmp_path, monkeypatch):
+    head, base = tmp_path / "head", tmp_path / "base"
+    head.mkdir()
+    (head / "BENCHMARK.json").write_text(json.dumps(
+        {"run_seconds": 5, "workloads": [{"name": "a"}],
+         "end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25}]}))
+    head_values = {2024: [1.0, 3.0, 1.5], 4242: [2.0, 2.0, 2.0]}
+    calls = []
+
+    def fake_harness(root, workload, seed, seconds, trace):
+        calls.append((root, seed, trace))
+        env = {"git_sha": None, "src_sha256": root.name, "python": "3", "numpy": "2",
+               "cpu_count": 2}
+        if trace:
+            return env, {"correct": True, "failed": 0, "metrics": {"x.self_s": {
+                "unit": "s", "value": 1.0 if root == head else 2.0}}}
+        done = sum(1 for c in calls[:-1] if c == (root, seed, False))
+        value = head_values[seed][done] if root == head else 2.0
+        return env, {"correct": True, "failed": 0,
+                     "metrics": {"run_s": {"unit": "s", "value": value}}}
+
+    monkeypatch.setattr(bench_record, "run_harness", fake_harness)
+    out = bench_record.record(head, repeats=3, base=base)
+    untraced = [(root, seed) for root, seed, trace in calls if not trace]
+    # each pair runs back to back, and the side that goes first alternates
+    assert untraced == [pair for rep in range(3) for i, seed in enumerate((2024, 4242))
+                        for pair in ([(head, seed), (base, seed)] if (rep + i) % 2 == 0
+                                     else [(base, seed), (head, seed)])]
+    assert sorted((root, seed) for root, seed, trace in calls if trace) == \
+           sorted([(head, 2024), (head, 4242), (base, 2024), (base, 4242)])
+    assert out["src_sha256"] == "head" and out["base"]["src_sha256"] == "base"
+    assert out["workloads"]["a"]["2024"]["end_to_end"]["run_s"]["median"] == 1.5
+    assert out["base"]["workloads"]["a"]["2024"]["end_to_end"]["run_s"]["median"] == 2.0
+    assert out["base"]["workloads"]["a"]["2024"]["per_layer"]["x.self_s"]["value"] == 2.0
+    assert out["pairs"]["a"]["2024"]["run_s"] == {"ratios": [0.5, 1.5, 0.75], "median": 0.75,
+                                                  "wins": 2}
+    assert out["pairs"]["a"]["4242"]["run_s"] == {"ratios": [1.0] * 3, "median": 1.0,
+                                                  "wins": 0}
+
+
+def test_extract_copies_a_commit_without_touching_the_repository(bench_record, tmp_path):
+    git = bench_record.REPO / ".git"
+    if not git.exists():
+        pytest.skip("not a git checkout")
+    worktrees = sorted((git / "worktrees").glob("*")) if (git / "worktrees").exists() else []
+    sha, target = bench_record.extract("HEAD", tmp_path)
+    assert sha == subprocess.run(["git", "-C", str(bench_record.REPO), "rev-parse", "HEAD"],
+                                 capture_output=True, text=True, check=True).stdout.strip()
+    assert target.parent == tmp_path
+    assert (target / "BENCHMARK.json").is_file()
+    assert (target / "tools" / "bench_record.py").is_file()
+    assert not (target / ".git").exists()
+    assert (sorted((git / "worktrees").glob("*")) if (git / "worktrees").exists()
+            else []) == worktrees
+    with pytest.raises(SystemExit, match="no commit"):
+        bench_record.extract("no-such-revision", tmp_path)
 
 
 BENCHMARK = {"end_to_end": [{"name": "run_s", "better": "lower", "bound": 0.25},
@@ -101,3 +160,30 @@ def test_zero_old_median(bench_record):
     assert not bad and "1.000" in lines[1]
     lines, bad = bench_record.compare(fake_record(0.0), fake_record(0.1), benchmark)
     assert bad
+
+
+def paired_record(run_s, base_run_s, ratios):
+    record = fake_record(run_s)
+    record["base"] = fake_record(base_run_s)
+    pair = {"ratios": ratios, "median": sorted(ratios)[len(ratios) // 2],
+            "wins": sum(r < 1 for r in ratios)}
+    record["pairs"] = {"w": {seed: {"run_s": pair} for seed in ("2024", "4242")}}
+    return record
+
+
+@pytest.mark.parametrize("new, rc", [
+    # slower than the old record's session, but not than its own base
+    (paired_record(1.3, 1.28, [0.98, 1.02, 1.01]), 0),
+    # as fast as the old record, but slower than its own base in pairs
+    (paired_record(1.0, 0.7, [1.4, 1.3, 1.5]), 1),
+])
+def test_compare_judges_a_paired_record_by_its_pairs(bench_record, tmp_path, capsys, new, rc):
+    assert run_compare(bench_record, tmp_path, fake_record(1.0), new) == rc
+    lines = capsys.readouterr().out.splitlines()
+    rows = {tuple(line.split()[:3]): line.split()[3:] for line in lines[1:]}
+    base = new["base"]["workloads"]["w"]["2024"]["end_to_end"]["run_s"]["median"]
+    pair = new["pairs"]["w"]["2024"]["run_s"]
+    assert rows[("w", "2024", "run_s")][:3] == [f"{base:.4g}", f"{1.3 if rc == 0 else 1.0:.4g}",
+                                               f"{pair['median']:.3f}"]
+    assert f"(paired, {pair['wins']}/3 won)" in lines[1]
+    assert rows[("w", "2024", "acc")][2] == "1.000"    # no pairs: the old record's median

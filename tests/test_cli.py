@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from spadevents import cli, pipeline
+from spadevents import cli, feast, pipeline
 from spadevents.classify import PoolConfig
 from spadevents.cli import main
 from spadevents.config import make_config, parse_kv_text
@@ -18,7 +18,7 @@ from spadevents.core import FormatError
 from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
                                load_recording, save_recording, synth_generate)
 from spadevents.eventgen import onoff_convert, oobu_convert, read_stream, write_stream
-from spadevents.feast import load_features
+from spadevents.feast import event_rois, load_features
 from spadevents.pipeline import PipelineParams, PipelineSpec, run_pipeline, trial_seeds
 from test_dataio import huge_recording_header
 from test_formats import mutate
@@ -455,7 +455,7 @@ class TestSweepCommand:
 
 
     @pytest.mark.parametrize("retrain", ["false", "true"])
-    def test_rows_equal_cell_by_cell_run_pipeline(self, retrain):
+    def test_rows_equal_cell_by_cell_run_pipeline(self, retrain, monkeypatch):
         # sweep_cells selects each group's regions once and pools every cell
         # from them; run_pipeline selects afresh for every single cell
         cfg = make_config(None, {
@@ -465,7 +465,17 @@ class TestSweepCommand:
             "feast_active_bits": "8", "pool_sizes": "1,6", "pool_methods": "1d,2d",
             "n_trials": "2", "retrain_per_trial": retrain})
         recordings, n_classes = cli.load_dataset(cfg)
-        swept = cli.sweep_cells(recordings, n_classes, cfg)
+        calls = []
+
+        def counted(stream, *args):
+            calls.append(stream)
+            return event_rois(stream, *args)
+        with monkeypatch.context() as m:
+            m.setattr(feast, "event_rois", counted)
+            m.setattr(pipeline, "event_rois", counted)
+            swept = cli.sweep_cells(recordings, n_classes, cfg)
+        # one ROI extraction per stream of each event kind serves all its cells
+        assert len({id(stream) for stream in calls}) == len(calls) == 3 * len(recordings)
         seeds = trial_seeds(cfg.seed, cfg.n_trials)
         expected = []
         for kind in cfg.kinds:
@@ -654,6 +664,21 @@ class TestRunner:
         assert rc == 1
         assert err.startswith("error:") and "shrink_step and grow_step" in err
         assert not (tmp_path / "f").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--kind", "oobu", "--feature-mode", "random"],
+        ["sweep", "--kinds", "frames,oobu", "--feature-modes", "raw,trained"],
+        ["train-features", "--kind", "oobu"]])
+    def test_feature_layer_without_active_bits_refused_before_converting(
+            self, command, tmp_path, capsys, monkeypatch):
+        def convert_all(*args, **kwargs):
+            raise AssertionError("streams converted before the feature settings were checked")
+        monkeypatch.setattr(cli, "convert_all", convert_all)
+        out = tmp_path / "o"
+        assert main([*command, "--feast-active-bits", "0", "--out", str(out), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "feast_active_bits must be at least 1" in err
+        assert not out.exists() and not out.with_name("o.partial").exists()
 
     # each value is refused by SynthConfig before anything is allocated
     @pytest.mark.parametrize("flag, value, name", [

@@ -16,6 +16,11 @@ def assemble_word_bits(row, col, feature_class, pulse):
     return int(bits, 2)
 
 
+def unpacked_rois(stream, roi_side, window_us):
+    return np.unpackbits(event_rois(stream, roi_side, window_us), axis=1,
+                         count=stream.polarity_count * roi_side * roi_side)
+
+
 def one_polarity_stream(t, y, x, grid):
     return EventStream(kind=StreamKind.FEATURE, grid_width=grid, grid_height=grid,
                        events=make_events(t, y, x, [0] * len(t)), polarity_count=1)
@@ -188,9 +193,9 @@ class TestTimeSurface:
             surf.update(0, 0, 2, 1)
 
     def test_roi_zero_padding_at_corner(self):
-        stream = one_polarity_stream([10], [0], [0], grid=8)
-        roi = event_rois(stream, roi_side=5, window_us=100, inclusive=True).reshape(1, 5, 5)
-        assert roi[0, 2, 2] == 1          # the event, at patch center
+        stream = one_polarity_stream([10, 20], [0, 0], [0, 0], grid=8)
+        roi = unpacked_rois(stream, roi_side=5, window_us=100)[1].reshape(1, 5, 5)
+        assert roi[0, 2, 2] == 1          # the first event, at patch center
         assert roi[0, :2, :].sum() == 0   # off-grid rows above
         assert roi[0, :, :2].sum() == 0   # off-grid cols left
 
@@ -198,19 +203,19 @@ class TestTimeSurface:
         # an exclusive read of a stream's first event sees a surface nothing has written
         stream = EventStream(kind=StreamKind.OOBU, grid_width=8, grid_height=8,
                              events=make_events([1000], [4], [4], [3]))
-        assert event_rois(stream, 5, 1000, inclusive=False).sum() == 0
+        assert unpacked_rois(stream, 5, 1000).sum() == 0
 
     def test_roi_single_event_at_center(self):
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
                              events=make_events([50, 60], [4, 4], [4, 4], [1, 0]))
-        roi = event_rois(stream, 5, 100, inclusive=False)[1].reshape(2, 5, 5)
+        roi = unpacked_rois(stream, 5, 100)[1].reshape(2, 5, 5)
         assert roi.sum() == 1
         assert roi[1, 2, 2] == 1
 
     def test_even_roi_side_rejected(self):
         stream = one_polarity_stream([0], [4], [4], grid=8)
         with pytest.raises(ValueError):
-            event_rois(stream, 4, 10, inclusive=True)
+            event_rois(stream, 4, 10)
 
     def test_readout_is_pure(self):
         surf = TimeSurface(6, 6, 2)
@@ -221,9 +226,9 @@ class TestTimeSurface:
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=6, grid_height=6,
                              events=make_events([5, 60, 100], [3, 3, 2], [2, 2, 2], [0, 1, 0]))
         events = stream.events.copy()
-        first = event_rois(stream, 3, 50, inclusive=True)
+        first = event_rois(stream, 3, 50)
         assert np.array_equal(stream.events, events)
-        assert np.array_equal(event_rois(stream, 3, 50, inclusive=True), first)
+        assert np.array_equal(event_rois(stream, 3, 50), first)
 
     def test_update_many_matches_sequential(self):
         rng = np.random.default_rng(13)

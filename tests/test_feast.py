@@ -38,6 +38,12 @@ def reference_rois(stream, side, window_us, inclusive):
     return rows
 
 
+def unpacked_rois(stream, side, window_us):
+    """event_rois as an (E, P*D*D) matrix of 0/1 rows."""
+    return np.unpackbits(event_rois(stream, side, window_us), axis=1,
+                         count=stream.polarity_count * side * side)
+
+
 def reference_infer(stream, features, window_us):
     bits = features.bits.astype(np.int64)
     rois = reference_rois(stream, features.roi_side, window_us, inclusive=True)
@@ -289,6 +295,16 @@ class TestBinarize:
             BinaryFeatureSet(bits=np.array([[1, 0], [1, 1]], dtype=np.uint8),
                              n_active=1, polarity_count=2, roi_side=1)
 
+    def test_active_count_float32_cannot_sum_exactly_refused(self):
+        # inference sums up to n_active ones in float32, exact below 2**24
+        length = 2**24
+        bits = np.ones((1, length), dtype=np.uint8)
+        with pytest.raises(ValueError, match=r"below 2\*\*24"):
+            BinaryFeatureSet(bits=bits, n_active=length, polarity_count=length, roi_side=1)
+        bits[0, 0] = 0
+        assert BinaryFeatureSet(bits=bits, n_active=length - 1, polarity_count=length,
+                                roi_side=1).n_active == length - 1
+
 
 class TestInference:
     def make_bits(self, rows, polarity_count, roi_side):
@@ -426,19 +442,26 @@ class TestFeatureFiles:
 class TestBatchedRois:
     @pytest.mark.parametrize("inclusive", [False, True])
     def test_fuzz_matches_per_event_reference(self, inclusive):
+        """The packed exclusive rows match the exclusive reference and, with
+        each event's own cell set, the inclusive one that inference reads."""
         rng = np.random.default_rng(2024 + inclusive)
         for _ in range(500):
             stream = fuzz_stream(rng)
             side = int(rng.choice([1, 3, 5, 7, 9]))
             window = int(rng.integers(1, 1001))
-            got = event_rois(stream, side, window, inclusive)
-            assert got.dtype == np.uint8
+            packed = event_rois(stream, side, window)
+            assert packed.dtype == np.uint8
+            assert packed.shape == (len(stream), (stream.polarity_count * side * side + 7) // 8)
+            got = unpacked_rois(stream, side, window)
+            if inclusive:
+                r = side // 2
+                own = stream.events["p"].astype(np.intp) * side * side + r * side + r
+                got[np.arange(len(stream)), own] = 1
             assert np.array_equal(got, reference_rois(stream, side, window, inclusive))
 
     def test_empty_stream(self):
         stream = stream_of([], [], [], [], polarity_count=3)
-        for inclusive in (False, True):
-            assert event_rois(stream, 5, 100, inclusive).shape == (0, 75)
+        assert event_rois(stream, 5, 100).shape == (0, 10)
         params = FeastParams(n_neurons=4, polarity_count=3)
         features = binarize(initial_features(params), 8)
         assert len(feast_infer(stream, features)) == 0
@@ -471,3 +494,30 @@ class TestBatchedRois:
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.thresholds, want.thresholds)
         assert np.array_equal(got.win_counts, want.win_counts)
+
+    def test_precomputed_rois_give_identical_results(self, oobu_streams):
+        params = FeastParams(n_neurons=5, polarity_count=4, seed=2)
+        rois = [event_rois(s, params.roi_side, params.window_us) for s in oobu_streams]
+        got = feast_train(oobu_streams, params, rois=rois)
+        want = feast_train(oobu_streams, params)
+        assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(got.thresholds, want.thresholds)
+        assert np.array_equal(got.win_counts, want.win_counts)
+        features = binarize(got, 32)
+        for stream, packed in zip(oobu_streams, rois):
+            with_rois = feast_infer(stream, features, params.window_us, rois=packed)
+            without = feast_infer(stream, features, params.window_us)
+            assert np.array_equal(with_rois.events, without.events)
+            assert with_rois.polarity_count == without.polarity_count == 5
+
+    def test_rois_that_do_not_fit_refused(self, oobu_streams):
+        params = FeastParams(n_neurons=3, polarity_count=4, seed=2)
+        stream = oobu_streams[0]
+        features = binarize(initial_features(params), 16)
+        wrong_side = event_rois(stream, 3, params.window_us)
+        with pytest.raises(ValueError, match="does not fit"):
+            feast_infer(stream, features, params.window_us, rois=wrong_side)
+        with pytest.raises(ValueError, match="does not fit"):
+            feast_train(stream, params, rois=[wrong_side])
+        with pytest.raises(ValueError, match="2 ROI matrices for 1 streams"):
+            feast_train(stream, params, rois=[wrong_side, wrong_side])

@@ -1,16 +1,17 @@
 """End-to-end pipeline orchestration: conversion, features, samples, evaluation."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from spadevents import pipeline
+from spadevents import feast, pipeline
 from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sample_indices,
                                  frame_sample_times, pool, region_from_activity)
 from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
 from spadevents.dataio import SynthConfig, synth_generate
-from spadevents.feast import FeastParams, binarize, initial_features
+from spadevents.feast import FeastParams, binarize, event_rois, initial_features
 from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineSpec, build_sample_set,
                                  convert_all, convert_recording, infer_feature_streams,
                                  parallel_map, prepare_binary_features,
@@ -349,9 +350,36 @@ class TestRunPipeline:
         assert np.array_equal(both.confusion, each[0].confusion + each[1].confusion)
         assert both.n_no_sample_recordings == sum(r.n_no_sample_recordings for r in each)
 
+    def test_feature_sources_extract_each_streams_rois_once(self, tiny_dataset, monkeypatch):
+        calls = []
+
+        def counted(stream, *args):
+            calls.append(stream)
+            return event_rois(stream, *args)
+        monkeypatch.setattr(feast, "event_rois", counted)
+        monkeypatch.setattr(pipeline, "event_rois", counted)
+        recordings = tiny_dataset[:9]
+        streams = convert_all(recordings, "oobu")
+        spec = PipelineSpec(kind="oobu", feature_mode="trained", n_neurons=2,
+                            feast_active_bits=8, retrain_per_trial=True)
+        # two trainings on different splits, two inference passes: one extraction
+        groups = pipeline.pipeline_sources(recordings, spec, [0, 1], streams=streams)
+        assert len(groups) == 2
+        assert sorted(map(id, calls)) == sorted(map(id, streams))
+        calls.clear()
+        pipeline.pipeline_sources(recordings, replace(spec, feature_mode="raw"), [0, 1],
+                                  streams=streams)
+        assert calls == []
+
     def test_feature_mode_on_frames_rejected(self):
         with pytest.raises(ValueError, match="feature layers"):
             PipelineSpec(kind="frames", feature_mode="trained")
+
+    def test_feature_layer_without_active_bits_rejected(self):
+        for mode in ("random", "trained"):
+            with pytest.raises(ValueError, match="feast_active_bits must be at least 1"):
+                PipelineSpec(feature_mode=mode, feast_active_bits=0)
+        assert PipelineSpec(feature_mode="raw", feast_active_bits=0).feast_active_bits == 0
 
     def test_effective_cadence(self):
         assert PipelineSpec(kind="oobu").effective_sample_every() == 201
