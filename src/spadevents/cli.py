@@ -210,7 +210,8 @@ def cmd_train_features(args, cfg: ExperimentConfig, out: Path):
     else:
         train_idx, _ = split_indices(len(streams), cfg.train_fraction,
                                      trial_seeds(cfg.seed, 1)[0])
-    trained, binary = prepare_binary_features(streams, spec, train_idx)
+    trained, binary = prepare_binary_features(streams, spec, feature_rois(streams, spec),
+                                              train_idx)
     save_features(trained, out / "features_continuous.spdfea")
     save_features(binary, out / "features_binary.spdfea")
     (out / "win_counts.json").write_text(json.dumps(

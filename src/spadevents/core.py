@@ -25,6 +25,8 @@ NEVER = -(1 << 62)
 # Packed event record: time in microseconds, grid location, polarity.
 # Canonical stream order sorts by (t, y, x, p).
 EVENT_DTYPE = np.dtype([("t", "<i8"), ("y", "<u2"), ("x", "<u2"), ("p", "<u1")])
+# polarities a stream can hold in the u1 p field
+POLARITY_LIMIT = 256
 
 
 class FormatError(ValueError):
@@ -162,7 +164,8 @@ class EventStream:
     events is a structured array with fields t, y, x, p.  Canonical order is
     nondecreasing t with ties broken row-major (y, then x), then polarity,
     so identical inputs always serialize identically.  Construction refuses
-    events off the grid or at or above the polarity count.
+    events off the grid or at or above the polarity count, and polarity
+    counts above POLARITY_LIMIT.
     """
 
     kind: StreamKind
@@ -180,6 +183,9 @@ class EventStream:
             self.polarity_count = KIND_POLARITIES.get(self.kind, 0)
         if self.polarity_count < 1:
             raise ValueError("polarity_count must be set for FEATURE streams")
+        if self.polarity_count > POLARITY_LIMIT:
+            raise ValueError(f"polarity_count {self.polarity_count} exceeds the "
+                             f"{POLARITY_LIMIT} values of the u1 event polarity")
         ev = self.events
         if len(ev) and (ev["x"].max() >= self.grid_width or ev["y"].max() >= self.grid_height
                         or ev["p"].max() >= self.polarity_count):

@@ -14,9 +14,10 @@ per neuron, keeping AND/popcount matching unbiased) and the binary set runs
 as an event-based convolutional layer: every input event is re-emitted with
 the best-matching neuron index as its polarity.
 
-Training and inference read the same per-event ROIs: event_rois extracts a
-stream's exclusive reads once, bit-packed, and inference derives its
-inclusive reads from them by lighting each event's own cell.
+Training and inference read the same per-event ROIs, which they take as
+input: event_rois extracts a stream's exclusive reads once, bit-packed, and
+inference derives its inclusive reads from them by lighting each event's
+own cell.  Only event_rois reads the time surface's window.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import math
 import struct
 import warnings
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -39,7 +40,6 @@ class FeastParams:
     n_neurons: int
     polarity_count: int
     roi_side: int = 5
-    window_us: int = 2000
     mix_rate: float = 0.001      # weight pull toward the winning ROI
     shrink_step: float = 0.002   # threshold contraction per win
     grow_step: float = 0.004     # threshold widening per network miss
@@ -55,8 +55,6 @@ class FeastParams:
         if not (0 < self.shrink_step < math.inf and 0 < self.grow_step < math.inf):
             raise ValueError(f"shrink_step and grow_step must be positive and finite, got "
                              f"{self.shrink_step} and {self.grow_step}")
-        if self.window_us <= 0:
-            raise ValueError("window_us must be positive")
 
     @property
     def weight_length(self) -> int:
@@ -78,10 +76,11 @@ class ContinuousFeatureSet:
         return self.weights.shape[0]
 
     def validate(self, atol: float = 1e-9) -> None:
-        norms = np.linalg.norm(self.weights, axis=1)
-        if not np.allclose(norms, 1.0, atol=atol):
-            raise ValueError(f"weight norms deviate from 1 by up to {np.abs(norms - 1).max():.3g}")
-        if self.thresholds.min() < 0.0 or self.thresholds.max() > 2.0:
+        # written so that a NaN norm or threshold fails each test
+        error = np.abs(np.linalg.norm(self.weights, axis=1) - 1.0).max()
+        if not error <= atol:
+            raise ValueError(f"weight norms deviate from 1 by up to {error:.3g}")
+        if not (self.thresholds.min() >= 0.0 and self.thresholds.max() <= 2.0):
             raise ValueError("thresholds left the [0, 2] cosine-distance range")
 
 
@@ -171,17 +170,12 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray
     return np.packbits(out, axis=1)
 
 
-def _stream_rois(stream: EventStream, rois: np.ndarray | None, roi_side: int,
-                 window_us: int) -> np.ndarray:
-    """The stream's packed event_rois: the precomputed matrix, checked for
-    its shape, or extracted now."""
-    if rois is None:
-        return event_rois(stream, roi_side, window_us)
+def _check_rois(stream: EventStream, rois: np.ndarray, roi_side: int) -> None:
+    """Refuse a packed ROI matrix that is not the stream's event_rois shape."""
     width = (stream.polarity_count * roi_side * roi_side + 7) // 8
     if rois.shape != (len(stream), width):
         raise ValueError(f"ROI matrix of shape {rois.shape} does not fit a stream of "
                          f"{len(stream)} events and {width}-byte rows")
-    return rois
 
 
 # Rows per block when packed ROI rows are unpacked and widened to float, so
@@ -201,17 +195,10 @@ def _unit_blocks(rois: np.ndarray, length: int):
         yield block[lit] / np.sqrt(active[lit])[:, None]
 
 
-def _as_stream_list(stream) -> list[EventStream]:
-    if isinstance(stream, EventStream):
-        return [stream]
-    return list(stream)
-
-
-def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams,
-                check_invariants: bool = False,
-                features: ContinuousFeatureSet | None = None,
-                rois: Sequence[np.ndarray] | None = None) -> ContinuousFeatureSet:
-    """Single ordered pass over the stream(s); returns the adapted features.
+def feast_train(stream: Sequence[EventStream], params: FeastParams,
+                rois: Sequence[np.ndarray], check_invariants: bool = False,
+                features: ContinuousFeatureSet | None = None) -> ContinuousFeatureSet:
+    """Single ordered pass over the streams; returns the adapted features.
 
     Each event's binary ROI is read from a running time surface before the
     event itself is written (an exclusive read: the event predicts its context),
@@ -219,17 +206,12 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     cosine distance.  The surface resets between streams; weights and
     thresholds persist.  Deterministic for a fixed seed and stream order.
 
-    A stream's ROIs are its event_rois matrix, passed in rois (one per
-    stream, as the feature layer's inference also reads them) or extracted
-    here before the stream's sequential updates.  Passing a feature set
-    continues training from it (on a copy) instead of the seeded random
-    initialization.
+    rois holds each stream's event_rois matrix, the one that the feature
+    layer's inference also reads.  Passing a feature set continues training
+    from it (on a copy) instead of the seeded random initialization.
     """
-    streams = _as_stream_list(stream)
-    if rois is None:
-        rois = [None] * len(streams)
-    elif len(rois) != len(streams):
-        raise ValueError(f"{len(rois)} ROI matrices for {len(streams)} streams")
+    if len(rois) != len(stream):
+        raise ValueError(f"{len(rois)} ROI matrices for {len(stream)} streams")
     if features is None:
         features = initial_features(params)
     else:
@@ -247,12 +229,12 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
     grow = params.grow_step
     total_events = 0
 
-    for s, packed in zip(streams, rois):
+    for s, packed in zip(stream, rois):
         if s.polarity_count != params.polarity_count:
             raise ValueError(f"stream has {s.polarity_count} polarities, "
                              f"params expect {params.polarity_count}")
         total_events += len(s)
-        packed = _stream_rois(s, packed, params.roi_side, params.window_us)
+        _check_rois(s, packed, params.roi_side)
         for unit in _unit_blocks(packed, params.weight_length):
             for roi_n, pull in zip(unit, mix * unit):
                 dist = 1.0 - weights @ roi_n
@@ -267,10 +249,7 @@ def feast_train(stream: EventStream | Iterable[EventStream], params: FeastParams
                 else:
                     np.minimum(thresholds + grow, 2.0, out=thresholds)
                 if check_invariants:
-                    norms = np.linalg.norm(weights, axis=1)
-                    assert np.abs(norms - 1.0).max() <= 1e-9, "weight norm drifted"
-                    assert thresholds.min() >= 0.0 and thresholds.max() <= 2.0, \
-                        "threshold out of range"
+                    features.validate()
 
     if total_events == 0:
         warnings.warn("feast_train saw no events; returning the initial random features",
@@ -297,7 +276,7 @@ def binarize(features: ContinuousFeatureSet, n_active: int) -> BinaryFeatureSet:
 
 
 def feast_infer(stream: EventStream, features: BinaryFeatureSet,
-                window_us: int = 2000, rois: np.ndarray | None = None) -> EventStream:
+                rois: np.ndarray) -> EventStream:
     """Run the binary features as an event-based convolutional layer.
 
     Every input event updates the running input surface before the ROI
@@ -306,18 +285,17 @@ def feast_infer(stream: EventStream, features: BinaryFeatureSet,
     time with the argmax neuron as polarity (ties to the lowest index).
     Emits exactly one feature event per input event.
 
-    The inclusive ROIs are the stream's exclusive event_rois (passed in
-    rois, or extracted here) with each event's own cell set.  The popcounts
-    are float32 matmuls of those rows with the bits, a block of rows at a
-    time: every product is 0 or 1 and every score at most n_active < 2**24,
-    so float32 holds each sum exactly in any order and equal scores stay
-    equal.
+    The inclusive ROIs are the stream's exclusive event_rois matrix, passed
+    in rois, with each event's own cell set.  The popcounts are float32
+    matmuls of those rows with the bits, a block of rows at a time: every
+    product is 0 or 1 and every score at most n_active < 2**24, so float32
+    holds each sum exactly in any order and equal scores stay equal.
     """
     if stream.polarity_count != features.polarity_count:
         raise ValueError(f"stream has {stream.polarity_count} polarities, "
                          f"features expect {features.polarity_count}")
     area = features.roi_side * features.roi_side
-    rois = _stream_rois(stream, rois, features.roi_side, window_us)
+    _check_rois(stream, rois, features.roi_side)
     # the window's center in the event's own polarity
     own = stream.events["p"].astype(np.intp) * area + area // 2
     bits = features.bits.T.astype(np.float32)

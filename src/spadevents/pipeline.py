@@ -23,7 +23,7 @@ import numpy as np
 from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
                        EvalReport, event_sample_indices, frame_sample_times, evaluate_samples,
                        pool, region_from_activity)
-from .core import EventStream, Recording, TimeSurface
+from .core import POLARITY_LIMIT, EventStream, Recording, TimeSurface
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
 from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize, event_rois,
@@ -56,7 +56,7 @@ class PipelineParams:
 
     # feature layer
     feast_roi_side: int = FeastParams.roi_side
-    feast_window_us: int = FeastParams.window_us
+    feast_window_us: int = 2000
     feast_mix_rate: float = FeastParams.mix_rate
     feast_shrink_step: float = FeastParams.shrink_step
     feast_grow_step: float = FeastParams.grow_step
@@ -133,37 +133,32 @@ def feature_rois(streams: list[EventStream], params: PipelineParams) -> list[np.
 
 
 def prepare_binary_features(streams: list[EventStream], spec: PipelineSpec,
-                            train_indices: np.ndarray | None = None,
-                            rois: list[np.ndarray] | None = None
+                            rois: list[np.ndarray], train_indices: np.ndarray | None = None
                             ) -> tuple[ContinuousFeatureSet, BinaryFeatureSet]:
     """The continuous and binary feature sets of a "random" or "trained" spec.
 
     "trained" runs the adaptive-threshold pass over the streams at
     train_indices (every stream when None), in index order, reading their
-    rows of rois (feature_rois of the streams) when given; "random" keeps
-    the seeded initial weights.  Both binarize to feast_active_bits, clamped
-    to the weight length.
+    rows of rois (feature_rois of the streams); "random" keeps the seeded
+    initial weights.  Both binarize to feast_active_bits, clamped to the
+    weight length.
     """
     params = spec.feast_params(streams[0].polarity_count)
     if spec.feature_mode == "trained":
         if train_indices is None:
             train_indices = np.arange(len(streams))
         continuous = feast_train([streams[i] for i in train_indices], params,
-                                 rois=None if rois is None else [rois[i] for i in train_indices])
+                                 [rois[i] for i in train_indices])
     else:
         continuous = initial_features(params)
     return continuous, binarize(continuous, min(spec.feast_active_bits, params.weight_length))
 
 
 def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet,
-                          window_us: int = FeastParams.window_us,
-                          rois: list[np.ndarray] | None = None) -> list[EventStream]:
+                          rois: list[np.ndarray]) -> list[EventStream]:
     """feast_infer over the streams, in-process, reading rois (feature_rois
-    of the streams) when given."""
-    if rois is None:
-        rois = [None] * len(streams)
-    return [feast_infer(stream, features, window_us, packed)
-            for stream, packed in zip(streams, rois)]
+    of the streams)."""
+    return [feast_infer(stream, features, packed) for stream, packed in zip(streams, rois)]
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +198,7 @@ class SampleRegions:
 
 
 def select_regions(sources: list, *, sample_every: int,
-                   window_us: int = FeastParams.window_us,
+                   window_us: int = PipelineParams.feast_window_us,
                    activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleRegions:
     """Crop the active region at every instant of Recordings (frame pipeline,
     sampled every sample_every frames) or EventStreams (every sample_every events)."""
@@ -284,6 +279,9 @@ class PipelineSpec(PipelineParams):
         if self.feature_mode != "raw" and self.feast_active_bits < 1:
             raise ValueError(f"feast_active_bits must be at least 1, "
                              f"got {self.feast_active_bits}")
+        # feature events carry the winning neuron as their polarity
+        if self.feature_mode != "raw" and not 1 <= self.n_neurons <= POLARITY_LIMIT:
+            raise ValueError(f"n_neurons must lie in 1..{POLARITY_LIMIT}, got {self.n_neurons}")
 
     def effective_sample_every(self) -> int:
         # feature streams emit one event per input event, so they inherit
@@ -292,8 +290,8 @@ class PipelineSpec(PipelineParams):
 
     def feast_params(self, polarity_count: int) -> FeastParams:
         return FeastParams(n_neurons=self.n_neurons, polarity_count=polarity_count,
-                           roi_side=self.feast_roi_side, window_us=self.feast_window_us,
-                           mix_rate=self.feast_mix_rate, shrink_step=self.feast_shrink_step,
+                           roi_side=self.feast_roi_side, mix_rate=self.feast_mix_rate,
+                           shrink_step=self.feast_shrink_step,
                            grow_step=self.feast_grow_step, seed=self.seed)
 
 
@@ -332,9 +330,8 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     for group in groups:
         train_idx = (split_indices(len(streams), spec.train_fraction, group[0])[0]
                      if trained else None)
-        _, features = prepare_binary_features(streams, spec, train_idx, rois)
-        out.append((group, select(infer_feature_streams(streams, features,
-                                                        spec.feast_window_us, rois))))
+        _, features = prepare_binary_features(streams, spec, rois, train_idx)
+        out.append((group, select(infer_feature_streams(streams, features, rois))))
     return out
 
 

@@ -20,7 +20,8 @@ from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordi
                                ratio_demo_synth_config, synth_generate)
 from spadevents.eventgen import (FirstAndParams, count_ratio_demo, datarate_stats,
                                  firstand_convert, oobu_convert)
-from spadevents.feast import FeastParams, binarize, initial_features, feast_train
+from spadevents.feast import (FeastParams, binarize, event_rois, feast_train,
+                              initial_features)
 from spadevents.pipeline import PipelineSpec, convert_all, run_pipeline, trial_seeds
 
 from test_feast import balance_stream
@@ -159,9 +160,9 @@ class TestCriterion5FeastBalance:
     def test_equal_frequency_balance_and_norms(self):
         t0 = time.monotonic()
         stream = balance_stream(n_patterns=8, presentations=120)
-        params = FeastParams(n_neurons=8, polarity_count=8, roi_side=5,
-                             window_us=2000, seed=11)
-        trained = feast_train(stream, params, check_invariants=True)
+        params = FeastParams(n_neurons=8, polarity_count=8, roi_side=5, seed=11)
+        trained = feast_train([stream], params, [event_rois(stream, 5, 2000)],
+                              check_invariants=True)
         elapsed = time.monotonic() - t0
         wins = trained.win_counts
         norms = np.linalg.norm(trained.weights, axis=1)

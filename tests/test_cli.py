@@ -374,8 +374,10 @@ class TestEvaluateCommand:
         ("2", ["--kind", "firstand", "--firstand-fifo-capacity", "-5"], "firstand_fifo_capacity"),
         ("2", ["--kind", "frames", "--sample-every-frames", "0"], "sample_every"),
         ("2", ["--feast-window-us", "0"], "window_us"),
+        ("2", ["--feature-mode", "trained", "--feast-window-us", "0"], "window_us"),
     ], ids=["fraction-above-one", "fraction-nan", "label-above-n-classes",
-            "negative-fifo-capacity", "zero-frame-interval", "zero-window"])
+            "negative-fifo-capacity", "zero-frame-interval", "zero-window",
+            "zero-window-trained"])
     def test_bad_evaluation_setting_is_an_error(self, tmp_path, capsys, classes, flags, name):
         rc = main(["evaluate", "--kind", "onoff", "--n-trials", "1", "--synth-classes", classes,
                    "--synth-recordings-per-class", "3", "--synth-frames", "30",
@@ -678,6 +680,22 @@ class TestRunner:
         assert main([*command, "--feast-active-bits", "0", "--out", str(out), *SMALL]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "feast_active_bits must be at least 1" in err
+        assert not out.exists() and not out.with_name("o.partial").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["evaluate", "--kind", "oobu", "--feature-mode", "trained", "--neurons", "300"],
+        ["train-features", "--kind", "oobu", "--neurons", "300"],
+        ["sweep", "--kinds", "frames,oobu", "--feature-modes", "raw,random",
+         "--neuron-counts", "300"]])
+    def test_neuron_count_beyond_the_polarity_field_refused_before_converting(
+            self, command, tmp_path, capsys, monkeypatch):
+        def convert_all(*args, **kwargs):
+            raise AssertionError("streams converted before the neuron count was checked")
+        monkeypatch.setattr(cli, "convert_all", convert_all)
+        out = tmp_path / "o"
+        assert main([*command, "--out", str(out), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "n_neurons must lie in 1..256, got 300" in err
         assert not out.exists() and not out.with_name("o.partial").exists()
 
     # each value is refused by SynthConfig before anything is allocated

@@ -114,6 +114,15 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             EventStream(kind=StreamKind.FEATURE, grid_width=4, grid_height=4)
 
+    def test_polarity_count_beyond_the_polarity_field_refused(self):
+        # p is a u1 field: a 257th polarity could not be told from the first
+        ev = make_events([0], [0], [0], [255])
+        assert EventStream(kind=StreamKind.FEATURE, grid_width=4, grid_height=4, events=ev,
+                           polarity_count=256).polarity_count == 256
+        with pytest.raises(ValueError, match="polarity_count 257 exceeds the 256 values"):
+            EventStream(kind=StreamKind.FEATURE, grid_width=4, grid_height=4, events=ev,
+                        polarity_count=257)
+
     def test_stream_canonical_ordering_check(self):
         good = make_events([1, 1, 1, 2], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0])
         s = EventStream(kind=StreamKind.OOBU, grid_width=2, grid_height=2, events=good)

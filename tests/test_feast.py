@@ -44,17 +44,32 @@ def unpacked_rois(stream, side, window_us):
                          count=stream.polarity_count * side * side)
 
 
+# the pipeline's default feast_window_us
+WINDOW_US = 2000
+
+
+def train(streams, params, window_us=WINDOW_US, **kwargs):
+    """feast_train on the streams' event_rois."""
+    rois = [event_rois(s, params.roi_side, window_us) for s in streams]
+    return feast_train(streams, params, rois, **kwargs)
+
+
+def infer(stream, features, window_us=WINDOW_US):
+    """feast_infer on the stream's event_rois."""
+    return feast_infer(stream, features, event_rois(stream, features.roi_side, window_us))
+
+
 def reference_infer(stream, features, window_us):
     bits = features.bits.astype(np.int64)
     rois = reference_rois(stream, features.roi_side, window_us, inclusive=True)
     return np.array([np.argmax(bits @ roi.astype(np.int64)) for roi in rois], dtype=np.uint8)
 
 
-def reference_train(streams, params):
+def reference_train(streams, params, window_us):
     features = initial_features(params)
     weights, thresholds, wins = features.weights, features.thresholds, features.win_counts
     for s in streams:
-        for flat in reference_rois(s, params.roi_side, params.window_us, inclusive=False):
+        for flat in reference_rois(s, params.roi_side, window_us, inclusive=False):
             active = int(flat.sum())
             if active == 0:
                 continue
@@ -159,14 +174,13 @@ class TestParams:
 class TestTraining:
     def test_mixing_arithmetic_half_rate(self):
         # w = [1, 0], roi = [0, 1], eta = 0.5 -> normalize([0.5, 0.5])
-        params = FeastParams(n_neurons=1, polarity_count=2, roi_side=1,
-                             window_us=2000, mix_rate=0.5)
+        params = FeastParams(n_neurons=1, polarity_count=2, roi_side=1, mix_rate=0.5)
         start = ContinuousFeatureSet(weights=np.array([[1.0, 0.0]]),
                                      thresholds=np.array([1.5]),
                                      polarity_count=2, roi_side=1)
         # first event paints polarity 1; second reads roi [0, 1] and wins
         stream = stream_of([0, 1], [3, 3], [3, 3], [1, 0], polarity_count=2)
-        trained = feast_train(stream, params, features=start)
+        trained = train([stream], params, features=start)
         assert np.allclose(trained.weights[0], [np.sqrt(0.5), np.sqrt(0.5)], atol=1e-12)
         assert start.weights[0, 0] == 1.0  # caller's set untouched
 
@@ -175,7 +189,7 @@ class TestTraining:
         start = ContinuousFeatureSet(weights=initial_features(params).weights,
                                      thresholds=np.zeros(3), polarity_count=2, roi_side=1)
         stream = stream_of([0, 1], [3, 3], [3, 3], [1, 0], polarity_count=2)
-        trained = feast_train(stream, params, features=start)
+        trained = train([stream], params, features=start)
         # event 1 has an all-zero ROI (skipped); event 2 misses everywhere
         assert np.allclose(trained.thresholds, 0.004)
         assert trained.win_counts.sum() == 0
@@ -187,16 +201,15 @@ class TestTraining:
                                      thresholds=np.array([1.5]),
                                      polarity_count=2, roi_side=1)
         stream = stream_of([0, 1], [3, 3], [3, 3], [1, 0], polarity_count=2)
-        trained = feast_train(stream, params, features=start)
+        trained = train([stream], params, features=start)
         assert trained.thresholds[0] == pytest.approx(1.498)
         assert trained.win_counts[0] == 1
 
     def test_single_pattern_convergence(self):
         # one dominant spatio-temporal pattern -> the single neuron locks on
         stream = stripe_stream()
-        params = FeastParams(n_neurons=1, polarity_count=1, roi_side=5,
-                             window_us=2000, seed=3)
-        trained = feast_train(stream, params)
+        params = FeastParams(n_neurons=1, polarity_count=1, roi_side=5, seed=3)
+        trained = train([stream], params)
         pattern = np.zeros((1, 5, 5))
         pattern[0, :, 0::2] = 1.0
         pattern = pattern.reshape(-1)
@@ -207,14 +220,40 @@ class TestTraining:
     def test_weight_norms_and_threshold_bounds_throughout(self):
         stream = stripe_stream(grid=20, cycles=6)
         params = FeastParams(n_neurons=4, polarity_count=1, roi_side=5, seed=5)
-        trained = feast_train(stream, params, check_invariants=True)
+        trained = train([stream], params, check_invariants=True)
         trained.validate(atol=1e-9)
+
+    def test_check_invariants_refuses_a_drifted_norm(self):
+        # neuron 1 never wins, so only the check can see its norm
+        params = FeastParams(n_neurons=2, polarity_count=2, roi_side=1, mix_rate=0.5)
+        start = ContinuousFeatureSet(weights=np.array([[1.0, 0.0], [1.0 + 1e-6, 0.0]]),
+                                     thresholds=np.array([1.5, 0.0]),
+                                     polarity_count=2, roi_side=1)
+        stream = stream_of([0, 1], [3, 3], [3, 3], [1, 0], polarity_count=2)
+        train([stream], params, features=start)
+        with pytest.raises(ValueError, match="weight norms deviate"):
+            train([stream], params, check_invariants=True, features=start)
+
+    def test_validate_holds_its_own_tolerance(self):
+        def feature_set(norm, threshold):
+            return ContinuousFeatureSet(weights=np.array([[norm, 0.0]]),
+                                        thresholds=np.array([threshold]),
+                                        polarity_count=2, roi_side=1)
+        feature_set(1.0 + 9e-10, 1.0).validate(atol=1e-9)
+        # np.allclose would add its relative tolerance of 1e-5 to atol
+        with pytest.raises(ValueError, match="weight norms deviate"):
+            feature_set(1.0 + 9e-6, 1.0).validate(atol=1e-9)
+        feature_set(1.0 + 9e-6, 1.0).validate(atol=1e-5)
+        with pytest.raises(ValueError, match="weight norms deviate"):
+            feature_set(np.nan, 1.0).validate()
+        for threshold in (np.nan, -0.001, 2.001):
+            with pytest.raises(ValueError, match="thresholds left"):
+                feature_set(1.0, threshold).validate()
 
     def test_activation_balance_on_equal_frequency_patterns(self):
         stream = balance_stream()
-        params = FeastParams(n_neurons=8, polarity_count=8, roi_side=5,
-                             window_us=2000, seed=11)
-        trained = feast_train(stream, params)
+        params = FeastParams(n_neurons=8, polarity_count=8, roi_side=5, seed=11)
+        trained = train([stream], params)
         wins = trained.win_counts
         assert wins.min() > 0
         assert wins.max() / wins.min() <= 2.0
@@ -222,8 +261,8 @@ class TestTraining:
     def test_deterministic(self):
         stream = stripe_stream(grid=16, cycles=5)
         params = FeastParams(n_neurons=3, polarity_count=1, roi_side=5, seed=2)
-        a = feast_train(stream, params)
-        b = feast_train(stream, params)
+        a = train([stream], params)
+        b = train([stream], params)
         assert np.array_equal(a.weights, b.weights)
         assert np.array_equal(a.thresholds, b.thresholds)
         assert np.array_equal(a.win_counts, b.win_counts)
@@ -232,21 +271,21 @@ class TestTraining:
         params = FeastParams(n_neurons=2, polarity_count=1, roi_side=3, seed=4)
         empty = stream_of([], [], [], [], polarity_count=1)
         with pytest.warns(UserWarning, match="no events"):
-            trained = feast_train(empty, params)
+            trained = train([empty], params)
         assert np.array_equal(trained.weights, initial_features(params).weights)
 
     def test_polarity_mismatch_rejected(self):
         params = FeastParams(n_neurons=2, polarity_count=4, roi_side=3)
         stream = stream_of([0], [0], [0], [0], polarity_count=2)
         with pytest.raises(ValueError, match="polarities"):
-            feast_train(stream, params)
+            train([stream], params)
 
     def test_multi_stream_surface_resets(self):
         # an event early in stream 2 must not see stream 1's surface
         params = FeastParams(n_neurons=1, polarity_count=1, roi_side=3, seed=6)
         s1 = stream_of([0], [4], [4], [0], polarity_count=1)
         s2 = stream_of([1], [4], [4], [0], polarity_count=1)
-        trained = feast_train([s1, s2], params)
+        trained = train([s1, s2], params)
         # both events see an all-zero ROI (first in each stream), so no wins
         assert trained.win_counts.sum() == 0
 
@@ -322,7 +361,7 @@ class TestInference:
         bits1[side * side] = 1             # polarity 1 plane, corner
         features = self.make_bits([bits0, bits1], 2, side)
         stream = stream_of([0], [4], [4], [0], polarity_count=2)
-        out = feast_infer(stream, features, window_us=100)
+        out = infer(stream, features, window_us=100)
         assert out.events[0]["p"] == 0     # score 1 vs 0
 
     def test_tie_takes_lowest_index(self):
@@ -333,14 +372,14 @@ class TestInference:
         bits[1, 4] = 1
         features = self.make_bits(bits, 1, side)
         stream = stream_of([0], [4], [4], [0], polarity_count=1)
-        out = feast_infer(stream, features, window_us=100)
+        out = infer(stream, features, window_us=100)
         assert out.events[0]["p"] == 0
 
     def test_one_output_event_per_input(self):
         stream = stripe_stream(grid=16, cycles=3)
         params = FeastParams(n_neurons=4, polarity_count=1, roi_side=5, seed=1)
         features = binarize(initial_features(params), 8)
-        out = feast_infer(stream, features)
+        out = infer(stream, features)
         assert len(out) == len(stream)
         assert out.kind == StreamKind.FEATURE
         assert out.polarity_count == 4
@@ -356,7 +395,7 @@ class TestInference:
         bits[0, 4] = 1
         features = self.make_bits(bits, 1, side)
         stream = stream_of([0], [0], [0], [0], polarity_count=1)
-        out = feast_infer(stream, features, window_us=10)
+        out = infer(stream, features, window_us=10)
         assert len(out) == 1
 
     def test_polarity_mismatch_rejected(self):
@@ -364,7 +403,16 @@ class TestInference:
         features = binarize(initial_features(params), 4)
         stream = stream_of([0], [0], [0], [0], polarity_count=2)
         with pytest.raises(ValueError, match="polarities"):
-            feast_infer(stream, features)
+            infer(stream, features)
+
+    def test_neuron_index_beyond_the_polarity_field_refused(self):
+        # the u1 polarity would wrap winner 299 to 43 in a stream of 300 polarities
+        bits = np.zeros((300, 1), dtype=np.uint8)
+        bits[:, 0] = 1
+        features = BinaryFeatureSet(bits=bits, n_active=1, polarity_count=1, roi_side=1)
+        stream = stream_of([0], [4], [4], [0], polarity_count=1)
+        with pytest.raises(ValueError, match="polarity_count 300 exceeds"):
+            infer(stream, features)
 
 
 class TestFeatureFiles:
@@ -464,7 +512,7 @@ class TestBatchedRois:
         assert event_rois(stream, 5, 100).shape == (0, 10)
         params = FeastParams(n_neurons=4, polarity_count=3)
         features = binarize(initial_features(params), 8)
-        assert len(feast_infer(stream, features)) == 0
+        assert len(infer(stream, features)) == 0
 
     def test_out_of_range_events_rejected(self):
         # event_rois trusts the stream: no stream holds such events to pass it
@@ -478,46 +526,31 @@ class TestBatchedRois:
     def test_infer_matches_reference_on_oobu_synth(self, oobu_streams, block_rows, monkeypatch):
         monkeypatch.setattr(feast, "_BLOCK_ROWS", block_rows)
         params = FeastParams(n_neurons=9, polarity_count=4, seed=3)
-        trained = binarize(feast_train(oobu_streams[:3], params), 32)
+        trained = binarize(train(oobu_streams[:3], params), 32)
         for features in (binarize(initial_features(params), 32), trained):
             for stream in oobu_streams:
-                got = feast_infer(stream, features, window_us=params.window_us).events["p"]
-                assert np.array_equal(got, reference_infer(stream, features, params.window_us))
+                got = infer(stream, features).events["p"]
+                assert np.array_equal(got, reference_infer(stream, features, WINDOW_US))
 
     @pytest.mark.parametrize("block_rows", [7, feast._BLOCK_ROWS])
     def test_train_matches_reference_on_oobu_synth(self, oobu_streams, block_rows, monkeypatch):
         monkeypatch.setattr(feast, "_BLOCK_ROWS", block_rows)
         params = FeastParams(n_neurons=4, polarity_count=4, seed=5)
-        got = feast_train(oobu_streams, params)
-        want = reference_train(oobu_streams, params)
+        got = train(oobu_streams, params)
+        want = reference_train(oobu_streams, params, WINDOW_US)
         assert want.win_counts.sum() > 0
         assert np.array_equal(got.weights, want.weights)
         assert np.array_equal(got.thresholds, want.thresholds)
         assert np.array_equal(got.win_counts, want.win_counts)
 
-    def test_precomputed_rois_give_identical_results(self, oobu_streams):
-        params = FeastParams(n_neurons=5, polarity_count=4, seed=2)
-        rois = [event_rois(s, params.roi_side, params.window_us) for s in oobu_streams]
-        got = feast_train(oobu_streams, params, rois=rois)
-        want = feast_train(oobu_streams, params)
-        assert np.array_equal(got.weights, want.weights)
-        assert np.array_equal(got.thresholds, want.thresholds)
-        assert np.array_equal(got.win_counts, want.win_counts)
-        features = binarize(got, 32)
-        for stream, packed in zip(oobu_streams, rois):
-            with_rois = feast_infer(stream, features, params.window_us, rois=packed)
-            without = feast_infer(stream, features, params.window_us)
-            assert np.array_equal(with_rois.events, without.events)
-            assert with_rois.polarity_count == without.polarity_count == 5
-
     def test_rois_that_do_not_fit_refused(self, oobu_streams):
         params = FeastParams(n_neurons=3, polarity_count=4, seed=2)
         stream = oobu_streams[0]
         features = binarize(initial_features(params), 16)
-        wrong_side = event_rois(stream, 3, params.window_us)
+        wrong_side = event_rois(stream, 3, WINDOW_US)
         with pytest.raises(ValueError, match="does not fit"):
-            feast_infer(stream, features, params.window_us, rois=wrong_side)
+            feast_infer(stream, features, wrong_side)
         with pytest.raises(ValueError, match="does not fit"):
-            feast_train(stream, params, rois=[wrong_side])
+            feast_train([stream], params, [wrong_side])
         with pytest.raises(ValueError, match="2 ROI matrices for 1 streams"):
-            feast_train(stream, params, rois=[wrong_side, wrong_side])
+            feast_train([stream], params, [wrong_side, wrong_side])

@@ -11,11 +11,12 @@ from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sa
                                  frame_sample_times, pool, region_from_activity)
 from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
 from spadevents.dataio import SynthConfig, synth_generate
-from spadevents.feast import FeastParams, binarize, event_rois, initial_features
-from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineSpec, build_sample_set,
-                                 convert_all, convert_recording, infer_feature_streams,
-                                 parallel_map, prepare_binary_features,
-                                 run_pipeline, select_regions, trial_seeds)
+from spadevents.feast import binarize, event_rois, initial_features
+from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
+                                 build_sample_set, convert_all, convert_recording,
+                                 feature_rois, infer_feature_streams, parallel_map,
+                                 prepare_binary_features, run_pipeline, select_regions,
+                                 trial_seeds)
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +69,7 @@ class TestConversionDispatch:
         assert started == [workers]
 
 
-def reference_stream_rows(stream, pool_config, every, window_us=FeastParams.window_us,
+def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.feast_window_us,
                           activity_fraction=DEFAULT_ACTIVITY_FRACTION):
     """The per-instant stream sample builder as it stood before the shared loop."""
     channels = stream.polarity_count
@@ -119,8 +120,10 @@ def oracle_sources(tiny_dataset):
         empty = EventStream(kind=streams[0].kind, grid_width=24, grid_height=24)
         sources[kind] = (streams + [empty], PipelineSpec(kind=kind).effective_sample_every())
     oobu = sources["oobu"][0][:-1]
-    params = PipelineSpec(n_neurons=4, seed=3).feast_params(oobu[0].polarity_count)
-    features = infer_feature_streams(oobu, binarize(initial_features(params), 16))
+    spec = PipelineSpec(n_neurons=4, seed=3)
+    params = spec.feast_params(oobu[0].polarity_count)
+    features = infer_feature_streams(oobu, binarize(initial_features(params), 16),
+                                     feature_rois(oobu, spec))
     empty = EventStream(kind=StreamKind.FEATURE, grid_width=24, grid_height=24,
                         polarity_count=4)
     sources["feature"] = (features + [empty], 201)
@@ -267,8 +270,9 @@ class TestFeatureLayer:
     def test_feature_streams_inherit_cadence_length(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:4], "oobu")
         spec = PipelineSpec(feature_mode="random", n_neurons=4, seed=1, feast_active_bits=16)
-        _, features = prepare_binary_features(streams, spec)
-        out = infer_feature_streams(streams, features)
+        rois = feature_rois(streams, spec)
+        _, features = prepare_binary_features(streams, spec, rois)
+        out = infer_feature_streams(streams, features, rois)
         for raw, feat in zip(streams, out):
             assert len(feat) == len(raw)
             assert feat.polarity_count == 4
@@ -276,21 +280,23 @@ class TestFeatureLayer:
     def test_trained_features_use_training_split_only(self, tiny_dataset):
         streams = convert_all(tiny_dataset, "oobu")
         spec = PipelineSpec(feature_mode="trained", n_neurons=4, seed=1, feast_active_bits=16)
+        rois = feature_rois(streams, spec)
         idx_a = np.arange(3)
         idx_b = np.arange(len(streams) - 3, len(streams))
-        _, fa = prepare_binary_features(streams, spec, train_indices=idx_a)
-        _, fb = prepare_binary_features(streams, spec, train_indices=idx_b)
+        _, fa = prepare_binary_features(streams, spec, rois, train_indices=idx_a)
+        _, fb = prepare_binary_features(streams, spec, rois, train_indices=idx_b)
         assert not np.array_equal(fa.bits, fb.bits)
         # None trains on every stream, in index order
-        every, _ = prepare_binary_features(streams, spec)
-        listed, _ = prepare_binary_features(streams, spec, np.arange(len(streams)))
+        every, _ = prepare_binary_features(streams, spec, rois)
+        listed, _ = prepare_binary_features(streams, spec, rois, np.arange(len(streams)))
         assert np.array_equal(every.weights, listed.weights)
 
     def test_random_mode_ignores_streams(self, tiny_dataset):
         streams = convert_all(tiny_dataset[:2], "onoff")
         spec = PipelineSpec(feature_mode="random", n_neurons=4, seed=5, feast_active_bits=16)
-        _, fa = prepare_binary_features(streams[:1], spec)
-        continuous, fb = prepare_binary_features(streams, spec)
+        rois = feature_rois(streams, spec)
+        _, fa = prepare_binary_features(streams[:1], spec, rois[:1])
+        continuous, fb = prepare_binary_features(streams, spec, rois)
         assert np.array_equal(fa.bits, fb.bits)
         initial = initial_features(spec.feast_params(streams[0].polarity_count))
         assert np.array_equal(continuous.weights, initial.weights)
@@ -300,7 +306,7 @@ class TestFeatureLayer:
         streams = convert_all(tiny_dataset[:1], "onoff")   # 2 polarities x 3x3 ROI: 18 weights
         spec = PipelineSpec(feature_mode="random", n_neurons=2, feast_roi_side=3,
                             feast_active_bits=32)
-        _, binary = prepare_binary_features(streams, spec)
+        _, binary = prepare_binary_features(streams, spec, feature_rois(streams, spec))
         assert binary.n_active == 18 and binary.bits.all()
 
 
@@ -380,6 +386,15 @@ class TestRunPipeline:
             with pytest.raises(ValueError, match="feast_active_bits must be at least 1"):
                 PipelineSpec(feature_mode=mode, feast_active_bits=0)
         assert PipelineSpec(feature_mode="raw", feast_active_bits=0).feast_active_bits == 0
+
+    def test_feature_layer_neuron_count_must_fit_the_polarity_field(self):
+        # a feature event's polarity is its neuron's index, a u1 value
+        for mode in ("random", "trained"):
+            for n_neurons in (0, 257, 300):
+                with pytest.raises(ValueError, match=r"n_neurons must lie in 1\.\.256"):
+                    PipelineSpec(feature_mode=mode, n_neurons=n_neurons)
+            assert PipelineSpec(feature_mode=mode, n_neurons=256).n_neurons == 256
+        assert PipelineSpec(feature_mode="raw", n_neurons=300).n_neurons == 300
 
     def test_effective_cadence(self):
         assert PipelineSpec(kind="oobu").effective_sample_every() == 201
