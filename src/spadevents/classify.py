@@ -167,12 +167,6 @@ def event_sample_indices(n_events: int, every: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class ClassifierWeights:
-    matrix: np.ndarray      # (n_classes, n_inputs)
-    ridge_lambda: float
-
-
 def one_hot(labels: np.ndarray, n_classes: int) -> np.ndarray:
     out = np.zeros((len(labels), n_classes), dtype=np.float64)
     out[np.arange(len(labels)), labels] = 1.0
@@ -208,24 +202,23 @@ class RidgeAccumulator:
         self.cross += inputs.T @ targets
         self.n_samples += inputs.shape[0]
 
-    def solve(self) -> ClassifierWeights:
+    def solve(self) -> np.ndarray:
         if self.n_samples == 0:
             raise ValueError("no samples accumulated")
         reg = self.gram.copy()
         reg[np.diag_indices(self.n_inputs)] += self.ridge_lambda
-        weights = np.linalg.solve(reg, self.cross).T
-        return ClassifierWeights(matrix=weights, ridge_lambda=self.ridge_lambda)
+        return np.linalg.solve(reg, self.cross).T
 
 
 def train_classifier(inputs: np.ndarray, targets: np.ndarray,
-                     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> ClassifierWeights:
+                     ridge_lambda: float = DEFAULT_RIDGE_LAMBDA) -> np.ndarray:
     """Ridge solution W = (UᵀV)ᵀ (UᵀU + λI)⁻¹ for one-hot targets V.
 
     With n samples of m inputs, the solve runs in the smaller space: the
     primal m x m system above when n >= m, else the equal dual form
     W = Aᵀ U with A = (UUᵀ + λI_n)⁻¹ V, which never holds an m x m array.
     λ must be finite and non-negative.  Deterministic and repeatable; the
-    output maps an input vector to class scores via W @ u.
+    (n_classes, n_inputs) matrix W maps an input vector to class scores W @ u.
     """
     if not (np.isfinite(ridge_lambda) and ridge_lambda >= 0):
         raise ValueError(f"ridge_lambda must be finite and non-negative, got {ridge_lambda}")
@@ -240,22 +233,15 @@ def train_classifier(inputs: np.ndarray, targets: np.ndarray,
     kernel = inputs @ inputs.T
     kernel[np.diag_indices(n_samples)] += ridge_lambda
     dual = np.linalg.solve(kernel, targets)
-    return ClassifierWeights(matrix=dual.T @ inputs, ridge_lambda=ridge_lambda)
+    return dual.T @ inputs
 
 
-def predict_batch(weights: ClassifierWeights, inputs: np.ndarray) -> np.ndarray:
+def predict_batch(weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """Row-wise argmax of W @ u; scores tie toward the lowest class index."""
-    if inputs.shape[1] != weights.matrix.shape[1]:
+    if inputs.shape[1] != weights.shape[1]:
         raise ValueError(f"input length {inputs.shape[1]} does not match classifier "
-                         f"width {weights.matrix.shape[1]}")
-    return np.argmax(inputs @ weights.matrix.T, axis=1)
-
-
-def recording_vote(sample_classes: np.ndarray, n_classes: int) -> int:
-    """Modal per-sample class; ties and empty inputs go to the lowest index."""
-    if len(sample_classes) == 0:
-        return 0
-    return int(np.argmax(np.bincount(sample_classes, minlength=n_classes)))
+                         f"width {weights.shape[1]}")
+    return np.argmax(inputs @ weights.T, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +353,7 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
     for seed in seeds:
         train_recs, test_recs = split_indices(samples.n_recordings, train_fraction, seed)
         train_mask = np.isin(rec_of_sample, train_recs)
-        test_mask = np.isin(rec_of_sample, test_recs)
+        test_mask = ~train_mask   # the split is disjoint and exhaustive
         weights = train_classifier(samples.features[train_mask],
                                    one_hot(samples.labels[train_mask], n_classes),
                                    ridge_lambda)
@@ -375,15 +361,13 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
         truth = samples.labels[test_mask]
         frame_acc = float(np.mean(pred == truth)) if len(truth) else 0.0
 
-        rec_ids = rec_of_sample[test_mask]
-        votes = np.zeros(len(test_recs), dtype=np.int64)
-        for j, rec in enumerate(test_recs):
-            cls = pred[rec_ids == rec]
-            if len(cls) == 0:
-                n_no_sample += 1
-            votes[j] = recording_vote(cls, n_classes)
-        rec_truth = samples.recording_labels[test_recs]
-        rec_acc = float(np.mean(votes == rec_truth))
+        # each test recording votes its samples' modal predicted class: argmax
+        # takes the lowest of tied classes, and class 0 for a row of zeros
+        counts = np.zeros((samples.n_recordings, n_classes), dtype=np.int64)
+        np.add.at(counts, (rec_of_sample[test_mask], pred), 1)
+        counts = counts[test_recs]
+        n_no_sample += int(np.count_nonzero(counts.sum(axis=1) == 0))
+        rec_acc = float(np.mean(counts.argmax(axis=1) == samples.recording_labels[test_recs]))
 
         trials.append(TrialResult(seed=int(seed), per_frame_accuracy=frame_acc,
                                   per_recording_accuracy=rec_acc))

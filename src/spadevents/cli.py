@@ -227,8 +227,8 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path):
     streams = None
     if args.kind != "frames":
         streams, _, folds = convert_with_rates(recordings, args.kind, cfg)
-    report = run_pipeline(recordings, spec, n_classes,
-                          trial_seeds(cfg.seed, cfg.n_trials), jobs=cfg.jobs, streams=streams)
+    report = run_pipeline(recordings, spec, n_classes, trial_seeds(cfg.seed, cfg.n_trials),
+                          streams=streams)
     if streams is not None:
         report.extra["datarate"] = {"mean_fold_reduction": float(np.mean(folds)),
                                     "min_fold_reduction": float(np.min(folds)),
@@ -267,7 +267,7 @@ def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
             if any(base.feature_mode != "raw" for base in bases):
                 rois = feature_rois(streams, cfg)
         for base in bases:
-            groups = pipeline_sources(recordings, base, seeds, cfg.jobs, streams, rois)
+            groups = pipeline_sources(recordings, base, seeds, streams, rois)
             for pool_size in cfg.pool_sizes:
                 for method in cfg.pool_methods:
                     spec = replace(base, pool=PoolConfig(method=method, size=pool_size))

@@ -115,8 +115,9 @@ def make_config(config_path: str | Path | None = None,
         current = getattr(cfg, key)
         kind = type(current)
         setattr(cfg, key, _parse_value(key, kind, str(text)))
-    if cfg.n_trials < 1:
-        raise ValueError(f"n_trials must be at least 1, got {cfg.n_trials}")
+    for key, low in (("n_trials", 1), ("jobs", 1), ("seed", 0), ("n_classes", 0)):
+        if getattr(cfg, key) < low:
+            raise ValueError(f"{key} must be at least {low}, got {getattr(cfg, key)}")
     for key in _LIST_ELEMENT_TYPES:   # the sweep axes: one cell per value combination
         values = getattr(cfg, key)
         listed = ",".join(map(str, values))

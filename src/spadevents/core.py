@@ -240,22 +240,9 @@ AER_MAX_COL = 127
 AER_MAX_CLASS = 3
 
 
-def encode_aer(row: int, col: int, feature_class: int, pulse_index: int) -> int:
-    """Pack one event into a 32-bit AER word.
-
-    Row, column and feature class must fit their fields; pulse_index is a
-    free-running counter and is reduced modulo 2^16.
-    """
-    return int(encode_aer_array(row, col, feature_class, pulse_index))
-
-
-def decode_aer(word: int) -> tuple[int, int, int, int]:
-    """Unpack a 32-bit AER word into (row, col, feature_class, pulse_index)."""
-    return tuple(int(field) for field in decode_aer_array(word & 0xFFFFFFFF))
-
-
 def encode_aer_array(rows, cols, classes, pulses) -> np.ndarray:
-    """Pack events into uint32 AER words; out-of-range fields raise ValueError."""
+    """Pack events into uint32 AER words.  A row, column or class outside its
+    field, or a negative pulse, raises ValueError; pulses wrap modulo 2^16."""
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     classes = np.asarray(classes, dtype=np.int64)

@@ -282,6 +282,9 @@ class PipelineSpec(PipelineParams):
         # feature events carry the winning neuron as their polarity
         if self.feature_mode != "raw" and not 1 <= self.n_neurons <= POLARITY_LIMIT:
             raise ValueError(f"n_neurons must lie in 1..{POLARITY_LIMIT}, got {self.n_neurons}")
+        if self.effective_sample_every() < 1 or self.feast_window_us < 1:
+            raise ValueError(f"sample_every_{self.kind} and feast_window_us must be positive, "
+                             f"got {self.effective_sample_every()} and {self.feast_window_us}")
 
     def effective_sample_every(self) -> int:
         # feature streams emit one event per input event, so they inherit
@@ -300,7 +303,7 @@ def trial_seeds(base_seed: int, n_trials: int) -> list[int]:
 
 
 def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
-                     jobs: int = 1, streams: list[EventStream] | None = None,
+                     streams: list[EventStream] | None = None,
                      rois: list[np.ndarray] | None = None
                      ) -> list[tuple[list[int], SampleRegions]]:
     """Sample regions of the sources, grouped with the trial seeds they serve.
@@ -309,6 +312,7 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     group.  Trained feature layers learn from the first trial's training
     split and stay frozen for the remaining trials, unless retrain_per_trial
     is set: then every trial trains its own features and gets its own group.
+    The recordings are converted in-process when streams are not given.
     Feature layers read the streams' ROIs from rois (feature_rois of the
     streams), extracted here when not given; every group and split shares
     them.  Regions are selected here; pooling does not enter, so one call
@@ -319,7 +323,7 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     if spec.kind == "frames":
         return [(seeds, select(recordings))]
     if streams is None:
-        streams = convert_all(recordings, spec.kind, spec, jobs)
+        streams = convert_all(recordings, spec.kind, spec)
     if spec.feature_mode == "raw":
         return [(seeds, select(streams))]
     if rois is None:
@@ -352,9 +356,8 @@ def evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec
 
 
 def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int,
-                 seeds: list[int], jobs: int = 1,
-                 streams: list[EventStream] | None = None) -> EvalReport:
+                 seeds: list[int], streams: list[EventStream] | None = None) -> EvalReport:
     """Evaluate one pipeline cell over randomized splits (see pipeline_sources)."""
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    groups = pipeline_sources(recordings, spec, seeds, jobs, streams)
+    groups = pipeline_sources(recordings, spec, seeds, streams)
     return evaluate_sources(groups, labels, spec, n_classes)

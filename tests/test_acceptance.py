@@ -190,7 +190,7 @@ class TestCriterion6Binarization:
 class TestCriterion7RidgeOracle:
     def test_identity_case_and_chunked_agreement(self):
         weights = train_classifier(np.eye(2), np.eye(2), ridge_lambda=0.1)
-        identity_err = np.abs(weights.matrix - np.eye(2) / 1.1).max()
+        identity_err = np.abs(weights - np.eye(2) / 1.1).max()
 
         rng = np.random.default_rng(7)
         inputs = rng.random((100, 8))
@@ -199,7 +199,7 @@ class TestCriterion7RidgeOracle:
         acc = RidgeAccumulator(8, 3, ridge_lambda=0.1)
         acc.add(inputs[:50], targets[:50])
         acc.add(inputs[50:], targets[50:])
-        chunk_err = np.abs(single.matrix - acc.solve().matrix).max()
+        chunk_err = np.abs(single - acc.solve()).max()
 
         ok = identity_err <= 1e-9 and chunk_err <= 1e-9
         criterion(7, ok, "ridge identity case equals I/1.1 and chunked solve matches "
@@ -287,7 +287,7 @@ class TestCriterion10RealDataset:
         spec = PipelineSpec(kind="oobu", feature_mode="trained", n_neurons=16,
                             pool=PoolConfig(method="2d", size=12))
         report = run_pipeline(recordings, spec, manifest.n_classes,
-                              trial_seeds(0, 5), jobs=4, streams=streams["oobu"])
+                              trial_seeds(0, 5), streams=streams["oobu"])
         acc_ok = report.per_recording_mean >= 0.85
         criterion(10, fold_ok and acc_ok,
                   "real dataset: >= 85% per-recording at OOBU/16/L12/2D and folds "

@@ -5,11 +5,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from spadevents.classify import (ClassifierWeights, PoolConfig, Region, RidgeAccumulator,
-                                 SampleSet, evaluate_samples, event_sample_indices,
+from spadevents.classify import (PoolConfig, Region, RidgeAccumulator,
+                                 SampleSet, TrialResult, evaluate_samples, event_sample_indices,
                                  frame_sample_times, one_hot, pool,
-                                 pool_1d, pool_2d, predict_batch,
-                                 recording_vote, region_from_activity,
+                                 pool_1d, pool_2d, predict_batch, region_from_activity,
                                  train_classifier, zoh_indices, TRIAL_COLUMNS)
 from spadevents.core import TimeSurface, make_events
 from spadevents.dataio import split_indices
@@ -208,8 +207,8 @@ class TestRidge:
         weights = train_classifier(inputs, targets, ridge_lambda=0.1)
         gram = inputs.T @ inputs + 0.1 * np.eye(2)
         expect = (inputs.T @ targets).T @ hand_inverse_2x2(gram)
-        assert np.allclose(weights.matrix, expect, atol=1e-9)
-        assert np.allclose(weights.matrix, np.eye(2) / 1.1, atol=1e-9)
+        assert np.allclose(weights, expect, atol=1e-9)
+        assert np.allclose(weights, np.eye(2) / 1.1, atol=1e-9)
 
     def test_zero_lambda_interpolates_training_data(self):
         rng = np.random.default_rng(5)
@@ -228,7 +227,7 @@ class TestRidge:
         acc.add(inputs[:50], targets[:50])
         acc.add(inputs[50:], targets[50:])
         chunked = acc.solve()
-        assert np.allclose(single.matrix, chunked.matrix, atol=1e-9)
+        assert np.allclose(single, chunked, atol=1e-9)
 
     def test_non_finite_rejected(self):
         for n_samples in (1, 3):  # sample-space and feature-space solves
@@ -264,9 +263,9 @@ class TestRidge:
                 targets = one_hot(rng.integers(0, 4, n), 4)
                 oracle = self.primal_oracle(inputs, targets, ridge_lambda)
                 weights = train_classifier(inputs, targets, ridge_lambda)
-                assert weights.matrix.shape == oracle.matrix.shape
-                scale = np.abs(oracle.matrix).max()
-                assert np.abs(weights.matrix - oracle.matrix).max() <= 1e-9 * scale, (n, m)
+                assert weights.shape == oracle.shape
+                scale = np.abs(oracle).max()
+                assert np.abs(weights - oracle).max() <= 1e-9 * scale, (n, m)
                 probe = np.vstack([inputs, rng.standard_normal((20, m))])
                 assert np.array_equal(predict_batch(weights, probe),
                                       predict_batch(oracle, probe))
@@ -282,7 +281,7 @@ class TestRidge:
         inputs[:, :20] = rng.standard_normal((5, 20))  # dead inputs make UᵀU exactly singular
         labels = np.array([0, 1, 2, 1, 0])
         weights = train_classifier(inputs, one_hot(labels, 3), ridge_lambda=0.0)
-        assert np.allclose(inputs @ weights.matrix.T, one_hot(labels, 3), atol=1e-9)
+        assert np.allclose(inputs @ weights.T, one_hot(labels, 3), atol=1e-9)
         assert np.array_equal(predict_batch(weights, inputs), labels)
 
     def test_sample_space_solve_holds_no_feature_square(self):
@@ -308,34 +307,26 @@ class TestRidge:
     def test_matrix_shape_is_classes_by_inputs(self):
         rng = np.random.default_rng(9)
         weights = train_classifier(rng.random((20, 6)), one_hot(rng.integers(0, 4, 20), 4))
-        assert weights.matrix.shape == (4, 6)
+        assert weights.shape == (4, 6)
 
 
 class TestPredict:
     def test_argmax(self):
-        weights = ClassifierWeights(matrix=np.eye(3), ridge_lambda=0.1)
-        assert predict_batch(weights, np.array([[0.1, 0.9, 0.3]])).tolist() == [1]
+        assert predict_batch(np.eye(3), np.array([[0.1, 0.9, 0.3]])).tolist() == [1]
 
     def test_tie_takes_lowest(self):
-        weights = ClassifierWeights(matrix=np.eye(2), ridge_lambda=0.1)
-        assert predict_batch(weights, np.array([[0.5, 0.5]])).tolist() == [0]
+        assert predict_batch(np.eye(2), np.array([[0.5, 0.5]])).tolist() == [0]
 
     def test_scale_covariance_of_argmax(self):
         rng = np.random.default_rng(11)
-        weights = ClassifierWeights(matrix=rng.standard_normal((5, 7)), ridge_lambda=0.1)
+        weights = rng.standard_normal((5, 7))
         u = rng.standard_normal((50, 7))
         c = rng.uniform(0.1, 10, size=(50, 1))
         assert np.array_equal(predict_batch(weights, u), predict_batch(weights, c * u))
 
     def test_dim_mismatch(self):
-        weights = ClassifierWeights(matrix=np.eye(3), ridge_lambda=0.1)
         with pytest.raises(ValueError, match="match"):
-            predict_batch(weights, np.zeros((1, 4)))
-
-    def test_recording_vote(self):
-        assert recording_vote(np.array([2, 2, 5]), 6) == 2
-        assert recording_vote(np.array([1, 3]), 6) == 1       # tie -> lowest
-        assert recording_vote(np.array([], dtype=int), 6) == 0  # no samples -> class 0
+            predict_batch(np.eye(3), np.zeros((1, 4)))
 
 
 def separable_samples(n_classes=3, recs_per_class=10, samples_per_rec=4, noise=0.01, seed=0):
@@ -356,7 +347,60 @@ def separable_samples(n_classes=3, recs_per_class=10, samples_per_rec=4, noise=0
                      recording_index=np.array(rec_idx), recording_labels=np.array(rec_labels))
 
 
+def reference_evaluate(samples, n_classes, seeds, ridge_lambda, train_fraction):
+    """Oracle for evaluate_samples' vote: a loop over the test recordings, each
+    voting the modal class of its samples' predictions (ties to the lowest
+    class, class 0 without samples).  Returns the trials, the confusion, the
+    no-sample count and the number of tied votes."""
+    trials, n_no_sample, n_tied = [], 0, 0
+    confusion = np.zeros((n_classes, n_classes), dtype=np.int64)
+    for seed in seeds:
+        train_recs, test_recs = split_indices(samples.n_recordings, train_fraction, seed)
+        train_mask = np.isin(samples.recording_index, train_recs)
+        test_mask = np.isin(samples.recording_index, test_recs)
+        weights = train_classifier(samples.features[train_mask],
+                                   one_hot(samples.labels[train_mask], n_classes), ridge_lambda)
+        pred = predict_batch(weights, samples.features[test_mask])
+        truth = samples.labels[test_mask]
+        rec_ids = samples.recording_index[test_mask]
+        votes = []
+        for rec in test_recs:
+            cls = pred[rec_ids == rec]
+            if len(cls) == 0:
+                n_no_sample += 1
+                votes.append(0)
+                continue
+            tally = np.bincount(cls, minlength=n_classes)
+            n_tied += int(np.count_nonzero(tally == tally.max()) > 1)
+            votes.append(int(np.argmax(tally)))
+        rec_acc = float(np.mean(np.array(votes) == samples.recording_labels[test_recs]))
+        trials.append(TrialResult(seed=seed, per_frame_accuracy=float(np.mean(pred == truth)),
+                                  per_recording_accuracy=rec_acc))
+        np.add.at(confusion, (truth, pred), 1)
+    return trials, confusion, n_no_sample, n_tied
+
+
 class TestEvaluate:
+    @pytest.mark.parametrize("data_seed", [0, 1, 2])
+    def test_vote_matches_per_recording_oracle(self, data_seed):
+        # noisy features over 4 of 5 classes, 0 to 4 samples per recording:
+        # tied votes and test recordings without samples both occur
+        rng = np.random.default_rng(data_seed)
+        rec_labels = rng.integers(0, 4, 60)
+        counts = rng.integers(0, 5, 60)
+        rec_idx = np.repeat(np.arange(60), counts)
+        feats = rng.standard_normal((len(rec_idx), 6))
+        feats[np.arange(len(rec_idx)), rec_labels[rec_idx]] += 0.8
+        samples = SampleSet(features=feats, labels=rec_labels[rec_idx],
+                            recording_index=rec_idx, recording_labels=rec_labels)
+        seeds = list(range(10))
+        report = evaluate_samples(samples, 5, seeds, ridge_lambda=0.5, train_fraction=0.7)
+        trials, confusion, n_no_sample, n_tied = reference_evaluate(samples, 5, seeds, 0.5, 0.7)
+        assert n_tied > 0 and n_no_sample > 0
+        assert report.trials == trials
+        assert np.array_equal(report.confusion, confusion)
+        assert report.n_no_sample_recordings == n_no_sample
+
     def test_memorization_sanity(self):
         # same separable data as train and test: lambda = 0 must be exact
         samples = separable_samples()

@@ -698,6 +698,47 @@ class TestRunner:
         assert err.startswith("error:") and "n_neurons must lie in 1..256, got 300" in err
         assert not out.exists() and not out.with_name("o.partial").exists()
 
+    @pytest.mark.parametrize("command, flags, message", [
+        (["evaluate", "--kind", "onoff"], ["--feast-window-us", "0"],
+         "sample_every_onoff and feast_window_us must be positive, got 74 and 0"),
+        (["evaluate", "--kind", "onoff", "--feature-mode", "trained"],
+         ["--sample-every-onoff", "0"],
+         "sample_every_onoff and feast_window_us must be positive, got 0 and 2000"),
+        (["train-features", "--kind", "oobu"], ["--feast-window-us", "-1"],
+         "sample_every_oobu and feast_window_us must be positive, got 201 and -1"),
+        (["sweep", "--kinds", "frames,firstand", "--feature-modes", "raw"],
+         ["--sample-every-firstand", "0"],
+         "sample_every_firstand and feast_window_us must be positive, got 0 and 2000")],
+        ids=["evaluate-window", "evaluate-cadence", "train-features-window", "sweep-cadence"])
+    def test_cadence_and_window_refused_before_converting(
+            self, command, flags, message, tmp_path, capsys, monkeypatch):
+        def convert_all(*args, **kwargs):
+            raise AssertionError("streams converted before the cadence and window were checked")
+        monkeypatch.setattr(cli, "convert_all", convert_all)
+        out = tmp_path / "o"
+        assert main([*command, *flags, "--out", str(out), *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() and not out.with_name("o.partial").exists()
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--jobs", "0", "jobs must be at least 1, got 0"),
+        ("--jobs", "-3", "jobs must be at least 1, got -3"),
+        ("--seed", "-1", "seed must be at least 0, got -1"),
+        ("--n-classes", "-1", "n_classes must be at least 0, got -1")],
+        ids=["zero-jobs", "negative-jobs", "negative-seed", "negative-n-classes"])
+    def test_out_of_range_run_setting_is_an_error(self, flag, value, message, tmp_path, capsys,
+                                                  monkeypatch):
+        def load_dataset(cfg):
+            raise AssertionError("data loaded before the run settings were checked")
+        monkeypatch.setattr(cli, "load_dataset", load_dataset)
+        out = tmp_path / "o"
+        assert main(["evaluate", "--kind", "onoff", f"{flag}={value}", "--out", str(out),
+                     *SMALL]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+        assert not out.exists() and not out.with_name("o.partial").exists()
+
     # each value is refused by SynthConfig before anything is allocated
     @pytest.mark.parametrize("flag, value, name", [
         ("--synth-grid", "100000", "grid sides"),

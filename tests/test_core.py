@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from spadevents.core import (NEVER, EventStream, Recording, StreamKind,
-                             TimeSurface, decode_aer, decode_aer_array,
-                             encode_aer, encode_aer_array, make_events)
+                             TimeSurface, decode_aer_array, encode_aer_array, make_events)
 from spadevents.feast import event_rois
 
 
@@ -26,30 +25,41 @@ def one_polarity_stream(t, y, x, grid):
                        events=make_events(t, y, x, [0] * len(t)), polarity_count=1)
 
 
+def encode_one(row, col, feature_class, pulse):
+    return int(encode_aer_array(row, col, feature_class, pulse))
+
+
+def decode_one(word):
+    return tuple(int(field) for field in decode_aer_array(word))
+
+
 class TestAerCodec:
     def test_all_zero_fields(self):
-        assert encode_aer(0, 0, 0, 0) == 0x00000000
+        assert encode_one(0, 0, 0, 0) == 0x00000000
 
     def test_reference_word(self):
         # 0000001_0000010_11_0000000000000100
-        assert encode_aer(1, 2, 3, 4) == 0x020B0004
-        assert encode_aer(1, 2, 3, 4) == assemble_word_bits(1, 2, 3, 4)
+        assert encode_one(1, 2, 3, 4) == 0x020B0004
+        assert encode_one(1, 2, 3, 4) == assemble_word_bits(1, 2, 3, 4)
 
     def test_all_ones_fields(self):
-        assert encode_aer(127, 127, 3, 65535) == 0xFFFFFFFF
+        assert encode_one(127, 127, 3, 65535) == 0xFFFFFFFF
 
     def test_decode_examples(self):
-        assert decode_aer(0x00000000) == (0, 0, 0, 0)
-        assert decode_aer(0x020B0004) == (1, 2, 3, 4)
+        assert decode_one(0x00000000) == (0, 0, 0, 0)
+        assert decode_one(0x020B0004) == (1, 2, 3, 4)
 
     def test_roundtrip_random_tuples(self):
         rng = np.random.default_rng(42)
-        for _ in range(1000):
-            row = int(rng.integers(0, 128))
-            col = int(rng.integers(0, 128))
-            pulse = int(rng.integers(0, 65536))
-            for fc in range(4):
-                assert decode_aer(encode_aer(row, col, fc, pulse)) == (row, col, fc, pulse)
+        rows = rng.integers(0, 128, size=1000)
+        cols = rng.integers(0, 128, size=1000)
+        pulses = rng.integers(0, 65536, size=1000)
+        for fc in range(4):
+            classes = np.full(1000, fc)
+            words = encode_aer_array(rows, cols, classes, pulses)
+            assert words.dtype == np.uint32
+            for got, want in zip(decode_aer_array(words), (rows, cols, classes, pulses)):
+                assert np.array_equal(got, want)
 
     def test_codec_identity_exhaustive_class_random_fields(self):
         rng = np.random.default_rng(7)
@@ -67,14 +77,15 @@ class TestAerCodec:
 
     def test_bitstring_oracle_random(self):
         rng = np.random.default_rng(3)
-        for _ in range(200):
-            row, col = int(rng.integers(0, 128)), int(rng.integers(0, 128))
-            fc, pulse = int(rng.integers(0, 4)), int(rng.integers(0, 65536))
-            assert encode_aer(row, col, fc, pulse) == assemble_word_bits(row, col, fc, pulse)
+        rows, cols = rng.integers(0, 128, size=200), rng.integers(0, 128, size=200)
+        classes, pulses = rng.integers(0, 4, size=200), rng.integers(0, 65536, size=200)
+        words = encode_aer_array(rows, cols, classes, pulses)
+        assert words.tolist() == [assemble_word_bits(*map(int, fields))
+                                  for fields in zip(rows, cols, classes, pulses)]
 
     def test_pulse_index_wraps_modulo(self):
-        assert encode_aer(0, 0, 0, 65536) == encode_aer(0, 0, 0, 0)
-        assert encode_aer(0, 0, 0, 65537) == encode_aer(0, 0, 0, 1)
+        assert encode_aer_array(0, 0, 0, [65536, 65537]).tolist() == \
+            encode_aer_array(0, 0, 0, [0, 1]).tolist()
 
     @pytest.mark.parametrize("row,col,fc,pulse,name", [
         (128, 0, 0, 0, "row"),
@@ -84,14 +95,17 @@ class TestAerCodec:
         (0, 0, 0, -1, "pulse_index"),
     ])
     def test_out_of_range_names_field(self, row, col, fc, pulse, name):
+        # one bad field among valid events is enough
         with pytest.raises(ValueError, match=name):
-            encode_aer(row, col, fc, pulse)
+            encode_aer_array([0, row], [0, col], [0, fc], [0, pulse])
 
     def test_decode_is_total_on_32_bits(self):
         rng = np.random.default_rng(11)
-        for word in rng.integers(0, 1 << 32, size=500):
-            row, col, fc, pulse = decode_aer(int(word))
-            assert 0 <= row < 128 and 0 <= col < 128 and 0 <= fc < 4 and 0 <= pulse < 65536
+        words = rng.integers(0, 1 << 32, size=500).astype(np.uint32)
+        row, col, fc, pulse = decode_aer_array(words)
+        assert ((0 <= row) & (row < 128)).all() and ((0 <= col) & (col < 128)).all()
+        assert ((0 <= fc) & (fc < 4)).all() and ((0 <= pulse) & (pulse < 65536)).all()
+        assert encode_aer_array(row, col, fc, pulse).tolist() == words.tolist()
 
 
 class TestDomainTypes:

@@ -314,8 +314,10 @@ class TestRunPipeline:
     def test_deterministic_across_runs_and_jobs(self, tiny_dataset):
         spec = PipelineSpec(kind="onoff", pool=PoolConfig(method="1d", size=4))
         seeds = trial_seeds(0, 3)
-        a = run_pipeline(tiny_dataset, spec, n_classes=3, seeds=seeds, jobs=1)
-        b = run_pipeline(tiny_dataset, spec, n_classes=3, seeds=seeds, jobs=2)
+        a = run_pipeline(tiny_dataset, spec, n_classes=3, seeds=seeds,
+                         streams=convert_all(tiny_dataset, "onoff", spec, jobs=1))
+        b = run_pipeline(tiny_dataset, spec, n_classes=3, seeds=seeds,
+                         streams=convert_all(tiny_dataset, "onoff", spec, jobs=2))
         assert [t.per_frame_accuracy for t in a.trials] == [t.per_frame_accuracy for t in b.trials]
         assert [t.per_recording_accuracy for t in a.trials] == \
                [t.per_recording_accuracy for t in b.trials]
@@ -402,3 +404,14 @@ class TestRunPipeline:
         assert PipelineSpec(kind="firstand").effective_sample_every() == 51
         assert PipelineSpec(kind="frames").effective_sample_every() == 8
         assert PipelineSpec(kind="oobu", sample_every_oobu=10).effective_sample_every() == 10
+
+    @pytest.mark.parametrize("kind", ["frames", "firstand", "onoff", "oobu"])
+    def test_cadence_and_window_must_be_positive(self, kind):
+        for value in (0, -1):
+            with pytest.raises(ValueError, match=f"sample_every_{kind} and feast_window_us"):
+                PipelineSpec(kind=kind, **{f"sample_every_{kind}": value})
+            with pytest.raises(ValueError, match=f"got .* and {value}$"):
+                PipelineSpec(kind=kind, feast_window_us=value)
+        # only the spec's own kind reads its cadence
+        other = "oobu" if kind != "oobu" else "onoff"
+        assert PipelineSpec(kind=kind, **{f"sample_every_{other}": 0}).kind == kind
