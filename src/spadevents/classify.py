@@ -80,13 +80,70 @@ def region_from_activity(activity: np.ndarray,
 # ---------------------------------------------------------------------------
 
 
-def zoh_indices(length: int, target: int) -> np.ndarray:
+def zoh_indices(length, target: int) -> np.ndarray:
     """Zero-order-hold resample map: source index floor(i * length / target).
 
     This is the precalculated lookup table form; target > length repeats
-    source entries (sample-and-hold upsampling).
+    source entries (sample-and-hold upsampling).  An (n, 1) array of lengths
+    gives one map per row.
     """
     return (np.arange(target, dtype=np.int64) * length) // target
+
+
+def _bilinear_coords(length, target: int) -> np.ndarray:
+    """Corner-aligned sample coordinates, one row per (n, 1) length; a single
+    sample takes the center."""
+    if target == 1:
+        return (length - 1) / 2.0
+    return np.arange(target, dtype=np.float64) * (length - 1) / (target - 1)
+
+
+# The two pooling kernels take regions of any shape, one per row.  pool_1d
+# and pool_2d call them on a stack of one shape; sample building on every
+# instant's region at once.
+def marginal_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column sums (..., C, Ax) and row sums (..., C, Ay) of (..., C, Ay, Ax)
+    regions, in float64."""
+    return values.sum(axis=-2, dtype=np.float64), values.sum(axis=-1, dtype=np.float64)
+
+
+def zoh_pool_rows(col_sums: np.ndarray, row_sums: np.ndarray, shapes: np.ndarray,
+                  size: int) -> np.ndarray:
+    """1D pooling of n regions from their marginals: per channel [resampled
+    column sums, resampled row sums], channels concatenated.  Region i has
+    shape (Ay, Ax) = shapes[i]; its sums lead rows i of the (n, C, >= Ax)
+    col_sums and (n, C, >= Ay) row_sums."""
+    shapes = shapes.astype(np.int64)
+    halves = [np.take_along_axis(sums, zoh_indices(shapes[:, [axis]], size)[:, None], axis=2)
+              for sums, axis in ((col_sums, 1), (row_sums, 0))]
+    return np.concatenate(halves, axis=2).reshape(len(shapes), -1)
+
+
+def bilinear_pool_rows(values: np.ndarray, starts: np.ndarray, shapes: np.ndarray,
+                       channels: int, size: int) -> np.ndarray:
+    """2D pooling of n regions: bilinear resize of each channel to size x
+    size, flattened row-major and concatenated across channels.  Region i
+    has shape (channels, Ay, Ax) = (channels, *shapes[i]) and lies
+    row-major in the flat values from starts[i]."""
+    ay, ax = shapes.astype(np.int64).T[:, :, None]
+    uy = _bilinear_coords(ay, size)
+    ux = _bilinear_coords(ax, size)
+    y0 = np.floor(uy).astype(np.int64)
+    x0 = np.floor(ux).astype(np.int64)
+    fy = (uy - y0)[:, None, :, None]
+    fx = (ux - x0)[:, None, None, :]
+    # flat index of each channel's origin, then of the rows and columns that
+    # bound every bilinear cell
+    origin = (starts[:, None] + np.arange(channels) * (ay * ax))[:, :, None, None]
+    top = origin + (y0 * ax)[:, None, :, None]
+    bottom = origin + (np.minimum(y0 + 1, ay - 1) * ax)[:, None, :, None]
+    left = x0[:, None, None, :]
+    right = np.minimum(x0 + 1, ax - 1)[:, None, None, :]
+    # interpolated along x first, then y; corners are taken in the input
+    # dtype and widened by the arithmetic
+    upper = values[top + left] * (1 - fx) + values[top + right] * fx
+    lower = values[bottom + left] * (1 - fx) + values[bottom + right] * fx
+    return (upper * (1 - fy) + lower * fy).reshape(len(shapes), -1)
 
 
 # pool_1d and pool_2d take (..., C, Ay, Ax) regions: any leading axes batch
@@ -97,42 +154,28 @@ def _check_regions(values: np.ndarray) -> None:
                          f"got shape {values.shape}")
 
 
+def _uniform_shapes(values: np.ndarray) -> np.ndarray:
+    n = int(np.prod(values.shape[:-3], dtype=np.int64))
+    return np.tile(np.array(values.shape[-2:], dtype=np.int32), (n, 1))
+
+
 def pool_1d(values: np.ndarray, size: int) -> np.ndarray:
     """Row+column marginal pooling: per channel [resampled column sums,
     resampled row sums], channels concatenated.  values is (..., C, Ay, Ax)."""
     _check_regions(values)
-    col_sums = values.sum(axis=-2, dtype=np.float64)   # (..., C, Ax)
-    row_sums = values.sum(axis=-1, dtype=np.float64)   # (..., C, Ay)
-    vx = col_sums[..., zoh_indices(values.shape[-1], size)]
-    vy = row_sums[..., zoh_indices(values.shape[-2], size)]
-    return np.concatenate([vx, vy], axis=-1).reshape(*values.shape[:-3], -1)
-
-
-def _bilinear_coords(length: int, target: int) -> np.ndarray:
-    """Corner-aligned sample coordinates; a single sample takes the center."""
-    if target == 1:
-        return np.array([(length - 1) / 2.0])
-    return np.arange(target, dtype=np.float64) * (length - 1) / (target - 1)
+    col_sums, row_sums = (sums.reshape(-1, *sums.shape[-2:]) for sums in marginal_sums(values))
+    out = zoh_pool_rows(col_sums, row_sums, _uniform_shapes(values), size)
+    return out.reshape(*values.shape[:-3], -1)
 
 
 def pool_2d(values: np.ndarray, size: int) -> np.ndarray:
     """Bilinear resize of each channel to size x size, flattened row-major
     and concatenated across channels.  values is (..., C, Ay, Ax)."""
     _check_regions(values)
-    ay, ax = values.shape[-2:]
-    uy = _bilinear_coords(ay, size)
-    ux = _bilinear_coords(ax, size)
-    y0 = np.floor(uy).astype(np.int64)
-    x0 = np.floor(ux).astype(np.int64)
-    fy = (uy - y0)[:, None]
-    fx = ux - x0
-    # each row interpolated along x first, so rows[y0] and rows[y1] are the
-    # top and bottom edges of every bilinear cell; corners are taken in the
-    # input dtype and widened by the arithmetic
-    rows = (values.take(x0, axis=-1) * (1 - fx)
-            + values.take(np.minimum(x0 + 1, ax - 1), axis=-1) * fx)
-    out = (rows.take(y0, axis=-2) * (1 - fy)
-           + rows.take(np.minimum(y0 + 1, ay - 1), axis=-2) * fy)
+    shapes = _uniform_shapes(values)
+    region = int(np.prod(values.shape[-3:]))
+    out = bilinear_pool_rows(values.reshape(-1), np.arange(len(shapes)) * region, shapes,
+                             values.shape[-3], size)
     return out.reshape(*values.shape[:-3], -1)
 
 
@@ -353,6 +396,9 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
     for seed in seeds:
         train_recs, test_recs = split_indices(samples.n_recordings, train_fraction, seed)
         train_mask = np.isin(rec_of_sample, train_recs)
+        if not train_mask.any():
+            raise ValueError(f"trial seed {seed}: its training split holds 0 of the "
+                             f"{len(rec_of_sample)} samples")
         test_mask = ~train_mask   # the split is disjoint and exhaustive
         weights = train_classifier(samples.features[train_mask],
                                    one_hot(samples.labels[train_mask], n_classes),

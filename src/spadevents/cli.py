@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import importlib
 import json
 import os
@@ -366,6 +367,7 @@ def resolve_config(args) -> ExperimentConfig:
                                      for key in config_field_names()})
 
 
+@functools.cache   # parse_args leaves the parser as it is, so one serves every main call
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="spadevents",
                                      description="Event-based processing of SPAD "

@@ -242,10 +242,12 @@ def feast_train(stream: Sequence[EventStream], params: FeastParams,
                 winner = int(masked.argmin())
                 if masked[winner] < np.inf:
                     wins[winner] += 1
-                    mixed = keep * weights[winner] + pull
+                    row = weights[winner]   # mixed and renormalised in place
+                    row *= keep
+                    row += pull
                     # the Euclidean norm exactly as np.linalg.norm computes it
-                    weights[winner] = mixed / math.sqrt(mixed.dot(mixed))
-                    thresholds[winner] = max(thresholds[winner] - shrink, 0.0)
+                    row /= math.sqrt(row.dot(row))
+                    thresholds[winner] = max(float(thresholds[winner]) - shrink, 0.0)
                 else:
                     np.minimum(thresholds + grow, 2.0, out=thresholds)
                 if check_invariants:

@@ -5,24 +5,23 @@ the chosen event stream (or keep raw frames), optionally pass events
 through a binary feature layer, replay them into a time surface, and at
 each classification instant select the active region and pool it into a
 fixed-length vector.  Regions are selected once per source group; each
-pooling cell pools them in batches of one crop shape.  Randomized
+pooling cell pools all of them in one vectorised pass.  Randomized
 recording-level splits then only retrain the linear readout, so split
 randomness is the sole source of accuracy variance.
 """
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import partial
+from functools import cached_property, partial
 from itertools import chain
 
 import numpy as np
 
 from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
-                       EvalReport, event_sample_indices, frame_sample_times, evaluate_samples,
-                       pool, region_from_activity)
+                       EvalReport, bilinear_pool_rows, event_sample_indices, frame_sample_times,
+                       evaluate_samples, marginal_sums, region_from_activity, zoh_pool_rows)
 from .core import POLARITY_LIMIT, EventStream, Recording, TimeSurface
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
@@ -187,14 +186,63 @@ def _frame_states(recording: Recording, times: np.ndarray):
         yield frame[None] / FRAME_CODE_SCALE, frame > 0
 
 
-@dataclass
+@dataclass(eq=False)
 class SampleRegions:
-    """Each classification instant's cropped active region, stacked one per row
-    with the crops of its (C, Ay, Ax) shape: bit-packed binary grids, or frames' scaled codes."""
+    """Each classification instant's cropped active region, in instant order,
+    back to back in one buffer: byte-aligned np.packbits rows of binary
+    grids, or frames' scaled codes.  Crop i is (channels, *shapes[i])."""
 
     counts: list[int]            # instants per source
     channels: int
-    crops: dict[tuple[int, int, int], tuple[np.ndarray, np.ndarray]]   # shape -> (rows, crops)
+    shapes: np.ndarray           # (n, 2) int32: each crop's (Ay, Ax)
+    data: np.ndarray             # 1-D: uint8 packed bits, or float64 codes
+
+    @property
+    def packed(self) -> bool:
+        return self.data.dtype == np.uint8
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        """Where each crop starts in data, then where the last one ends."""
+        lengths = self.channels * self.shapes.prod(axis=1, dtype=np.int64)
+        if self.packed:
+            lengths = (lengths + 7) // 8
+        return np.concatenate([[0], np.cumsum(lengths)])
+
+    def crops(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Crops start..stop as one flat array of values, unpacked once, and
+        where each crop starts in it."""
+        first = self.offsets[start]
+        values = self.data[first:self.offsets[stop]]
+        starts = self.offsets[start:stop] - first
+        if self.packed:
+            return np.unpackbits(values), starts * 8
+        return values, starts
+
+    @cached_property
+    def marginals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every crop's column sums (n, C, max Ax) and row sums (n, C, max Ay),
+        zero-padded; taken once, per crop shape as pool_1d takes them, and
+        kept as int32 for binary crops."""
+        n, channels = len(self.shapes), self.channels
+        height, width = self.shapes.max(axis=0, initial=0)
+        dtype = np.int32 if self.packed else np.float64
+        col_sums = np.zeros((n, channels, width), dtype)
+        row_sums = np.zeros((n, channels, height), dtype)
+        shapes, inverse = np.unique(self.shapes, axis=0, return_inverse=True)
+        for k, (ay, ax) in enumerate(shapes.tolist()):
+            length = channels * ay * ax
+            group = np.flatnonzero(inverse.reshape(-1) == k)
+            step = max(1, 2 ** 20 // length)   # about a MB of crops unpacked at a time
+            for rows in np.split(group, range(step, len(group), step)):
+                taken = self.data[self.offsets[rows][:, None]
+                                  + np.arange((length + 7) // 8 if self.packed else length)]
+                if self.packed:
+                    taken = np.unpackbits(taken, axis=1, count=length)
+                cols, sums = marginal_sums(taken.reshape(-1, channels, ay, ax))
+                col_sums[rows, :, :ax] = cols
+                row_sums[rows, :, :ay] = sums
+        return col_sums, row_sums
 
 
 def select_regions(sources: list, *, sample_every: int,
@@ -215,40 +263,46 @@ def select_regions(sources: list, *, sample_every: int,
     states = chain.from_iterable(
         _frame_states(source, times) if from_frames else _stream_states(source, times, window_us)
         for source, times in zip(sources, instants))
-    # shape -> rows, and the crops' bytes appended to one buffer that then
-    # backs the stack: no list of crops and no second copy of them
-    by_shape: dict[tuple[int, int, int], tuple[list, bytearray]] = {}
-    for row, (values, activity) in enumerate(states):
+    # the crops' bytes appended to one buffer that then backs the array: no
+    # list of crops and no second copy of them
+    shapes, data = [], bytearray()
+    for values, activity in states:
         crop = region_from_activity(activity, activity_fraction).crop(values)
-        rows, data = by_shape.setdefault(crop.shape, ([], bytearray()))
-        rows.append(row)
+        shapes += crop.shape[1:]
         data += crop.tobytes() if from_frames else np.packbits(crop).tobytes()
-    dtype = np.float64 if from_frames else np.uint8
-    crops = {shape: (np.array(rows, dtype=np.int64),
-                     np.frombuffer(data, dtype).reshape(len(rows), -1))
-             for shape, (rows, data) in by_shape.items()}
     return SampleRegions([len(times) for times in instants],
-                         1 if from_frames else sources[0].polarity_count, crops)
+                         1 if from_frames else sources[0].polarity_count,
+                         np.array(shapes, dtype=np.int32).reshape(-1, 2),
+                         np.frombuffer(data, np.float64 if from_frames else np.uint8))
 
 
 def build_sample_set(regions: SampleRegions, labels, pool_config: PoolConfig) -> SampleSet:
     """One pooled row per classification instant of select_regions' regions,
-    which every pooling cell of a source group shares."""
+    which every pooling cell of a source group shares.  All crop shapes pool
+    together: 1D pooling from the regions' marginals, 2D from their crops."""
     labels = np.asarray(labels, dtype=np.int64)
     if len(regions.counts) != len(labels):
         raise ValueError("one label per source required")
+    n, size = len(regions.shapes), pool_config.size
     # allocated once at its exact size: stacking a list of per-instant rows
     # instead fragments the heap and raised c8_cells' peak RSS by up to 3 MB
-    features = np.empty((sum(regions.counts), pool_config.vector_length(regions.channels)))
-    for shape, (rows, crops) in regions.crops.items():
-        # values pooled per block: bounds the float temporaries to a few MB
-        # whatever the channel count, region shape and pooling size
-        step = max(1, 32768 // max(features.shape[1], math.prod(shape)))
-        for start in range(0, len(rows), step):
-            block = crops[start:start + step]
-            if block.dtype == np.uint8:
-                block = np.unpackbits(block, axis=1, count=math.prod(shape))
-            features[rows[start:start + step]] = pool(block.reshape(-1, *shape), pool_config)
+    features = np.empty((n, pool_config.vector_length(regions.channels)))
+    # rows pooled per block: bounds the index arrays and float temporaries to
+    # a few MB, and 2D pooling's unpacked crops to a quarter MB
+    step = 32768 // features.shape[1]
+    if pool_config.method == "2d" and n:
+        largest = regions.channels * int(regions.shapes.prod(axis=1, dtype=np.int64).max())
+        step = min(step, 2 ** 18 // largest)
+    step = max(1, step)
+    for start in range(0, n, step):
+        stop = min(start + step, n)
+        shapes = regions.shapes[start:stop]
+        if pool_config.method == "1d":
+            col_sums, row_sums = (sums[start:stop] for sums in regions.marginals)
+            features[start:stop] = zoh_pool_rows(col_sums, row_sums, shapes, size)
+        else:
+            features[start:stop] = bilinear_pool_rows(*regions.crops(start, stop), shapes,
+                                                      regions.channels, size)
     rec_index = np.repeat(np.arange(len(labels), dtype=np.int64), regions.counts)
     return SampleSet(features=features, labels=labels[rec_index], recording_index=rec_index,
                      recording_labels=labels)

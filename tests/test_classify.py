@@ -129,6 +129,39 @@ class TestPool2d:
         assert len(pool(values, PoolConfig(method="2d", size=2))) == 4
 
 
+def oracle_pool_1d(values, size):
+    """pool_1d as it stood before the pooling kernels took regions of any shape."""
+    col_sums = values.sum(axis=-2, dtype=np.float64)
+    row_sums = values.sum(axis=-1, dtype=np.float64)
+    vx = col_sums[..., zoh_indices(values.shape[-1], size)]
+    vy = row_sums[..., zoh_indices(values.shape[-2], size)]
+    return np.concatenate([vx, vy], axis=-1).reshape(*values.shape[:-3], -1)
+
+
+def oracle_pool_2d(values, size):
+    """pool_2d as it stood before the pooling kernels took regions of any shape."""
+    def coords(length):
+        if size == 1:
+            return np.array([(length - 1) / 2.0])
+        return np.arange(size, dtype=np.float64) * (length - 1) / (size - 1)
+
+    ay, ax = values.shape[-2:]
+    uy, ux = coords(ay), coords(ax)
+    y0 = np.floor(uy).astype(np.int64)
+    x0 = np.floor(ux).astype(np.int64)
+    fy = (uy - y0)[:, None]
+    fx = ux - x0
+    rows = (values.take(x0, axis=-1) * (1 - fx)
+            + values.take(np.minimum(x0 + 1, ax - 1), axis=-1) * fx)
+    out = (rows.take(y0, axis=-2) * (1 - fy)
+           + rows.take(np.minimum(y0 + 1, ay - 1), axis=-2) * fy)
+    return out.reshape(*values.shape[:-3], -1)
+
+
+def oracle_pool(values, config):
+    return (oracle_pool_1d if config.method == "1d" else oracle_pool_2d)(values, config.size)
+
+
 class TestBatchedPooling:
     """A stack of same-shape crops pooled in one call gives each crop's row."""
 
@@ -156,6 +189,20 @@ class TestBatchedPooling:
                     expect = np.stack([pool_fn(crop, size) for crop in views])
                     assert out.shape == (len(stack), len(expect[0]))
                     assert np.array_equal(out, expect), (ay, ax, size, stack.dtype)
+
+    @pytest.mark.parametrize("method", ["1d", "2d"])
+    @pytest.mark.parametrize("channels", [1, 2, 16])
+    def test_bytes_equal_oracle(self, method, channels):
+        rng = np.random.default_rng(10 + channels)
+        for ay, ax in self.SHAPES:
+            for views in self.crops(rng, channels, ay, ax):
+                for size in self.SIZES + [37]:
+                    config = PoolConfig(method=method, size=size)
+                    for values in (views, views[0]):
+                        out = pool(values, config)
+                        expect = oracle_pool(values, config)
+                        assert out.dtype == expect.dtype and out.shape == expect.shape
+                        assert out.tobytes() == expect.tobytes(), (ay, ax, size, values.dtype)
 
     @pytest.mark.parametrize("method", ["1d", "2d"])
     def test_several_leading_axes(self, method):
@@ -419,6 +466,15 @@ class TestEvaluate:
         samples = separable_samples(n_classes=3)
         with pytest.raises(ValueError, match="n_classes"):
             evaluate_samples(samples, n_classes=2, seeds=[0])
+
+    def test_trial_without_training_samples_named(self):
+        labels = np.arange(10) % 2
+        test_recs = split_indices(10, 0.9, 7)[1]
+        rec_index = np.repeat(test_recs, 3)
+        samples = SampleSet(features=np.ones((len(rec_index), 4)), labels=labels[rec_index],
+                            recording_index=rec_index, recording_labels=labels)
+        with pytest.raises(ValueError, match=f"trial seed 7: .* 0 of the {len(rec_index)} "):
+            evaluate_samples(samples, n_classes=2, seeds=[7])
 
     def test_chance_floor_random_labels(self):
         rng = np.random.default_rng(13)

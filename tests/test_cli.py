@@ -387,6 +387,17 @@ class TestEvaluateCommand:
         assert err.startswith("error:") and name in err
         assert not (tmp_path / "eval").exists()
 
+    def test_trial_without_training_samples_is_an_error(self, tmp_path, capsys):
+        # 30-frame recordings give no instant at one every 40 frames
+        rc = main(["evaluate", "--kind", "frames", "--n-trials", "1", "--seed", "13",
+                   "--sample-every-frames", "40", "--synth-classes", "2",
+                   "--synth-recordings-per-class", "3", "--synth-frames", "30",
+                   "--synth-grid", "16", "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "trial seed 13:" in err and "0 of the 0" in err
+        assert not (tmp_path / "eval").exists()
+
     def test_class_id_beyond_recording_format_is_an_error(self, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.tsv"
         lines = manifest.read_text().splitlines()

@@ -8,7 +8,7 @@ import pytest
 
 from spadevents import feast, pipeline
 from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sample_indices,
-                                 frame_sample_times, pool, region_from_activity)
+                                 frame_sample_times, region_from_activity)
 from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.feast import binarize, event_rois, initial_features
@@ -17,6 +17,7 @@ from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
                                  feature_rois, infer_feature_streams, parallel_map,
                                  prepare_binary_features, run_pipeline, select_regions,
                                  trial_seeds)
+from test_classify import oracle_pool
 
 
 @pytest.fixture(scope="module")
@@ -87,7 +88,7 @@ def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.f
         t_now = int(ev["t"][idx])
         grid = surface.binary(t_now, window_us)
         region = region_from_activity(grid.sum(axis=0), activity_fraction)
-        rows[row] = pool(region.crop(grid), pool_config)
+        rows[row] = oracle_pool(region.crop(grid), pool_config)
     return rows
 
 
@@ -104,7 +105,7 @@ def reference_frame_rows(recording, pool_config, every,
         frame = recording.frames[idx]
         region = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
         values = region.crop(frame[None, :, :]).astype(np.float64) / FRAME_CODE_SCALE
-        rows[row] = pool(values, pool_config)
+        rows[row] = oracle_pool(values, pool_config)
     return rows
 
 
@@ -170,7 +171,7 @@ class TestSampleBuilding:
         labels = np.arange(len(sources)) % 3
         regions = select_regions(sources, sample_every=every, activity_fraction=fraction)
         narrow = np.float64 if kind == "frames" else np.uint8
-        assert all(crops.dtype == narrow for _, crops in regions.crops.values())
+        assert regions.data.dtype == narrow
         for method in ("1d", "2d"):
             for size in (1, 3, 12, 24):
                 config = PoolConfig(method=method, size=size)
@@ -182,6 +183,56 @@ class TestSampleBuilding:
                 assert np.array_equal(samples.features, np.concatenate(blocks)), (method, size)
                 assert np.array_equal(samples.labels,
                                       np.repeat(labels, [len(block) for block in blocks]))
+
+    @pytest.mark.parametrize("kind", ["frames", "firstand", "onoff", "oobu", "feature"])
+    @pytest.mark.parametrize("method", ["1d", "2d"])
+    def test_bytes_equal_per_shape_oracle(self, oracle_sources, kind, method):
+        """The one pass over every crop shape against pooling the crops of each
+        shape in one stack, as sample building did before, at every sweep L."""
+        sources, every = oracle_sources[kind]
+        regions = select_regions(sources, sample_every=every)
+        assert regions.counts[-1] == 0
+        channels = regions.channels
+        crops, start = [], 0
+        for ay, ax in regions.shapes.tolist():
+            length = channels * ay * ax
+            if regions.data.dtype == np.uint8:
+                stop = start + (length + 7) // 8
+                crop = np.unpackbits(regions.data[start:stop], count=length)
+            else:
+                stop = start + length
+                crop = regions.data[start:stop]
+            crops.append(crop.reshape(channels, ay, ax))
+            start = stop
+        assert start == len(regions.data)
+        by_shape = {}
+        for row, crop in enumerate(crops):
+            by_shape.setdefault(crop.shape, []).append(row)
+        for size in (1, 2, 3, 4, 6, 8, 12, 16, 24):
+            config = PoolConfig(method=method, size=size)
+            expect = np.empty((len(crops), config.vector_length(channels)))
+            for rows in by_shape.values():
+                expect[rows] = oracle_pool(np.stack([crops[row] for row in rows]), config)
+            samples = build_sample_set(regions, [0] * len(sources), config)
+            assert samples.features.tobytes() == expect.tobytes(), size
+
+    def test_marginals_taken_once_per_regions(self, oracle_sources, monkeypatch):
+        taken = []
+
+        def counting(values):
+            taken.append(len(values))
+            return marginal_sums(values)
+
+        marginal_sums = pipeline.marginal_sums
+        monkeypatch.setattr(pipeline, "marginal_sums", counting)
+        sources, every = oracle_sources["oobu"]
+        regions = select_regions(sources, sample_every=every)
+        build_sample_set(regions, [0] * len(sources), PoolConfig(method="2d", size=4))
+        assert taken == []
+        for size in (1, 4, 12, 24):
+            build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=size))
+            assert sum(taken) == len(regions.shapes)
+            assert len(taken) == len(np.unique(regions.shapes, axis=0))
 
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError, match="at least one source"):
@@ -219,8 +270,8 @@ class TestSampleBuilding:
                 tracemalloc.stop()
 
         regions, select_peak = traced_peak(lambda: select_regions(streams, sample_every=40))
-        stored = sum(rows.nbytes + crops.nbytes for rows, crops in regions.crops.values())
-        assert max(len(rows) for rows, _ in regions.crops.values()) > 1000
+        stored = regions.shapes.nbytes + regions.data.nbytes
+        assert np.unique(regions.shapes, axis=0, return_counts=True)[1].max() > 1000
         assert stored < 1200 * 16 * 32 * 32 / 8 + 1200 * 8
         assert select_peak <= 1.25 * stored + 2 ** 20
         del regions
