@@ -116,7 +116,7 @@ def zoh_pool_rows(col_sums: np.ndarray, row_sums: np.ndarray, shapes: np.ndarray
     shapes = shapes.astype(np.int64)
     halves = [np.take_along_axis(sums, zoh_indices(shapes[:, [axis]], size)[:, None], axis=2)
               for sums, axis in ((col_sums, 1), (row_sums, 0))]
-    return np.concatenate(halves, axis=2).reshape(len(shapes), -1)
+    return np.concatenate(halves, axis=2).reshape(len(shapes), 2 * size * col_sums.shape[1])
 
 
 def bilinear_pool_rows(values: np.ndarray, starts: np.ndarray, shapes: np.ndarray,
@@ -143,7 +143,7 @@ def bilinear_pool_rows(values: np.ndarray, starts: np.ndarray, shapes: np.ndarra
     # dtype and widened by the arithmetic
     upper = values[top + left] * (1 - fx) + values[top + right] * fx
     lower = values[bottom + left] * (1 - fx) + values[bottom + right] * fx
-    return (upper * (1 - fy) + lower * fy).reshape(len(shapes), -1)
+    return (upper * (1 - fy) + lower * fy).reshape(len(shapes), channels * size * size)
 
 
 # pool_1d and pool_2d take (..., C, Ay, Ax) regions: any leading axes batch
@@ -165,7 +165,7 @@ def pool_1d(values: np.ndarray, size: int) -> np.ndarray:
     _check_regions(values)
     col_sums, row_sums = (sums.reshape(-1, *sums.shape[-2:]) for sums in marginal_sums(values))
     out = zoh_pool_rows(col_sums, row_sums, _uniform_shapes(values), size)
-    return out.reshape(*values.shape[:-3], -1)
+    return out.reshape(*values.shape[:-3], out.shape[1])
 
 
 def pool_2d(values: np.ndarray, size: int) -> np.ndarray:
@@ -176,7 +176,7 @@ def pool_2d(values: np.ndarray, size: int) -> np.ndarray:
     region = int(np.prod(values.shape[-3:]))
     out = bilinear_pool_rows(values.reshape(-1), np.arange(len(shapes)) * region, shapes,
                              values.shape[-3], size)
-    return out.reshape(*values.shape[:-3], -1)
+    return out.reshape(*values.shape[:-3], out.shape[1])
 
 
 def pool(values: np.ndarray, config: PoolConfig) -> np.ndarray:

@@ -214,6 +214,13 @@ class TestBatchedPooling:
             assert out.shape == (2, 3, config.vector_length(2))
             assert np.array_equal(out.reshape(6, -1), [pool(crop, config) for crop in views])
 
+    @pytest.mark.parametrize("method", ["1d", "2d"])
+    def test_empty_stack_gives_zero_rows(self, method):
+        config = PoolConfig(method=method, size=3)
+        for values in (np.zeros((0, 2, 5, 7)), np.zeros((2, 0, 2, 5, 7), dtype=np.uint8)):
+            out = pool(values, config)
+            assert out.shape == (*values.shape[:-3], config.vector_length(2))
+
     @pytest.mark.parametrize("pool_fn", [pool_1d, pool_2d])
     @pytest.mark.parametrize("shape", [(4, 4), (3, 0, 4), (2, 3, 4, 0)])
     def test_empty_or_flat_regions_rejected(self, pool_fn, shape):

@@ -217,13 +217,12 @@ class TestSampleBuilding:
             assert samples.features.tobytes() == expect.tobytes(), size
 
     def test_marginals_taken_once_per_regions(self, oracle_sources, monkeypatch):
-        taken = []
+        marginal_sums, taken = pipeline.marginal_sums, []
 
         def counting(values):
             taken.append(len(values))
             return marginal_sums(values)
 
-        marginal_sums = pipeline.marginal_sums
         monkeypatch.setattr(pipeline, "marginal_sums", counting)
         sources, every = oracle_sources["oobu"]
         regions = select_regions(sources, sample_every=every)
