@@ -27,12 +27,11 @@ import numpy as np
 from . import __version__
 from .classify import POOL_METHODS, TRIAL_COLUMNS, EvalReport, PoolConfig
 from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
-                     make_config)
+                     make_config, synth_config_from)
 from .core import AER_TIME_MASK
 from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
                      load_manifest_recordings, ratio_demo_synth_config, save_manifest,
-                     save_recording, split_indices, synth_generate, SynthConfig,
-                     write_dataset)
+                     save_recording, split_indices, synth_generate, write_dataset)
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features
 from .pipeline import (EVENT_KINDS, FEATURE_MODES, KINDS, PipelineParams, PipelineSpec,
@@ -88,20 +87,6 @@ def _write_csv(path, columns: list[str], rows) -> None:
 # ---------------------------------------------------------------------------
 # Config plumbing
 # ---------------------------------------------------------------------------
-
-
-def synth_config_from(cfg: ExperimentConfig) -> SynthConfig:
-    return SynthConfig(n_classes=cfg.synth_classes,
-                       recordings_per_class=cfg.synth_recordings_per_class,
-                       frames_per_recording=cfg.synth_frames,
-                       grid_width=cfg.synth_grid, grid_height=cfg.synth_grid,
-                       target_depth_code=cfg.synth_target_depth,
-                       distractor_depth_code=cfg.synth_distractor_depth,
-                       target_speed=cfg.synth_speed,
-                       p_false_positive=cfg.synth_p_false_positive,
-                       p_false_negative=cfg.synth_p_false_negative,
-                       timing_jitter_sigma=cfg.synth_jitter_sigma,
-                       seed=cfg.seed)
 
 
 def load_dataset(cfg: ExperimentConfig):
@@ -250,7 +235,7 @@ def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
     Streams are converted and their ROIs extracted once per kind, feature
     sources built and regions selected once per (kind, mode, N); pooling
     cells pool those regions in batches.  Cell order is the deterministic
-    loop order, independent of cfg.jobs, and make_config refuses repeated
+    loop order, independent of cfg.jobs, and ExperimentConfig refuses repeated
     axis values, so every key is unique.
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
@@ -430,7 +415,7 @@ def main(argv=None) -> int:
         with staged_output(args.out) as out:
             extra, message = args.func(args, cfg, out)
             write_run_record(out, args.command, cfg, extra)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if message:   # datarate over no event kind has nothing to report

@@ -9,18 +9,41 @@ run record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, field
+from dataclasses import asdict, dataclass, fields, field
 from pathlib import Path
 
 from .classify import POOL_METHODS
-from .dataio import SynthConfig
-from .pipeline import FEATURE_MODES, KINDS, PipelineParams
+from .dataio import MAX_CLASS_ID, SynthConfig
+from .pipeline import FEATURE_MODES, KINDS, PipelineParams, build_from_keys, check_at_least
+
+# the SynthConfig fields that config keys set (synth_grid sets both sides)
+_SYNTH_KEYS = {"n_classes": "synth_classes", "recordings_per_class": "synth_recordings_per_class",
+               "frames_per_recording": "synth_frames", "grid_width": "synth_grid",
+               "grid_height": "synth_grid", "target_depth_code": "synth_target_depth",
+               "distractor_depth_code": "synth_distractor_depth", "target_speed": "synth_speed",
+               "p_false_positive": "synth_p_false_positive",
+               "p_false_negative": "synth_p_false_negative",
+               "timing_jitter_sigma": "synth_jitter_sigma", "seed": "seed"}
+
+_LIST_ELEMENT_TYPES = {
+    "kinds": str,
+    "feature_modes": str,
+    "pool_methods": str,
+    "neuron_counts": int,
+    "pool_sizes": int,
+}
+# the value set of each string axis; the integer axes (N, L) take values >= 1
+_AXIS_CHOICES = {"kinds": KINDS, "feature_modes": FEATURE_MODES, "pool_methods": POOL_METHODS}
 
 
 @dataclass
 class ExperimentConfig(PipelineParams):
     """Dataset, sweep axes and run settings on top of the per-cell
-    PipelineParams (conversion, feature layer and readout keys)."""
+    PipelineParams (conversion, feature layer and readout keys).
+
+    Construction refuses any value outside its domain; the synth_* keys
+    are checked by SynthConfig.
+    """
 
     # dataset source: a manifest path, or synthetic generation when empty
     manifest: str = ""
@@ -49,16 +72,31 @@ class ExperimentConfig(PipelineParams):
 
     jobs: int = 1
 
+    def __post_init__(self):
+        super().__post_init__()
+        check_at_least(self, {"n_trials": 1, "jobs": 1, "n_classes": 0})
+        if self.n_classes > MAX_CLASS_ID + 1:
+            raise ValueError(f"n_classes must be at most {MAX_CLASS_ID + 1}, the classes a "
+                             f"SPDREC01 recording can label, got {self.n_classes}")
+        synth_config_from(self)
+        if not self.manifest and 0 < self.n_classes < self.synth_classes:
+            raise ValueError(f"n_classes {self.n_classes} is fewer than the synth_classes "
+                             f"{self.synth_classes} classes synthesized")
+        for key in _LIST_ELEMENT_TYPES:   # the sweep axes: one cell per value combination
+            values = getattr(self, key)
+            listed = ",".join(map(str, values))
+            if not values or len(set(values)) != len(values):
+                raise ValueError(f"{key} must list one or more distinct values, got {listed!r}")
+            choices = _AXIS_CHOICES.get(key)
+            if choices is not None and not set(values) <= set(choices):
+                raise ValueError(f"{key} must be drawn from {','.join(choices)}, got {listed}")
+            if choices is None and min(values) < 1:
+                raise ValueError(f"{key} must be at least 1, got {listed}")
 
-_LIST_ELEMENT_TYPES = {
-    "kinds": str,
-    "feature_modes": str,
-    "pool_methods": str,
-    "neuron_counts": int,
-    "pool_sizes": int,
-}
-# the value set of each string axis; the integer axes (N, L) take values >= 1
-_AXIS_CHOICES = {"kinds": KINDS, "feature_modes": FEATURE_MODES, "pool_methods": POOL_METHODS}
+
+def synth_config_from(cfg: ExperimentConfig) -> SynthConfig:
+    return build_from_keys(SynthConfig, cfg, _SYNTH_KEYS)
+
 
 _TRUE = {"1", "true", "yes", "on"}
 _FALSE = {"0", "false", "no", "off"}
@@ -73,15 +111,13 @@ def _parse_value(name: str, kind: type, text: str):
         if low in _FALSE:
             return False
         raise ValueError(f"{name}: expected a boolean, got {text!r}")
-    if kind is int:
-        return int(text)
-    if kind is float:
-        return float(text)
-    if kind is list:
-        element = _LIST_ELEMENT_TYPES[name]
-        items = [part.strip() for part in text.split(",") if part.strip()]
-        return [element(item) for item in items]
-    return text
+    element = _LIST_ELEMENT_TYPES.get(name, kind)
+    try:
+        if kind is list:
+            return [element(part.strip()) for part in text.split(",") if part.strip()]
+        return kind(text)
+    except ValueError:
+        raise ValueError(f"{name}: expected {element.__name__} values, got {text!r}") from None
 
 
 def parse_kv_text(text: str, source: str = "<config>") -> dict[str, str]:
@@ -107,35 +143,17 @@ def make_config(config_path: str | Path | None = None,
     if overrides:
         merged.update({k: v for k, v in overrides.items() if v is not None})
 
-    cfg = ExperimentConfig()
-    by_name = {f.name: f for f in fields(ExperimentConfig)}
+    defaults = ExperimentConfig()   # each key's value type is its default's
+    parsed = {}
     for key, text in merged.items():
-        if key not in by_name:
+        if key not in config_field_names():
             raise ValueError(f"unknown config key {key!r}")
-        current = getattr(cfg, key)
-        kind = type(current)
-        setattr(cfg, key, _parse_value(key, kind, str(text)))
-    for key, low in (("n_trials", 1), ("jobs", 1), ("seed", 0), ("n_classes", 0)):
-        if getattr(cfg, key) < low:
-            raise ValueError(f"{key} must be at least {low}, got {getattr(cfg, key)}")
-    for key in _LIST_ELEMENT_TYPES:   # the sweep axes: one cell per value combination
-        values = getattr(cfg, key)
-        listed = ",".join(map(str, values))
-        if not values or len(set(values)) != len(values):
-            raise ValueError(f"{key} must list one or more distinct values, got {listed!r}")
-        choices = _AXIS_CHOICES.get(key)
-        if choices is not None and not set(values) <= set(choices):
-            raise ValueError(f"{key} must be drawn from {','.join(choices)}, got {listed}")
-        if choices is None and min(values) < 1:
-            raise ValueError(f"{key} must be at least 1, got {listed}")
-    return cfg
+        parsed[key] = _parse_value(key, type(getattr(defaults, key)), str(text))
+    return ExperimentConfig(**parsed)
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    out = {}
-    for f in fields(ExperimentConfig):
-        out[f.name] = getattr(cfg, f.name)
-    return out
+    return asdict(cfg)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

@@ -289,14 +289,6 @@ class TimeSurface:
         # last-event timestamps, shape (P, H, W); NEVER where unfired
         self.last_t = np.full((polarity_count, grid_height, grid_width), NEVER, dtype=np.int64)
 
-    def update(self, x: int, y: int, polarity: int, t: int) -> None:
-        """Record one event: last_t[p, y, x] := t. Other cells untouched."""
-        if not (0 <= x < self.grid_width and 0 <= y < self.grid_height):
-            raise ValueError(f"event at ({x}, {y}) outside {self.grid_width}x{self.grid_height} grid")
-        if not 0 <= polarity < self.polarity_count:
-            raise ValueError(f"polarity {polarity} out of range 0..{self.polarity_count - 1}")
-        self.last_t[polarity, y, x] = t
-
     def update_many(self, events: np.ndarray) -> None:
         """Apply a time-sorted batch of events.
 

@@ -203,8 +203,21 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # class ids are stored as the u16 of a SPDREC01 recording
+        if not 1 <= self.n_classes <= MAX_CLASS_ID + 1 or self.recordings_per_class < 1:
+            raise ValueError(f"n_classes must lie in 1..{MAX_CLASS_ID + 1} and "
+                             f"recordings_per_class must be positive, "
+                             f"got {self.n_classes} and {self.recordings_per_class}")
+        if self.frames_per_recording < 1:
+            raise ValueError(f"frames_per_recording must be at least 1, "
+                             f"got {self.frames_per_recording}")
+        if not 0.0 <= self.target_speed < math.inf:
+            raise ValueError(f"target_speed must be non-negative and finite, "
+                             f"got {self.target_speed}")
         if not 0.0 <= self.p_false_positive <= 1.0 or not 0.0 <= self.p_false_negative <= 1.0:
-            raise ValueError("noise probabilities must lie in [0, 1]")
+            raise ValueError(f"noise probabilities p_false_positive and p_false_negative must "
+                             f"lie in [0, 1], got {self.p_false_positive} and "
+                             f"{self.p_false_negative}")
         if not 0.0 <= self.timing_jitter_sigma < math.inf:
             raise ValueError(f"timing_jitter_sigma must be non-negative and finite, "
                              f"got {self.timing_jitter_sigma}")
@@ -212,8 +225,8 @@ class SynthConfig:
             if not 1 <= getattr(self, name) <= 65535:   # code 0 means no return
                 raise ValueError(f"{name} must lie in 1..65535, got {getattr(self, name)}")
         if not (1 <= self.grid_width <= MAX_GRID_SIDE and 1 <= self.grid_height <= MAX_GRID_SIDE):
-            raise ValueError(f"grid sides must lie in 1..{MAX_GRID_SIDE}, "
-                             f"got {self.grid_width}x{self.grid_height}")
+            raise ValueError(f"grid sides grid_width and grid_height must lie in "
+                             f"1..{MAX_GRID_SIDE}, got {self.grid_width}x{self.grid_height}")
 
 
 def default_silhouettes(n_classes: int, seed: int = 0) -> list[np.ndarray]:
@@ -339,8 +352,6 @@ def synth_generate(config: SynthConfig) -> tuple[DatasetManifest, list[Recording
     Manifest paths are the file names a writer would use; pair with
     write_dataset() to put them on disk.
     """
-    if config.recordings_per_class < 1 or config.n_classes < 1:
-        raise ValueError("n_classes and recordings_per_class must be positive")
     shapes = config.target_shapes
     if shapes is None:
         shapes = default_silhouettes(config.n_classes, seed=config.seed)

@@ -69,28 +69,6 @@ class RfState:
     counter: int = 0
 
 
-def firstand_pulse_winner(frame_codes: np.ndarray, rf_origin: tuple[int, int]) -> int | None:
-    """Winning gate of one RF for one pulse, or None if no gate completes.
-
-    A gate completes iff all its GATE_TAPS saw a return (code > 0); its
-    firing time is the max tap code.  Earliest completion wins; ties go to
-    the lowest gate index (N > S > E > W priority).
-    """
-    r0, c0 = rf_origin
-    h, w = frame_codes.shape
-    if r0 < 0 or c0 < 0 or r0 + RF_SIDE > h or c0 + RF_SIDE > w:
-        raise ValueError(f"receptive field at {rf_origin} does not fit the frame")
-    best_gate, best_time = None, None
-    for g, taps in enumerate(GATE_TAPS):
-        codes = [int(frame_codes[r0 + dy, c0 + dx]) for dy, dx in taps]
-        if min(codes) == 0:
-            continue
-        t_fire = max(codes)
-        if best_time is None or t_fire < best_time:
-            best_gate, best_time = g, t_fire
-    return best_gate
-
-
 def firstand_rf_step(state: RfState, winner: int | None,
                      params: FirstAndParams) -> tuple[RfState, int | None]:
     """Advance one RF by one pulse; returns (new state, emitted feature id).
@@ -195,39 +173,6 @@ def firstand_convert(recording: Recording, params: FirstAndParams | None = None)
                                       cells // wr, cells % wr, feature[cells]))
 
     events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
-    return EventStream(kind=StreamKind.FIRST_AND, grid_width=wr, grid_height=hr, events=events)
-
-
-def firstand_convert_reference(recording: Recording,
-                               params: FirstAndParams | None = None) -> EventStream:
-    """Step-by-step scalar simulator built on the per-RF operations.
-
-    Exists as an independent cross-check for the vectorized converter; the
-    two must agree event for event.
-    """
-    params = params if params is not None else FirstAndParams()
-    hr = recording.height - RF_SIDE + 1
-    wr = recording.width - RF_SIDE + 1
-    states = {(r, c): RfState() for r in range(hr) for c in range(wr)}
-    rows, cols, pols, times = [], [], [], []
-    for k in range(recording.n_frames):
-        frame = recording.frames[k]
-        emitted = 0
-        for r in range(hr):
-            for c in range(wr):
-                winner = firstand_pulse_winner(frame, (r, c))
-                states[(r, c)], feature = firstand_rf_step(states[(r, c)], winner, params)
-                if feature is None:
-                    continue
-                emitted += 1
-                if params.fifo_capacity_per_pulse is not None and emitted > params.fifo_capacity_per_pulse:
-                    continue
-                rows.append(r)
-                cols.append(c)
-                pols.append(feature)
-                times.append(k * recording.pulse_period)
-    events = make_events(np.array(times, dtype=np.int64), rows, cols, pols) if rows \
-        else np.empty(0, dtype=EVENT_DTYPE)
     return EventStream(kind=StreamKind.FIRST_AND, grid_width=wr, grid_height=hr, events=events)
 
 

@@ -49,7 +49,7 @@ class FeastParams:
         if self.n_neurons < 1 or self.polarity_count < 1:
             raise ValueError("n_neurons and polarity_count must be positive")
         if self.roi_side % 2 != 1 or self.roi_side < 1:
-            raise ValueError(f"roi_side must be odd, got {self.roi_side}")
+            raise ValueError(f"roi_side must be odd and positive, got {self.roi_side}")
         if not 0.0 < self.mix_rate < 1.0:
             raise ValueError(f"mix_rate must lie strictly in (0, 1), got {self.mix_rate}")
         if not (0 < self.shrink_step < math.inf and 0 < self.grow_step < math.inf):

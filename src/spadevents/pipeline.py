@@ -12,6 +12,8 @@ randomness is the sole source of accuracy variance.
 
 from __future__ import annotations
 
+import math
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
@@ -37,12 +39,40 @@ FEATURE_MODES = ("raw", "random", "trained")
 FRAME_CODE_SCALE = 65535.0
 
 
+def build_from_keys(owner, params, keys: dict[str, str], **fixed):
+    """owner(**fixed), each field in keys set from the params attribute (the
+    config key) that keys maps it to.  The owner checks the values; its
+    refusal is re-raised naming the keys of the fields its message names.
+    """
+    try:
+        return owner(**fixed, **{name: getattr(params, key) for name, key in keys.items()})
+    except ValueError as exc:
+        named = dict.fromkeys(keys[word] for word in re.findall(r"\w+", str(exc)) if word in keys)
+        if not named:
+            raise
+        raise ValueError(f"{', '.join(named)}: {exc}") from None
+
+
+def check_at_least(params, lows: dict[str, int]) -> None:
+    """Refuse each attribute of params named in lows that lies below its low."""
+    for key, low in lows.items():
+        if getattr(params, key) < low:
+            raise ValueError(f"{key} must be at least {low}, got {getattr(params, key)}")
+
+
+# the FeastParams fields that config keys set
+_FEAST_KEYS = {"roi_side": "feast_roi_side", "mix_rate": "feast_mix_rate",
+               "shrink_step": "feast_shrink_step", "grow_step": "feast_grow_step", "seed": "seed"}
+
+
 @dataclass
 class PipelineParams:
     """Every setting a pipeline cell shares with the experiment config.
 
     Field names are the config keys, so an ExperimentConfig (a subclass)
-    can be passed wherever these settings are read.
+    can be passed wherever these settings are read.  Construction refuses
+    any value outside its domain; the First-AND and FEAST keys are checked
+    by FirstAndParams and FeastParams.
     """
 
     # frame-to-event conversion
@@ -76,6 +106,30 @@ class PipelineParams:
     activity_fraction: float = DEFAULT_ACTIVITY_FRACTION
     seed: int = 0
 
+    def __post_init__(self):
+        check_at_least(self, {"firstand_fifo_capacity": 0, "change_threshold": 1,
+                              "bi_count_threshold": 0, "feast_window_us": 1,
+                              "sample_every_frames": 1, "sample_every_firstand": 1,
+                              "sample_every_onoff": 1, "sample_every_oobu": 1, "seed": 0})
+        if self.uni_count_threshold < self.bi_count_threshold:
+            raise ValueError(f"uni_count_threshold must be at least bi_count_threshold, "
+                             f"got {self.uni_count_threshold} and {self.bi_count_threshold}")
+        if not 0 <= self.ridge_lambda < math.inf:
+            raise ValueError(f"ridge_lambda must be finite and non-negative, "
+                             f"got {self.ridge_lambda}")
+        if not 0 < self.train_fraction < 1:
+            raise ValueError(f"train_fraction must lie strictly between 0 and 1, "
+                             f"got {self.train_fraction}")
+        if not 0 <= self.activity_fraction <= 1:
+            raise ValueError(f"activity_fraction must lie in [0, 1], got {self.activity_fraction}")
+        self.firstand_params()
+        build_from_keys(FeastParams, self, _FEAST_KEYS, n_neurons=1, polarity_count=1)
+
+    def firstand_params(self) -> FirstAndParams:
+        return build_from_keys(FirstAndParams, self,
+                               {"success_threshold": "firstand_success_threshold"},
+                               fifo_capacity_per_pulse=self.firstand_fifo_capacity or None)
+
 
 def parallel_map(fn, items, jobs: int = 1) -> list:
     """Order-preserving map, optionally across processes (stream conversion).
@@ -96,12 +150,7 @@ def convert_recording(recording: Recording, kind: str,
                       params: PipelineParams | None = None) -> EventStream:
     p = params if params is not None else PipelineParams()
     if kind == "firstand":
-        if p.firstand_fifo_capacity < 0:
-            raise ValueError(f"firstand_fifo_capacity must be non-negative (0 = unlimited), "
-                             f"got {p.firstand_fifo_capacity}")
-        cap = p.firstand_fifo_capacity or None
-        return firstand_convert(recording, params=FirstAndParams(
-            success_threshold=p.firstand_success_threshold, fifo_capacity_per_pulse=cap))
+        return firstand_convert(recording, params=p.firstand_params())
     if kind == "onoff":
         return onoff_convert(recording, change_threshold=p.change_threshold,
                              on_is_increase=p.on_is_increase)
@@ -323,6 +372,7 @@ class PipelineSpec(PipelineParams):
     pool: PoolConfig = field(default_factory=PoolConfig)
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in KINDS:
             raise ValueError(f"unknown kind {self.kind!r} (expected one of {KINDS})")
         if self.feature_mode not in FEATURE_MODES:
@@ -336,9 +386,6 @@ class PipelineSpec(PipelineParams):
         # feature events carry the winning neuron as their polarity
         if self.feature_mode != "raw" and not 1 <= self.n_neurons <= POLARITY_LIMIT:
             raise ValueError(f"n_neurons must lie in 1..{POLARITY_LIMIT}, got {self.n_neurons}")
-        if self.effective_sample_every() < 1 or self.feast_window_us < 1:
-            raise ValueError(f"sample_every_{self.kind} and feast_window_us must be positive, "
-                             f"got {self.effective_sample_every()} and {self.feast_window_us}")
 
     def effective_sample_every(self) -> int:
         # feature streams emit one event per input event, so they inherit
@@ -346,10 +393,8 @@ class PipelineSpec(PipelineParams):
         return getattr(self, f"sample_every_{self.kind}")
 
     def feast_params(self, polarity_count: int) -> FeastParams:
-        return FeastParams(n_neurons=self.n_neurons, polarity_count=polarity_count,
-                           roi_side=self.feast_roi_side, mix_rate=self.feast_mix_rate,
-                           shrink_step=self.feast_shrink_step,
-                           grow_step=self.feast_grow_step, seed=self.seed)
+        return build_from_keys(FeastParams, self, _FEAST_KEYS, n_neurons=self.n_neurons,
+                               polarity_count=polarity_count)
 
 
 def trial_seeds(base_seed: int, n_trials: int) -> list[int]:

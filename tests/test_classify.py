@@ -42,8 +42,7 @@ class TestRegionSelection:
 
     def test_select_region_from_surface(self):
         surf = TimeSurface(12, 12, 2)
-        surf.update(4, 6, 0, 100)
-        surf.update(5, 6, 1, 100)
+        surf.update_many(make_events([100, 100], [6, 6], [4, 5], [0, 1]))
         region = region_from_activity(surf.binary(t_now=150, window_us=100).sum(axis=0))
         assert (region.x0, region.x1) == (4, 6)
         assert (region.y0, region.y1) == (6, 7)

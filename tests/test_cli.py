@@ -13,7 +13,7 @@ import pytest
 from spadevents import cli, feast, pipeline
 from spadevents.classify import PoolConfig
 from spadevents.cli import main
-from spadevents.config import make_config, parse_kv_text
+from spadevents.config import ExperimentConfig, make_config, parse_kv_text
 from spadevents.core import FormatError
 from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
                                load_recording, save_recording, synth_generate)
@@ -93,6 +93,33 @@ class TestConfig:
         assert rc == 1
         assert err.startswith("error:") and key in err
         assert not (tmp_path / "o").exists()
+
+    def test_n_classes_below_the_synthesized_classes_refused_without_a_manifest(self):
+        with pytest.raises(ValueError, match="n_classes 2 is fewer than the synth_classes 3"):
+            make_config(None, {"n_classes": "2", "synth_classes": "3"})
+        cfg = make_config(None, {"n_classes": "2", "synth_classes": "3", "manifest": "m.tsv"})
+        assert cfg.n_classes == 2
+        assert make_config(None, {"n_classes": "3", "synth_classes": "3"}).n_classes == 3
+
+    def test_n_classes_bounded_by_the_recording_class_field(self):
+        assert make_config(None, {"n_classes": "65536", "manifest": "m.tsv"}).n_classes == 65536
+        with pytest.raises(ValueError, match="n_classes must be at most 65536, .* got 65537"):
+            make_config(None, {"n_classes": "65537", "manifest": "m.tsv"})
+
+    def test_unparsable_value_names_its_key(self):
+        for key, text in (("jobs", "nan"), ("ridge_lambda", "x"), ("pool_sizes", "2,inf")):
+            with pytest.raises(ValueError, match=f"^{key}: expected"):
+                make_config(None, {key: text})
+
+    def test_owner_refusals_name_the_config_key(self):
+        for key, value, owner_words in (
+                ("feast_mix_rate", "2", "mix_rate must lie strictly in (0, 1)"),
+                ("firstand_success_threshold", "9", "success_threshold must lie in 1..7"),
+                ("synth_frames", "0", "frames_per_recording must be at least 1"),
+                ("synth_grid", "0", "grid sides")):
+            with pytest.raises(ValueError) as refused:
+                make_config(None, {key: value})
+            assert str(refused.value).startswith(f"{key}: ") and owner_words in str(refused.value)
 
 
 class TestSynthCommand:
@@ -711,15 +738,15 @@ class TestRunner:
 
     @pytest.mark.parametrize("command, flags, message", [
         (["evaluate", "--kind", "onoff"], ["--feast-window-us", "0"],
-         "sample_every_onoff and feast_window_us must be positive, got 74 and 0"),
+         "feast_window_us must be at least 1, got 0"),
         (["evaluate", "--kind", "onoff", "--feature-mode", "trained"],
          ["--sample-every-onoff", "0"],
-         "sample_every_onoff and feast_window_us must be positive, got 0 and 2000"),
+         "sample_every_onoff must be at least 1, got 0"),
         (["train-features", "--kind", "oobu"], ["--feast-window-us", "-1"],
-         "sample_every_oobu and feast_window_us must be positive, got 201 and -1"),
+         "feast_window_us must be at least 1, got -1"),
         (["sweep", "--kinds", "frames,firstand", "--feature-modes", "raw"],
          ["--sample-every-firstand", "0"],
-         "sample_every_firstand and feast_window_us must be positive, got 0 and 2000")],
+         "sample_every_firstand must be at least 1, got 0")],
         ids=["evaluate-window", "evaluate-cadence", "train-features-window", "sweep-cadence"])
     def test_cadence_and_window_refused_before_converting(
             self, command, flags, message, tmp_path, capsys, monkeypatch):
@@ -764,6 +791,63 @@ class TestRunner:
         assert rc == 1
         assert err.startswith("error:") and name in err
         assert not (tmp_path / "ds").exists()
+
+
+class LoadReached(Exception):
+    """Raised by a patched load_dataset: the run got past its config."""
+
+
+_DEFAULTS = ExperimentConfig()
+# every int and float key, and the integer sweep axes
+NUMERIC_KEYS = [f.name for f in fields(ExperimentConfig)
+                if type(getattr(_DEFAULTS, f.name)) in (int, float)
+                or type(getattr(_DEFAULTS, f.name)) is list
+                and all(type(v) is int for v in getattr(_DEFAULTS, f.name))]
+EDGE_VALUES = ["nan", "inf", "-1", "0", "70000"]
+# values that used to pass config construction and be refused, if at all, only
+# once data was synthesized or converted
+PROBED = [("ridge_lambda", "-1"), ("ridge_lambda", "nan"), ("activity_fraction", "2"),
+          ("train_fraction", "1.5"), ("change_threshold", "0"), ("bi_count_threshold", "5"),
+          ("firstand_success_threshold", "9"), ("firstand_fifo_capacity", "-1"),
+          ("feast_roi_side", "4"), ("feast_mix_rate", "2"), ("feast_shrink_step", "0"),
+          ("synth_frames", "0"), ("synth_grid", "0"), ("synth_classes", "0"),
+          ("synth_target_depth", "0"), ("synth_speed", "-1")]
+
+
+@pytest.mark.parametrize("key, value", sorted(
+    {(key, value) for key in NUMERIC_KEYS for value in EDGE_VALUES} | set(PROBED)),
+    ids=lambda item: item)
+def test_numeric_setting_refused_before_loading_or_accepted(key, value, tmp_path, capsys,
+                                                            monkeypatch):
+    """Each value either reaches load_dataset (patched here, so no data is made and no
+    worker starts, even at jobs 70000) or exits 1 naming its key, leaving no output."""
+    def load_dataset(cfg):
+        raise LoadReached
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    out = tmp_path / "o"
+    try:
+        rc = main(["evaluate", "--kind", "oobu", "--feature-mode", "trained",
+                   f"--{key.replace('_', '-')}={value}", "--out", str(out)])
+    except LoadReached:
+        rc = None
+    err = capsys.readouterr().err
+    if value in ("nan", "inf") or (key, value) in PROBED:
+        assert rc == 1, (key, value)
+    if rc is not None:
+        assert rc == 1 and err.startswith("error:") and key in err, (key, value, err)
+    assert not out.exists() and not out.with_name("o.partial").exists()
+
+
+def test_memory_error_is_reported_and_leaves_no_output(tmp_path, capsys, monkeypatch):
+    def run_pipeline(*args, **kwargs):
+        raise MemoryError("Unable to allocate 36.5 GiB for an array with shape (70000, 70000)")
+    monkeypatch.setattr(cli, "run_pipeline", run_pipeline)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--kind", "onoff", "--n-trials", "1", "--out", str(out),
+                 *SMALL]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Unable to allocate 36.5 GiB" in err
+    assert not out.exists() and not out.with_name("o.partial").exists()
 
 
 # The pinned config: synth 3 classes x 3 recordings x 30 frames of 16x16 at

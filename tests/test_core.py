@@ -185,7 +185,7 @@ class TestDomainTypes:
 class TestTimeSurface:
     def test_single_update(self):
         surf = TimeSurface(8, 8, 2)
-        surf.update(x=3, y=4, polarity=1, t=100)
+        surf.update_many(make_events([100], [4], [3], [1]))
         last = surf.last_t
         assert last[1, 4, 3] == 100
         mask = last != NEVER
@@ -193,14 +193,14 @@ class TestTimeSurface:
 
     def test_overwrite_same_cell(self):
         surf = TimeSurface(8, 8, 2)
-        surf.update(3, 4, 1, 100)
-        surf.update(3, 4, 1, 200)
+        surf.update_many(make_events([100], [4], [3], [1]))
+        surf.update_many(make_events([200], [4], [3], [1]))
         assert surf.last_t[1, 4, 3] == 200
 
     def test_window_boundary_is_strict(self):
         # age exactly equal to the window reads 0
         surf = TimeSurface(4, 4, 1)
-        surf.update(1, 1, 0, 100)
+        surf.update_many(make_events([100], [1], [1], [0]))
         assert surf.binary(t_now=2100, window_us=2000)[0, 1, 1] == 0
         assert surf.binary(t_now=2099, window_us=2000)[0, 1, 1] == 1
 
@@ -211,9 +211,9 @@ class TestTimeSurface:
     def test_out_of_grid_update_rejected(self):
         surf = TimeSurface(4, 4, 2)
         with pytest.raises(ValueError):
-            surf.update(4, 0, 0, 1)
+            surf.update_many(make_events([1], [0], [4], [0]))
         with pytest.raises(ValueError):
-            surf.update(0, 0, 2, 1)
+            surf.update_many(make_events([1], [0], [0], [2]))
 
     def test_roi_zero_padding_at_corner(self):
         stream = one_polarity_stream([10, 20], [0, 0], [0, 0], grid=8)
@@ -242,7 +242,7 @@ class TestTimeSurface:
 
     def test_readout_is_pure(self):
         surf = TimeSurface(6, 6, 2)
-        surf.update(2, 3, 0, 5)
+        surf.update_many(make_events([5], [3], [2], [0]))
         before = surf.last_t.copy()
         surf.binary(100, 50)
         assert np.array_equal(surf.last_t, before)
@@ -260,6 +260,6 @@ class TestTimeSurface:
         a = TimeSurface(6, 6, 2)
         b = TimeSurface(6, 6, 2)
         a.update_many(ev)
-        for e in ev:
-            b.update(int(e["x"]), int(e["y"]), int(e["p"]), int(e["t"]))
+        for e in ev:   # one event at a time, the later write to a cell winning
+            b.last_t[e["p"], e["y"], e["x"]] = e["t"]
         assert np.array_equal(a.last_t, b.last_t)

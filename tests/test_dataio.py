@@ -246,6 +246,15 @@ class TestSynth:
         ("distractor_depth_code", 65536, "distractor_depth_code"),
         ("grid_width", 100000, "grid sides"),
         ("grid_height", 65536, "grid sides"),
+        ("n_classes", 0, "n_classes"),
+        ("n_classes", 65537, "n_classes"),
+        ("recordings_per_class", 0, "recordings_per_class"),
+        ("frames_per_recording", 0, "frames_per_recording"),
+        ("target_speed", -0.5, "target_speed"),
+        ("target_speed", float("nan"), "target_speed"),
+        ("target_speed", float("inf"), "target_speed"),
+        ("p_false_positive", 1.5, "p_false_positive"),
+        ("p_false_negative", float("nan"), "p_false_negative"),
     ])
     def test_out_of_domain_value_refused(self, field, value, match):
         with pytest.raises(ValueError, match=match):

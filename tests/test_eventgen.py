@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
-                             Recording, StreamKind, TruncatedError, make_events)
-from spadevents.eventgen import (GATE_TAPS, FirstAndParams, RfState,
+from spadevents.core import (EVENT_DTYPE, BadMagicError, DimensionError, EventStream,
+                             FormatError, Recording, StreamKind, TruncatedError, make_events)
+from spadevents.eventgen import (GATE_TAPS, RF_SIDE, FirstAndParams, RfState,
                                  best_two_threshold_split, count_ratio_demo, datarate_stats,
-                                 firstand_convert, firstand_convert_reference,
-                                 firstand_pulse_winner, firstand_rf_step,
+                                 firstand_convert, firstand_rf_step,
                                  firstand_winner_maps, onoff_convert, oobu_convert,
                                  polarity_count_ratio, read_stream, write_stream)
 
@@ -37,6 +36,60 @@ def brute_force_winner(frame, rf_origin):
 def recording_from(frames, pulse_period=10, class_id=0):
     return Recording(frames=np.asarray(frames, dtype=np.uint16),
                      pulse_period=pulse_period, class_id=class_id, recording_id="t")
+
+
+# The scalar First-AND simulator: the oracle that the vectorized converter
+# (winner maps and the tabulated counter) must match event for event.
+
+def firstand_pulse_winner(frame_codes, rf_origin):
+    """Winning gate of one RF for one pulse, or None if no gate completes.
+
+    A gate completes iff all its GATE_TAPS saw a return (code > 0); its
+    firing time is the max tap code.  Earliest completion wins; ties go to
+    the lowest gate index (N > S > E > W priority).
+    """
+    r0, c0 = rf_origin
+    h, w = frame_codes.shape
+    if r0 < 0 or c0 < 0 or r0 + RF_SIDE > h or c0 + RF_SIDE > w:
+        raise ValueError(f"receptive field at {rf_origin} does not fit the frame")
+    best_gate, best_time = None, None
+    for g, taps in enumerate(GATE_TAPS):
+        codes = [int(frame_codes[r0 + dy, c0 + dx]) for dy, dx in taps]
+        if min(codes) == 0:
+            continue
+        t_fire = max(codes)
+        if best_time is None or t_fire < best_time:
+            best_gate, best_time = g, t_fire
+    return best_gate
+
+
+def firstand_convert_reference(recording, params=None):
+    """Every RF stepped pulse by pulse through firstand_rf_step, in arbiter order."""
+    params = params if params is not None else FirstAndParams()
+    hr = recording.height - RF_SIDE + 1
+    wr = recording.width - RF_SIDE + 1
+    states = {(r, c): RfState() for r in range(hr) for c in range(wr)}
+    rows, cols, pols, times = [], [], [], []
+    for k in range(recording.n_frames):
+        frame = recording.frames[k]
+        emitted = 0
+        for r in range(hr):
+            for c in range(wr):
+                winner = firstand_pulse_winner(frame, (r, c))
+                states[(r, c)], feature = firstand_rf_step(states[(r, c)], winner, params)
+                if feature is None:
+                    continue
+                emitted += 1
+                cap = params.fifo_capacity_per_pulse
+                if cap is not None and emitted > cap:
+                    continue
+                rows.append(r)
+                cols.append(c)
+                pols.append(feature)
+                times.append(k * recording.pulse_period)
+    events = make_events(np.array(times, dtype=np.int64), rows, cols, pols) if rows \
+        else np.empty(0, dtype=EVENT_DTYPE)
+    return EventStream(kind=StreamKind.FIRST_AND, grid_width=wr, grid_height=hr, events=events)
 
 
 def oobu_convert_reference(recording, change_threshold=2, uni_count_threshold=2,

@@ -31,10 +31,10 @@ def reference_rois(stream, side, window_us, inclusive):
     for i, e in enumerate(stream.events):
         x, y, p, t = int(e["x"]), int(e["y"]), int(e["p"]), int(e["t"])
         if inclusive:
-            surface.update(x, y, p, t)
+            surface.last_t[p, y, x] = t
         rows[i] = reference_roi(surface, x, y, side, t, window_us)
         if not inclusive:
-            surface.update(x, y, p, t)
+            surface.last_t[p, y, x] = t
     return rows
 
 
