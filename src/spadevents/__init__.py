@@ -8,7 +8,7 @@ baseline, reporting accuracy and data-rate reduction.
 
 __version__ = "0.1.0"
 
-from .core import EventStream, Recording, StreamKind, TimeSurface
+from .core import EventStream, Recording, StreamKind
 from .dataio import (DatasetManifest, SynthConfig, augment, load_manifest, load_recording,
                      save_manifest, save_recording, split_indices, synth_generate)
 from .eventgen import (FirstAndParams, count_ratio_demo, datarate_stats,
@@ -16,19 +16,19 @@ from .eventgen import (FirstAndParams, count_ratio_demo, datarate_stats,
                        write_stream)
 from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                     feast_infer, feast_train, load_features, save_features)
-from .classify import (EvalReport, PoolConfig, pool_1d, pool_2d, predict_batch,
-                       region_from_activity, train_classifier)
+from .classify import (EvalReport, PoolConfig, predict_batch, region_from_activity,
+                       train_classifier)
 from .pipeline import PipelineParams, PipelineSpec, run_pipeline
 
 __all__ = [
-    "EventStream", "Recording", "StreamKind", "TimeSurface",
+    "EventStream", "Recording", "StreamKind",
     "DatasetManifest", "SynthConfig", "augment", "load_manifest", "load_recording",
     "save_manifest", "save_recording", "split_indices", "synth_generate",
     "FirstAndParams", "count_ratio_demo", "datarate_stats",
     "firstand_convert", "onoff_convert", "oobu_convert", "read_stream", "write_stream",
     "BinaryFeatureSet", "ContinuousFeatureSet", "FeastParams", "binarize",
     "feast_infer", "feast_train", "load_features", "save_features",
-    "EvalReport", "PoolConfig", "pool_1d", "pool_2d", "predict_batch",
+    "EvalReport", "PoolConfig", "predict_batch",
     "region_from_activity", "train_classifier",
     "PipelineParams", "PipelineSpec", "run_pipeline",
 ]

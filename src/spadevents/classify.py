@@ -98,9 +98,8 @@ def _bilinear_coords(length, target: int) -> np.ndarray:
     return np.arange(target, dtype=np.float64) * (length - 1) / (target - 1)
 
 
-# The two pooling kernels take regions of any shape, one per row.  pool_1d
-# and pool_2d call them on a stack of one shape; sample building on every
-# instant's region at once.
+# The two pooling kernels take regions of any shape, one per row: sample
+# building pools every instant's region at once.
 def marginal_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Column sums (..., C, Ax) and row sums (..., C, Ay) of (..., C, Ay, Ax)
     regions, in float64."""
@@ -144,45 +143,6 @@ def bilinear_pool_rows(values: np.ndarray, starts: np.ndarray, shapes: np.ndarra
     upper = values[top + left] * (1 - fx) + values[top + right] * fx
     lower = values[bottom + left] * (1 - fx) + values[bottom + right] * fx
     return (upper * (1 - fy) + lower * fy).reshape(len(shapes), channels * size * size)
-
-
-# pool_1d and pool_2d take (..., C, Ay, Ax) regions: any leading axes batch
-# regions of one shape into rows of the result.
-def _check_regions(values: np.ndarray) -> None:
-    if values.ndim < 3 or values.shape[-2] < 1 or values.shape[-1] < 1:
-        raise ValueError(f"pooling needs (..., channels, rows, cols) with a non-empty region, "
-                         f"got shape {values.shape}")
-
-
-def _uniform_shapes(values: np.ndarray) -> np.ndarray:
-    n = int(np.prod(values.shape[:-3], dtype=np.int64))
-    return np.tile(np.array(values.shape[-2:], dtype=np.int32), (n, 1))
-
-
-def pool_1d(values: np.ndarray, size: int) -> np.ndarray:
-    """Row+column marginal pooling: per channel [resampled column sums,
-    resampled row sums], channels concatenated.  values is (..., C, Ay, Ax)."""
-    _check_regions(values)
-    col_sums, row_sums = (sums.reshape(-1, *sums.shape[-2:]) for sums in marginal_sums(values))
-    out = zoh_pool_rows(col_sums, row_sums, _uniform_shapes(values), size)
-    return out.reshape(*values.shape[:-3], out.shape[1])
-
-
-def pool_2d(values: np.ndarray, size: int) -> np.ndarray:
-    """Bilinear resize of each channel to size x size, flattened row-major
-    and concatenated across channels.  values is (..., C, Ay, Ax)."""
-    _check_regions(values)
-    shapes = _uniform_shapes(values)
-    region = int(np.prod(values.shape[-3:]))
-    out = bilinear_pool_rows(values.reshape(-1), np.arange(len(shapes)) * region, shapes,
-                             values.shape[-3], size)
-    return out.reshape(*values.shape[:-3], out.shape[1])
-
-
-def pool(values: np.ndarray, config: PoolConfig) -> np.ndarray:
-    if config.method == "1d":
-        return pool_1d(values, config.size)
-    return pool_2d(values, config.size)
 
 
 # ---------------------------------------------------------------------------
@@ -395,6 +355,9 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
 
     for seed in seeds:
         train_recs, test_recs = split_indices(samples.n_recordings, train_fraction, seed)
+        if not len(test_recs):
+            raise ValueError(f"trial seed {seed}: its test split holds none of the "
+                             f"{samples.n_recordings} recordings")
         train_mask = np.isin(rec_of_sample, train_recs)
         if not train_mask.any():
             raise ValueError(f"trial seed {seed}: its training split holds 0 of the "

@@ -227,6 +227,15 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path):
             f"per-recording {report.per_recording_mean:.4f} +/- {report.per_recording_std:.4f}")
 
 
+def sweep_plan(cfg: ExperimentConfig) -> list[tuple[str, list[PipelineSpec]]]:
+    """Each kind of the config with the spec of each of its (feature mode, N)
+    cells, in cell order; building them checks every cell."""
+    return [(kind, [pipeline_spec_from(cfg, kind, mode, n_neurons)
+                    for mode in (("raw",) if kind == "frames" else cfg.feature_modes)
+                    for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)])
+            for kind in cfg.kinds]
+
+
 def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
                 ) -> list[tuple[tuple, EvalReport]]:
     """(cell key, report) for every (kind, feature mode, N, L, method) cell of
@@ -240,11 +249,7 @@ def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
     """
     seeds = trial_seeds(cfg.seed, cfg.n_trials)
     labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    # every cell's spec is built, and so checked, before any work
-    plan = [(kind, [pipeline_spec_from(cfg, kind, mode, n_neurons)
-                    for mode in (("raw",) if kind == "frames" else cfg.feature_modes)
-                    for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)])
-            for kind in cfg.kinds]
+    plan = sweep_plan(cfg)
     cells = []
     for kind, bases in plan:
         streams = rois = None
@@ -284,6 +289,7 @@ def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None
 
 
 def cmd_sweep(args, cfg: ExperimentConfig, out: Path):
+    sweep_plan(cfg)   # every cell's spec is checked before any data is loaded
     recordings, n_classes = load_dataset(cfg)
     cells = sweep_cells(recordings, n_classes, cfg)
     n_rows = sum(report.n_trials for _, report in cells)

@@ -18,8 +18,8 @@ import numpy as np
 # Laser pulsed at 100 kHz -> 10 us between depth frames.
 DEFAULT_PULSE_PERIOD_US = 10
 
-# last-event timestamp for cells that have never fired.  Large negative
-# (not int64 min) so that `t_now - NEVER` cannot overflow for any sane t_now.
+# last-event timestamp for cells that have never fired: below any real time,
+# and surface_lit reads it as unlit however wide the window.
 NEVER = -(1 << 62)
 
 # Packed event record: time in microseconds, grid location, polarity.
@@ -272,37 +272,9 @@ def decode_aer_array(words) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 # ---------------------------------------------------------------------------
 
 
-class TimeSurface:
-    """Per-polarity grid of last-event timestamps with a binary readout.
-
-    A cell reads 1 at time t_now iff it has ever fired and its age
-    (t_now - last_t) is strictly below the window.  Reads never mutate
-    the surface.  Updates must be serialized by the caller (single writer).
-    """
-
-    def __init__(self, grid_width: int, grid_height: int, polarity_count: int):
-        if grid_width < 1 or grid_height < 1 or polarity_count < 1:
-            raise ValueError("surface dimensions must be positive")
-        self.grid_width = grid_width
-        self.grid_height = grid_height
-        self.polarity_count = polarity_count
-        # last-event timestamps, shape (P, H, W); NEVER where unfired
-        self.last_t = np.full((polarity_count, grid_height, grid_width), NEVER, dtype=np.int64)
-
-    def update_many(self, events: np.ndarray) -> None:
-        """Apply a time-sorted batch of events.
-
-        Duplicate cells within the batch resolve to the latest entry, which
-        matches sequential application because the batch is time-sorted.
-        """
-        if len(events) == 0:
-            return
-        if (events["x"].max() >= self.grid_width or events["y"].max() >= self.grid_height
-                or events["p"].max() >= self.polarity_count):
-            raise ValueError("event batch falls outside the surface")
-        self.last_t[events["p"], events["y"], events["x"]] = events["t"]
-
-    def binary(self, t_now: int, window_us: int) -> np.ndarray:
-        """Full-grid binary readout, shape (P, H, W) uint8."""
-        last = self.last_t
-        return (((t_now - last) < window_us) & (last != NEVER)).astype(np.uint8)
+def surface_lit(last_t: np.ndarray, t_now: int, window_us: int) -> np.ndarray:
+    """The binary time surface at t_now, as bools, from last-event times
+    (NEVER where a cell has not fired).  A cell is lit if it has fired and
+    its age t_now - last_t is strictly below window_us."""
+    # age < window  <=>  last_t > t_now - window; NEVER itself is never lit
+    return last_t > max(t_now - window_us, NEVER)

@@ -185,6 +185,10 @@ def augment(recordings: list[Recording]) -> list[Recording]:
 # ---------------------------------------------------------------------------
 
 
+# side of the square default_silhouettes masks
+DEFAULT_SILHOUETTE_SIDE = 12
+
+
 @dataclass
 class SynthConfig:
     n_classes: int = 5
@@ -227,6 +231,12 @@ class SynthConfig:
         if not (1 <= self.grid_width <= MAX_GRID_SIDE and 1 <= self.grid_height <= MAX_GRID_SIDE):
             raise ValueError(f"grid sides grid_width and grid_height must lie in "
                              f"1..{MAX_GRID_SIDE}, got {self.grid_width}x{self.grid_height}")
+        side = DEFAULT_SILHOUETTE_SIDE
+        for sh, sw in ([(side, side)] if self.target_shapes is None
+                       else [shape.shape for shape in self.target_shapes]):
+            if sh > self.grid_height or sw > self.grid_width:
+                raise ValueError(f"silhouette {sh}x{sw} larger than grid_height x grid_width "
+                                 f"{self.grid_height}x{self.grid_width}")
 
 
 def default_silhouettes(n_classes: int, seed: int = 0) -> list[np.ndarray]:
@@ -237,7 +247,7 @@ def default_silhouettes(n_classes: int, seed: int = 0) -> list[np.ndarray]:
     canonical (bars, ring, X, double bar); further classes get random blobs
     of the same area.
     """
-    side = 12
+    side = DEFAULT_SILHOUETTE_SIDE
     area = 24
     shapes = []
 

@@ -32,7 +32,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (NEVER, EventStream, FormatError, StreamKind, make_events, read_framed,
-                   write_framed)
+                   surface_lit, write_framed)
 
 
 @dataclass
@@ -126,7 +126,7 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray
 
     The ROI is the binary time surface at event i's time t, read over the
     roi_side x roi_side window centered on the event; cells off the grid
-    read 0.  A cell is lit when its last event is younger than window_us.
+    read 0.  Cells are lit as surface_lit reads them at t.
     The read is exclusive: the surface holds events 0..i-1.  An inclusive
     read (events 0..i) differs only in event i's own cell, the window's
     center in its polarity, which it always lights.
@@ -161,8 +161,7 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray
         cells = (ps[a:b], y + r, x + r)
         index = np.arange(a, b)
         np.minimum.at(first, cells, index)
-        # age < window  <=>  last > t - window; NEVER itself is never lit
-        lit = last_windows[:, y, x] > max(t - window_us, NEVER)
+        lit = surface_lit(last_windows[:, y, x], t, window_us)
         lit |= first_windows[:, y, x] < index[:, None, None]
         out[a:b] = lit.transpose(1, 0, 2, 3).reshape(b - a, -1)
         last[cells] = t

@@ -24,7 +24,7 @@ import numpy as np
 from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
                        EvalReport, bilinear_pool_rows, event_sample_indices, frame_sample_times,
                        evaluate_samples, marginal_sums, region_from_activity, zoh_pool_rows)
-from .core import POLARITY_LIMIT, EventStream, Recording, TimeSurface
+from .core import NEVER, POLARITY_LIMIT, EventStream, Recording, surface_lit
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
 from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize, event_rois,
@@ -217,13 +217,17 @@ def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet
 def _stream_states(stream: EventStream, indices: np.ndarray, window_us: int):
     """(binary surface, activity) at each sampled event index, the surface
     replayed up to and including that event."""
-    surface = TimeSurface(stream.grid_width, stream.grid_height, stream.polarity_count)
+    last_t = np.full((stream.polarity_count, stream.grid_height, stream.grid_width), NEVER,
+                     dtype=np.int64)
     ev = stream.events
     done = 0
     for idx in indices:
-        surface.update_many(ev[done:idx + 1])
+        # one write per stretch: the stretch is time-sorted, so a cell's
+        # latest event lands last
+        stretch = ev[done:idx + 1]
+        last_t[stretch["p"], stretch["y"], stretch["x"]] = stretch["t"]
         done = idx + 1
-        grid = surface.binary(int(ev["t"][idx]), window_us)
+        grid = surface_lit(last_t, int(ev["t"][idx]), window_us).view(np.uint8)
         yield grid, grid.sum(axis=0)
 
 
@@ -271,7 +275,7 @@ class SampleRegions:
     @cached_property
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Every crop's column sums (n, C, max Ax) and row sums (n, C, max Ay),
-        zero-padded; taken once, per crop shape as pool_1d takes them, and
+        zero-padded; taken once, per crop shape with marginal_sums, and
         kept as int32 for binary crops."""
         n, channels = len(self.shapes), self.channels
         height, width = self.shapes.max(axis=0, initial=0)
@@ -411,18 +415,27 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     group.  Trained feature layers learn from the first trial's training
     split and stay frozen for the remaining trials, unless retrain_per_trial
     is set: then every trial trains its own features and gets its own group.
-    The recordings are converted in-process when streams are not given.
+    The recordings are converted in-process when streams are not given.  A
+    cadence longer than every source (frames, or events) is refused before
+    any feature training.
     Feature layers read the streams' ROIs from rois (feature_rois of the
     streams), extracted here when not given; every group and split shares
     them.  Regions are selected here; pooling does not enter, so one call
     serves every pooling cell.
     """
-    select = partial(select_regions, sample_every=spec.effective_sample_every(),
-                     window_us=spec.feast_window_us, activity_fraction=spec.activity_fraction)
-    if spec.kind == "frames":
-        return [(seeds, select(recordings))]
-    if streams is None:
+    every = spec.effective_sample_every()
+    select = partial(select_regions, sample_every=every, window_us=spec.feast_window_us,
+                     activity_fraction=spec.activity_fraction)
+    frames = spec.kind == "frames"
+    if not frames and streams is None:
         streams = convert_all(recordings, spec.kind, spec)
+    lengths = [rec.n_frames for rec in recordings] if frames else [len(s) for s in streams]
+    if max(lengths, default=every) < every:
+        raise ValueError(f"sample_every_{spec.kind} = {every} gives no classification instant: "
+                         f"the longest source holds {max(lengths)} "
+                         f"{'frames' if frames else 'events'}")
+    if frames:
+        return [(seeds, select(recordings))]
     if spec.feature_mode == "raw":
         return [(seeds, select(streams))]
     if rois is None:

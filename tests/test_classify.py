@@ -6,12 +6,35 @@ import numpy as np
 import pytest
 
 from spadevents.classify import (PoolConfig, Region, RidgeAccumulator,
-                                 SampleSet, TrialResult, evaluate_samples, event_sample_indices,
-                                 frame_sample_times, one_hot, pool,
-                                 pool_1d, pool_2d, predict_batch, region_from_activity,
-                                 train_classifier, zoh_indices, TRIAL_COLUMNS)
-from spadevents.core import TimeSurface, make_events
+                                 SampleSet, TrialResult, bilinear_pool_rows, evaluate_samples,
+                                 event_sample_indices, frame_sample_times, marginal_sums, one_hot,
+                                 predict_batch, region_from_activity, train_classifier,
+                                 zoh_indices, zoh_pool_rows, TRIAL_COLUMNS)
+from spadevents.core import make_events
 from spadevents.dataio import split_indices
+from test_core import ReferenceSurface
+
+
+def pool_stack(values, method, size):
+    """The row kernels on regions of one shape: (..., C, Ay, Ax) in, one
+    pooled row per region out."""
+    channels, ay, ax = values.shape[-3:]
+    stack = values.reshape(-1, channels, ay, ax)
+    shapes = np.tile(np.array([ay, ax], dtype=np.int32), (len(stack), 1))
+    if method == "1d":
+        out = zoh_pool_rows(*marginal_sums(stack), shapes, size)
+    else:
+        out = bilinear_pool_rows(stack.reshape(-1), np.arange(len(stack)) * (channels * ay * ax),
+                                 shapes, channels, size)
+    return out.reshape(*values.shape[:-3], -1)
+
+
+def pool_1d(values, size):
+    return pool_stack(values, "1d", size)
+
+
+def pool_2d(values, size):
+    return pool_stack(values, "2d", size)
 
 
 class TestRegionSelection:
@@ -41,8 +64,8 @@ class TestRegionSelection:
         assert (region.y0, region.y1) == (5, 6)
 
     def test_select_region_from_surface(self):
-        surf = TimeSurface(12, 12, 2)
-        surf.update_many(make_events([100, 100], [6, 6], [4, 5], [0, 1]))
+        surf = ReferenceSurface(2, 12, 12)
+        surf.write(make_events([100, 100], [6, 6], [4, 5], [0, 1]))
         region = region_from_activity(surf.binary(t_now=150, window_us=100).sum(axis=0))
         assert (region.x0, region.x1) == (4, 6)
         assert (region.y0, region.y1) == (6, 7)
@@ -122,11 +145,6 @@ class TestPool2d:
         assert len(pool_2d(values, 12)) == 4 * 144
         assert PoolConfig(method="2d", size=12).vector_length(4) == 576
 
-    def test_pool_dispatch(self):
-        values = np.ones((1, 4, 4))
-        assert len(pool(values, PoolConfig(method="1d", size=2))) == 4
-        assert len(pool(values, PoolConfig(method="2d", size=2))) == 4
-
 
 def oracle_pool_1d(values, size):
     """pool_1d as it stood before the pooling kernels took regions of any shape."""
@@ -198,33 +216,10 @@ class TestBatchedPooling:
                 for size in self.SIZES + [37]:
                     config = PoolConfig(method=method, size=size)
                     for values in (views, views[0]):
-                        out = pool(values, config)
+                        out = pool_stack(values, method, size)
                         expect = oracle_pool(values, config)
                         assert out.dtype == expect.dtype and out.shape == expect.shape
                         assert out.tobytes() == expect.tobytes(), (ay, ax, size, values.dtype)
-
-    @pytest.mark.parametrize("method", ["1d", "2d"])
-    def test_several_leading_axes(self, method):
-        rng = np.random.default_rng(5)
-        binary, frame_views = self.crops(rng, 2, 5, 7, n=6)
-        config = PoolConfig(method=method, size=4)
-        for views in (binary, frame_views):
-            out = pool(np.ascontiguousarray(views).reshape(2, 3, 2, 5, 7), config)
-            assert out.shape == (2, 3, config.vector_length(2))
-            assert np.array_equal(out.reshape(6, -1), [pool(crop, config) for crop in views])
-
-    @pytest.mark.parametrize("method", ["1d", "2d"])
-    def test_empty_stack_gives_zero_rows(self, method):
-        config = PoolConfig(method=method, size=3)
-        for values in (np.zeros((0, 2, 5, 7)), np.zeros((2, 0, 2, 5, 7), dtype=np.uint8)):
-            out = pool(values, config)
-            assert out.shape == (*values.shape[:-3], config.vector_length(2))
-
-    @pytest.mark.parametrize("pool_fn", [pool_1d, pool_2d])
-    @pytest.mark.parametrize("shape", [(4, 4), (3, 0, 4), (2, 3, 4, 0)])
-    def test_empty_or_flat_regions_rejected(self, pool_fn, shape):
-        with pytest.raises(ValueError, match="non-empty region"):
-            pool_fn(np.ones(shape), 2)
 
 
 class TestSamplingCadence:
@@ -481,6 +476,13 @@ class TestEvaluate:
                             recording_index=rec_index, recording_labels=labels)
         with pytest.raises(ValueError, match=f"trial seed 7: .* 0 of the {len(rec_index)} "):
             evaluate_samples(samples, n_classes=2, seeds=[7])
+
+    def test_trial_without_test_recording_named(self):
+        zeros = np.zeros(3, dtype=np.int64)
+        samples = SampleSet(features=np.ones((3, 4)), labels=zeros, recording_index=zeros,
+                            recording_labels=zeros[:1])
+        with pytest.raises(ValueError, match="trial seed 4: its test split holds none of the 1 "):
+            evaluate_samples(samples, n_classes=1, seeds=[4])
 
     def test_chance_floor_random_labels(self):
         rng = np.random.default_rng(13)

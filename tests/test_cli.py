@@ -16,7 +16,7 @@ from spadevents.cli import main
 from spadevents.config import ExperimentConfig, make_config, parse_kv_text
 from spadevents.core import FormatError
 from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
-                               load_recording, save_recording, synth_generate)
+                               load_recording, save_recording, split_indices, synth_generate)
 from spadevents.eventgen import onoff_convert, oobu_convert, read_stream, write_stream
 from spadevents.feast import event_rois, load_features
 from spadevents.pipeline import PipelineParams, PipelineSpec, run_pipeline, trial_seeds
@@ -415,15 +415,36 @@ class TestEvaluateCommand:
         assert not (tmp_path / "eval").exists()
 
     def test_trial_without_training_samples_is_an_error(self, tmp_path, capsys):
-        # 30-frame recordings give no instant at one every 40 frames
+        # at one instant every 40 frames only the 50-frame recording, seed
+        # 13's test recording, gives an instant; the 30-frame one gives none
+        _, recordings = synth_generate(SynthConfig(n_classes=2, recordings_per_class=1,
+                                                   frames_per_recording=50, grid_width=16,
+                                                   grid_height=16, seed=3))
+        train, _ = split_indices(2, 0.9, 13)
+        recordings[train[0]].frames = recordings[train[0]].frames[:30]
+        lines = []
+        for rec in recordings:
+            save_recording(rec, tmp_path / f"{rec.recording_id}.spdrec")
+            lines.append(f"{rec.recording_id}.spdrec\t{rec.class_id}\t{rec.recording_id}\n")
+        (tmp_path / "manifest.tsv").write_text("".join(lines))
         rc = main(["evaluate", "--kind", "frames", "--n-trials", "1", "--seed", "13",
-                   "--sample-every-frames", "40", "--synth-classes", "2",
-                   "--synth-recordings-per-class", "3", "--synth-frames", "30",
-                   "--synth-grid", "16", "--out", str(tmp_path / "eval")])
+                   "--sample-every-frames", "40", "--manifest", str(tmp_path / "manifest.tsv"),
+                   "--out", str(tmp_path / "eval")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error:") and "trial seed 13:" in err and "0 of the 0" in err
+        assert err.startswith("error:") and "trial seed 13:" in err and "0 of the 1" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_trial_without_test_recording_is_an_error(self, tmp_path, capsys):
+        # one recording: the split keeps it for training and tests on nothing
+        rc = main(["evaluate", "--kind", "onoff", "--n-trials", "1", "--seed", "13",
+                   "--synth-classes", "1", "--synth-recordings-per-class", "1",
+                   "--synth-frames", "30", "--synth-grid", "16", "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error:") and "trial seed 13: its test split holds none" in err
+        assert not (tmp_path / "eval").exists()
+        assert not (tmp_path / "eval.partial").exists()
 
     def test_class_id_beyond_recording_format_is_an_error(self, dataset_dir, tmp_path, capsys):
         manifest = dataset_dir / "manifest.tsv"
@@ -821,9 +842,7 @@ def test_numeric_setting_refused_before_loading_or_accepted(key, value, tmp_path
                                                             monkeypatch):
     """Each value either reaches load_dataset (patched here, so no data is made and no
     worker starts, even at jobs 70000) or exits 1 naming its key, leaving no output."""
-    def load_dataset(cfg):
-        raise LoadReached
-    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+    patch_load_dataset(monkeypatch)
     out = tmp_path / "o"
     try:
         rc = main(["evaluate", "--kind", "oobu", "--feature-mode", "trained",
@@ -835,6 +854,63 @@ def test_numeric_setting_refused_before_loading_or_accepted(key, value, tmp_path
         assert rc == 1, (key, value)
     if rc is not None:
         assert rc == 1 and err.startswith("error:") and key in err, (key, value, err)
+    assert not out.exists() and not out.with_name("o.partial").exists()
+
+
+def patch_load_dataset(monkeypatch):
+    def load_dataset(cfg):
+        raise LoadReached
+    monkeypatch.setattr(cli, "load_dataset", load_dataset)
+
+
+def test_sweep_plan_lists_cells_in_sweep_order():
+    cfg = make_config(None, {"kinds": "frames,oobu", "feature_modes": "raw,trained",
+                             "neuron_counts": "4,2"})
+    assert [(kind, [(spec.kind, spec.feature_mode, spec.n_neurons) for spec in specs])
+            for kind, specs in cli.sweep_plan(cfg)] == [
+        ("frames", [("frames", "raw", 0)]),
+        ("oobu", [("oobu", "raw", 0), ("oobu", "trained", 4), ("oobu", "trained", 2)])]
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--neuron-counts", "300"], "n_neurons must lie in 1..256, got 300"),
+    (["--feast-active-bits", "0"], "feast_active_bits must be at least 1, got 0"),
+])
+def test_sweep_cell_spec_refused_before_loading(flags, message, tmp_path, capsys, monkeypatch):
+    patch_load_dataset(monkeypatch)
+    out = tmp_path / "o"
+    rc = main(["sweep", "--kinds", "oobu", "--feature-modes", "raw,random", *flags,
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith("error:") and message in err
+    assert not out.exists() and not out.with_name("o.partial").exists()
+
+
+def test_synth_grid_below_default_silhouettes_refused_before_loading(tmp_path, capsys,
+                                                                   monkeypatch):
+    patch_load_dataset(monkeypatch)
+    out = tmp_path / "o"
+    assert main(["evaluate", "--kind", "onoff", "--synth-grid", "8", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: synth_grid: silhouette 12x12 larger than grid")
+    assert not out.exists() and not out.with_name("o.partial").exists()
+    with pytest.raises(LoadReached):   # the default silhouettes fill a 12x12 grid
+        main(["evaluate", "--kind", "onoff", "--synth-grid", "12", "--out", str(out)])
+
+
+@pytest.mark.parametrize("kind, mode", [("oobu", "trained"), ("onoff", "raw"),
+                                        ("frames", "raw")])
+def test_cadence_without_instant_refused_before_feature_training(kind, mode, tmp_path, capsys,
+                                                                monkeypatch):
+    def feast_train(*args, **kwargs):
+        raise AssertionError("features trained for a cadence that gives no instant")
+    monkeypatch.setattr(pipeline, "feast_train", feast_train)
+    out = tmp_path / "o"
+    rc = main(["evaluate", "--kind", kind, "--feature-mode", mode, "--n-trials", "1",
+               f"--sample-every-{kind}", "70000", *SMALL, "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1 and err.startswith(f"error: sample_every_{kind} = 70000 gives no "
+                                      f"classification instant")
     assert not out.exists() and not out.with_name("o.partial").exists()
 
 

@@ -3,9 +3,27 @@
 import numpy as np
 import pytest
 
-from spadevents.core import (NEVER, EventStream, Recording, StreamKind,
-                             TimeSurface, decode_aer_array, encode_aer_array, make_events)
+from spadevents.core import (NEVER, EventStream, Recording, StreamKind, decode_aer_array,
+                             encode_aer_array, make_events, surface_lit)
 from spadevents.feast import event_rois
+from spadevents.pipeline import _stream_states
+
+
+class ReferenceSurface:
+    """The oracles' time surface: last-event times of a (P, H, W) grid,
+    written one event at a time and read as (t - last < window) & (last !=
+    NEVER), independently of surface_lit."""
+
+    def __init__(self, polarity_count, grid_height, grid_width):
+        self.last_t = np.full((polarity_count, grid_height, grid_width), NEVER, dtype=np.int64)
+
+    def write(self, events):
+        for e in events:   # a later event to a cell overwrites an earlier one
+            self.last_t[e["p"], e["y"], e["x"]] = e["t"]
+
+    def binary(self, t_now, window_us):
+        last = self.last_t
+        return (((t_now - last) < window_us) & (last != NEVER)).astype(np.uint8)
 
 
 def assemble_word_bits(row, col, feature_class, pulse):
@@ -184,36 +202,30 @@ class TestDomainTypes:
 
 class TestTimeSurface:
     def test_single_update(self):
-        surf = TimeSurface(8, 8, 2)
-        surf.update_many(make_events([100], [4], [3], [1]))
-        last = surf.last_t
-        assert last[1, 4, 3] == 100
-        mask = last != NEVER
-        assert mask.sum() == 1
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
+                             events=make_events([100], [4], [3], [1]))
+        (grid, activity), = _stream_states(stream, [0], 50)
+        assert grid[1, 4, 3] == 1 and grid.sum() == 1
+        assert activity.tolist() == grid.sum(axis=0).tolist()
 
     def test_overwrite_same_cell(self):
-        surf = TimeSurface(8, 8, 2)
-        surf.update_many(make_events([100], [4], [3], [1]))
-        surf.update_many(make_events([200], [4], [3], [1]))
-        assert surf.last_t[1, 4, 3] == 200
+        # read at 2150 with a 2000 us window: lit only from the write at 200
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
+                             events=make_events([100, 200, 2150], [4, 4, 0], [3, 3, 0], [1, 1, 0]))
+        (grid, _), = _stream_states(stream, [2], 2000)
+        assert grid[1, 4, 3] == 1
 
     def test_window_boundary_is_strict(self):
         # age exactly equal to the window reads 0
-        surf = TimeSurface(4, 4, 1)
-        surf.update_many(make_events([100], [1], [1], [0]))
-        assert surf.binary(t_now=2100, window_us=2000)[0, 1, 1] == 0
-        assert surf.binary(t_now=2099, window_us=2000)[0, 1, 1] == 1
+        last_t = np.full((1, 4, 4), NEVER, dtype=np.int64)
+        last_t[0, 1, 1] = 100
+        assert not surface_lit(last_t, t_now=2100, window_us=2000)[0, 1, 1]
+        assert surface_lit(last_t, t_now=2099, window_us=2000)[0, 1, 1]
 
     def test_never_fired_reads_zero(self):
-        surf = TimeSurface(4, 4, 2)
-        assert surf.binary(t_now=10**12, window_us=10**12).sum() == 0
-
-    def test_out_of_grid_update_rejected(self):
-        surf = TimeSurface(4, 4, 2)
-        with pytest.raises(ValueError):
-            surf.update_many(make_events([1], [0], [4], [0]))
-        with pytest.raises(ValueError):
-            surf.update_many(make_events([1], [0], [0], [2]))
+        last_t = np.full((2, 4, 4), NEVER, dtype=np.int64)
+        for t_now, window_us in ((10**12, 10**12), (0, 2**63 - 1)):
+            assert not surface_lit(last_t, t_now, window_us).any()
 
     def test_roi_zero_padding_at_corner(self):
         stream = one_polarity_stream([10, 20], [0, 0], [0, 0], grid=8)
@@ -241,11 +253,11 @@ class TestTimeSurface:
             event_rois(stream, 4, 10)
 
     def test_readout_is_pure(self):
-        surf = TimeSurface(6, 6, 2)
-        surf.update_many(make_events([5], [3], [2], [0]))
-        before = surf.last_t.copy()
-        surf.binary(100, 50)
-        assert np.array_equal(surf.last_t, before)
+        last_t = np.full((2, 6, 6), NEVER, dtype=np.int64)
+        last_t[0, 3, 2] = 5
+        before = last_t.copy()
+        surface_lit(last_t, 100, 50)
+        assert np.array_equal(last_t, before)
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=6, grid_height=6,
                              events=make_events([5, 60, 100], [3, 3, 2], [2, 2, 2], [0, 1, 0]))
         events = stream.events.copy()
@@ -254,12 +266,16 @@ class TestTimeSurface:
         assert np.array_equal(event_rois(stream, 3, 50), first)
 
     def test_update_many_matches_sequential(self):
+        # _stream_states writes each stretch up to an instant in one
+        # assignment; the reference writes one event at a time
         rng = np.random.default_rng(13)
         ev = make_events(np.sort(rng.integers(0, 100, 200)), rng.integers(0, 6, 200),
                          rng.integers(0, 6, 200), rng.integers(0, 2, 200))
-        a = TimeSurface(6, 6, 2)
-        b = TimeSurface(6, 6, 2)
-        a.update_many(ev)
-        for e in ev:   # one event at a time, the later write to a cell winning
-            b.last_t[e["p"], e["y"], e["x"]] = e["t"]
-        assert np.array_equal(a.last_t, b.last_t)
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=6, grid_height=6, events=ev)
+        indices = [0, 17, 18, 120, 199]
+        reference = ReferenceSurface(2, 6, 6)
+        done = 0
+        for idx, (grid, _) in zip(indices, _stream_states(stream, indices, 30)):
+            reference.write(ev[done:idx + 1])
+            done = idx + 1
+            assert np.array_equal(grid, reference.binary(int(ev["t"][idx]), 30))

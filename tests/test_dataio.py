@@ -7,10 +7,11 @@ import pytest
 
 from spadevents.core import (BadMagicError, DimensionError, FormatError, Recording,
                              TruncatedError)
-from spadevents.dataio import (AUGMENT_OPS, DatasetManifest, ManifestEntry, SynthConfig,
-                               augment, augment_recording, default_silhouettes, load_manifest,
-                               load_manifest_recordings, load_recording, save_recording,
-                               split_indices, synth_generate, write_dataset)
+from spadevents.dataio import (AUGMENT_OPS, DEFAULT_SILHOUETTE_SIDE, DatasetManifest,
+                               ManifestEntry, SynthConfig, augment, augment_recording,
+                               default_silhouettes, load_manifest, load_manifest_recordings,
+                               load_recording, ratio_demo_shapes, ratio_demo_synth_config,
+                               save_recording, split_indices, synth_generate, write_dataset)
 
 
 def small_recording(seed=0, n_frames=3, h=2, w=2, class_id=1):
@@ -269,9 +270,19 @@ class TestSynth:
         big = np.ones((10, 10), dtype=bool)
         other = big.copy()
         other[0, 0] = False
-        cfg = self.noiseless_config(grid_width=8, grid_height=8, target_shapes=[big, other])
         with pytest.raises(ValueError, match="larger than grid"):
-            synth_generate(cfg)
+            self.noiseless_config(grid_width=8, grid_height=8, target_shapes=[big, other])
+
+    def test_silhouettes_checked_against_the_grid(self):
+        for side in (DEFAULT_SILHOUETTE_SIDE, 10):
+            shapes = None if side == DEFAULT_SILHOUETTE_SIDE else ratio_demo_shapes()
+            SynthConfig(grid_width=side, grid_height=side + 5, target_shapes=shapes)
+            for width, height in ((side - 1, side), (side, side - 1)):
+                with pytest.raises(ValueError, match=f"silhouette {side}x{side} larger than "
+                                                     f"grid_height x grid_width"):
+                    SynthConfig(grid_width=width, grid_height=height, target_shapes=shapes)
+        assert ratio_demo_synth_config().grid_width == 32
+        assert {s.shape for s in default_silhouettes(7)} == {(DEFAULT_SILHOUETTE_SIDE,) * 2}
 
     def test_duplicate_shapes_rejected(self):
         cfg = self.noiseless_config(target_shapes=[np.ones((4, 4), bool)] * 2)

@@ -7,15 +7,16 @@ import pytest
 
 from spadevents import feast
 from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
-                             StreamKind, TimeSurface, TruncatedError, make_events)
+                             StreamKind, TruncatedError, make_events)
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.eventgen import oobu_convert
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                               event_rois, feast_infer, feast_train, initial_features,
                               load_features, save_features)
+from test_core import ReferenceSurface
 
 
-# Per-event reference: a running TimeSurface, read through a zero-padded crop
+# Per-event reference: a running ReferenceSurface, read through a zero-padded crop
 # of its full-grid binary readout.  The batched extractor and the layers built
 # on it must reproduce these loops exactly.
 
@@ -26,7 +27,7 @@ def reference_roi(surface, x, y, side, t, window_us):
 
 
 def reference_rois(stream, side, window_us, inclusive):
-    surface = TimeSurface(stream.grid_width, stream.grid_height, stream.polarity_count)
+    surface = ReferenceSurface(stream.polarity_count, stream.grid_height, stream.grid_width)
     rows = np.zeros((len(stream), stream.polarity_count * side * side), dtype=np.uint8)
     for i, e in enumerate(stream.events):
         x, y, p, t = int(e["x"]), int(e["y"]), int(e["p"]), int(e["t"])

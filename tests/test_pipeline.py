@@ -9,7 +9,7 @@ import pytest
 from spadevents import feast, pipeline
 from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sample_indices,
                                  frame_sample_times, region_from_activity)
-from spadevents.core import EventStream, Recording, StreamKind, TimeSurface, make_events
+from spadevents.core import EventStream, Recording, StreamKind, make_events
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.feast import binarize, event_rois, initial_features
 from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
@@ -18,6 +18,7 @@ from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
                                  prepare_binary_features, run_pipeline, select_regions,
                                  trial_seeds)
 from test_classify import oracle_pool
+from test_core import ReferenceSurface
 
 
 @pytest.fixture(scope="module")
@@ -78,12 +79,12 @@ def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.f
     instants = event_sample_indices(len(stream), every)
     if len(instants) == 0:
         return np.empty((0, width), dtype=np.float64)
-    surface = TimeSurface(stream.grid_width, stream.grid_height, channels)
+    surface = ReferenceSurface(channels, stream.grid_height, stream.grid_width)
     rows = np.empty((len(instants), width), dtype=np.float64)
     ev = stream.events
     done = 0
     for row, idx in enumerate(instants):
-        surface.update_many(ev[done:idx + 1])
+        surface.write(ev[done:idx + 1])
         done = idx + 1
         t_now = int(ev["t"][idx])
         grid = surface.binary(t_now, window_us)
@@ -232,6 +233,27 @@ class TestSampleBuilding:
             build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=size))
             assert sum(taken) == len(regions.shapes)
             assert len(taken) == len(np.unique(regions.shapes, axis=0))
+
+    @pytest.mark.parametrize("kind", ["frames", "onoff"])
+    def test_cadence_beyond_every_source_refused(self, tiny_dataset, kind, monkeypatch):
+        def feast_train(*args, **kwargs):
+            raise AssertionError("features trained for a cadence that gives no instant")
+        monkeypatch.setattr(pipeline, "feast_train", feast_train)
+        recordings = tiny_dataset[:3]
+        streams = None if kind == "frames" else convert_all(recordings, kind)
+        longest = (recordings[0].n_frames if streams is None else max(map(len, streams)))
+        mode = "raw" if kind == "frames" else "trained"
+        spec = PipelineSpec(kind=kind, feature_mode=mode, **{f"sample_every_{kind}": longest + 1})
+        unit = "frames" if kind == "frames" else "events"
+        with pytest.raises(ValueError, match=f"sample_every_{kind} = {longest + 1} gives no "
+                                             f"classification instant: the longest source "
+                                             f"holds {longest} {unit}"):
+            pipeline.pipeline_sources(recordings, spec, [0], streams)
+        # a cadence as long as the longest source gives it one instant
+        spec = replace(spec, feature_mode="raw", **{f"sample_every_{kind}": longest})
+        (_, regions), = pipeline.pipeline_sources(recordings, spec, [0], streams)
+        assert regions.counts == [int(length == longest) for length in (
+            [rec.n_frames for rec in recordings] if streams is None else map(len, streams))]
 
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError, match="at least one source"):
