@@ -241,7 +241,9 @@ class TestSampleBuilding:
         monkeypatch.setattr(pipeline, "feast_train", feast_train)
         recordings = tiny_dataset[:3]
         streams = None if kind == "frames" else convert_all(recordings, kind)
-        longest = (recordings[0].n_frames if streams is None else max(map(len, streams)))
+        lengths = ([rec.n_frames for rec in recordings] if streams is None
+                   else [len(s) for s in streams])
+        longest = max(lengths)
         mode = "raw" if kind == "frames" else "trained"
         spec = PipelineSpec(kind=kind, feature_mode=mode, **{f"sample_every_{kind}": longest + 1})
         unit = "frames" if kind == "frames" else "events"
@@ -252,8 +254,7 @@ class TestSampleBuilding:
         # a cadence as long as the longest source gives it one instant
         spec = replace(spec, feature_mode="raw", **{f"sample_every_{kind}": longest})
         (_, regions), = pipeline.pipeline_sources(recordings, spec, [0], streams)
-        assert regions.counts == [int(length == longest) for length in (
-            [rec.n_frames for rec in recordings] if streams is None else map(len, streams))]
+        assert regions.counts == [int(length == longest) for length in lengths]
 
     def test_no_sources_rejected(self):
         with pytest.raises(ValueError, match="at least one source"):
