@@ -23,28 +23,6 @@ DEFAULT_RIDGE_LAMBDA = 0.1
 POOL_METHODS = ("1d", "2d")
 
 
-@dataclass(frozen=True)
-class Region:
-    """Half-open rectangle [y0, y1) x [x0, x1) on a grid."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    @property
-    def width(self) -> int:
-        return self.x1 - self.x0
-
-    @property
-    def height(self) -> int:
-        return self.y1 - self.y0
-
-    def crop(self, grid: np.ndarray) -> np.ndarray:
-        """Crop the trailing two axes of (…, H, W) data."""
-        return grid[..., self.y0:self.y1, self.x0:self.x1]
-
-
 @dataclass
 class PoolConfig:
     method: str = "2d"   # one of POOL_METHODS
@@ -60,9 +38,10 @@ class PoolConfig:
         return channels * (2 * self.size if self.method == "1d" else self.size * self.size)
 
 
-def region_from_activity(activity: np.ndarray,
-                         activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> Region:
-    """Bounding box of rows/columns whose marginal clears a fraction of its max.
+def region_from_activity(activity: np.ndarray, activity_fraction: float = DEFAULT_ACTIVITY_FRACTION
+                         ) -> tuple[slice, slice]:
+    """The (rows, cols) slices bounding the rows/columns whose marginal clears
+    a fraction of its max.
 
     An all-zero activity map falls back to the full grid (every marginal
     trivially clears a zero threshold).
@@ -71,8 +50,7 @@ def region_from_activity(activity: np.ndarray,
     cols = activity.sum(axis=0)
     row_ok = np.nonzero(rows >= activity_fraction * rows.max())[0]
     col_ok = np.nonzero(cols >= activity_fraction * cols.max())[0]
-    return Region(x0=int(col_ok[0]), y0=int(row_ok[0]),
-                  x1=int(col_ok[-1]) + 1, y1=int(row_ok[-1]) + 1)
+    return slice(int(row_ok[0]), int(row_ok[-1]) + 1), slice(int(col_ok[0]), int(col_ok[-1]) + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -100,12 +78,6 @@ def _bilinear_coords(length, target: int) -> np.ndarray:
 
 # The two pooling kernels take regions of any shape, one per row: sample
 # building pools every instant's region at once.
-def marginal_sums(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Column sums (..., C, Ax) and row sums (..., C, Ay) of (..., C, Ay, Ax)
-    regions, in float64."""
-    return values.sum(axis=-2, dtype=np.float64), values.sum(axis=-1, dtype=np.float64)
-
-
 def zoh_pool_rows(col_sums: np.ndarray, row_sums: np.ndarray, shapes: np.ndarray,
                   size: int) -> np.ndarray:
     """1D pooling of n regions from their marginals: per channel [resampled
@@ -143,26 +115,6 @@ def bilinear_pool_rows(values: np.ndarray, starts: np.ndarray, shapes: np.ndarra
     upper = values[top + left] * (1 - fx) + values[top + right] * fx
     lower = values[bottom + left] * (1 - fx) + values[bottom + right] * fx
     return (upper * (1 - fy) + lower * fy).reshape(len(shapes), channels * size * size)
-
-
-# ---------------------------------------------------------------------------
-# Sampling cadence
-# ---------------------------------------------------------------------------
-
-
-def frame_sample_times(n_frames: int, pulse_period: int, every: int) -> np.ndarray:
-    """Classification instants for frame data: t = every * pulse_period * k."""
-    if n_frames < 1 or every < 1:
-        return np.empty(0, dtype=np.int64)
-    count = n_frames // every
-    return (np.arange(1, count + 1, dtype=np.int64) * every * pulse_period)
-
-
-def event_sample_indices(n_events: int, every: int) -> np.ndarray:
-    """Indices of every `every`-th event (0-based: every-1, 2*every-1, ...)."""
-    if every < 1:
-        raise ValueError(f"sampling interval must be positive, got {every}")
-    return np.arange(every - 1, n_events, every, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -363,9 +315,14 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
             raise ValueError(f"trial seed {seed}: its training split holds 0 of the "
                              f"{len(rec_of_sample)} samples")
         test_mask = ~train_mask   # the split is disjoint and exhaustive
-        weights = train_classifier(samples.features[train_mask],
-                                   one_hot(samples.labels[train_mask], n_classes),
-                                   ridge_lambda)
+        train = samples.features[train_mask]
+        try:
+            weights = train_classifier(train, one_hot(samples.labels[train_mask], n_classes),
+                                       ridge_lambda)
+        except np.linalg.LinAlgError:
+            raise ValueError(f"trial seed {seed}: the ridge system of {len(train)} samples "
+                             f"and {train.shape[1]} features is singular at ridge_lambda = "
+                             f"{ridge_lambda}") from None
         pred = predict_batch(weights, samples.features[test_mask])
         truth = samples.labels[test_mask]
         frame_acc = float(np.mean(pred == truth)) if len(truth) else 0.0

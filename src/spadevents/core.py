@@ -164,8 +164,8 @@ class EventStream:
     events is a structured array with fields t, y, x, p.  Canonical order is
     nondecreasing t with ties broken row-major (y, then x), then polarity,
     so identical inputs always serialize identically.  Construction refuses
-    events off the grid or at or above the polarity count, and polarity
-    counts above POLARITY_LIMIT.
+    events whose times decrease, events off the grid or at or above the
+    polarity count, and polarity counts above POLARITY_LIMIT.
     """
 
     kind: StreamKind
@@ -191,6 +191,8 @@ class EventStream:
                         or ev["p"].max() >= self.polarity_count):
             raise ValueError(f"events fall outside the {self.grid_width}x{self.grid_height} "
                              f"grid or its {self.polarity_count} polarities")
+        if (ev["t"][1:] < ev["t"][:-1]).any():
+            raise ValueError("event times must not decrease")
 
     def __len__(self) -> int:
         return len(self.events)

@@ -293,25 +293,19 @@ def best_two_threshold_split(values, labels) -> tuple[float, tuple[float, float]
     counts = np.zeros((len(uniq), len(classes)), dtype=np.int64)
     np.add.at(counts, (inv, lab_idx), 1)
     prefix = np.vstack([np.zeros((1, len(classes)), dtype=np.int64), np.cumsum(counts, axis=0)])
-
-    def cut_value(i: int) -> float:
-        if i == 0:
-            return float("-inf")
-        if i == len(uniq):
-            return float("inf")
-        lo, hi = uniq[i - 1], uniq[i]
-        return float(lo) if not np.isfinite(hi) else float((lo + hi) / 2.0)
+    # cut i splits below uniq[i]: midpoints, the lower value below an infinite one
+    lo, hi = uniq[:-1], uniq[1:]
+    cuts = np.concatenate([[-np.inf], np.where(np.isfinite(hi), (lo + hi) / 2.0, lo), [np.inf]])
 
     n = len(v)
     best_acc, best_cuts = -1.0, (float("-inf"), float("inf"))
     for i in range(len(uniq) + 1):
-        for j in range(i, len(uniq) + 1):
-            seg1 = prefix[i] - prefix[0]
-            seg2 = prefix[j] - prefix[i]
-            seg3 = prefix[-1] - prefix[j]
-            acc = (seg1.max() + seg2.max() + seg3.max()) / n
-            if acc > best_acc:
-                best_acc, best_cuts = float(acc), (cut_value(i), cut_value(j))
+        # every second cut j >= i at once; argmax keeps the first best j
+        acc = (prefix[i].max() + (prefix[i:] - prefix[i]).max(axis=1)
+               + (prefix[-1] - prefix[i:]).max(axis=1)) / n
+        j = int(np.argmax(acc))
+        if acc[j] > best_acc:
+            best_acc, best_cuts = float(acc[j]), (float(cuts[i]), float(cuts[i + j]))
     return best_acc, best_cuts
 
 

@@ -22,8 +22,8 @@ from itertools import chain
 import numpy as np
 
 from .classify import (DEFAULT_ACTIVITY_FRACTION, DEFAULT_RIDGE_LAMBDA, PoolConfig, SampleSet,
-                       EvalReport, bilinear_pool_rows, event_sample_indices, frame_sample_times,
-                       evaluate_samples, marginal_sums, region_from_activity, zoh_pool_rows)
+                       EvalReport, bilinear_pool_rows, evaluate_samples, region_from_activity,
+                       zoh_pool_rows)
 from .core import NEVER, POLARITY_LIMIT, EventStream, Recording, surface_lit
 from .dataio import split_indices
 from .eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
@@ -148,17 +148,21 @@ def parallel_map(fn, items, jobs: int = 1) -> list:
 
 def convert_recording(recording: Recording, kind: str,
                       params: PipelineParams | None = None) -> EventStream:
+    """The recording's stream of one kind; a converter's refusal names the recording."""
     p = params if params is not None else PipelineParams()
-    if kind == "firstand":
-        return firstand_convert(recording, params=p.firstand_params())
-    if kind == "onoff":
-        return onoff_convert(recording, change_threshold=p.change_threshold,
-                             on_is_increase=p.on_is_increase)
-    if kind == "oobu":
-        return oobu_convert(recording, change_threshold=p.change_threshold,
-                            uni_count_threshold=p.uni_count_threshold,
-                            bi_count_threshold=p.bi_count_threshold,
-                            on_is_increase=p.on_is_increase)
+    try:
+        if kind == "firstand":
+            return firstand_convert(recording, params=p.firstand_params())
+        if kind == "onoff":
+            return onoff_convert(recording, change_threshold=p.change_threshold,
+                                 on_is_increase=p.on_is_increase)
+        if kind == "oobu":
+            return oobu_convert(recording, change_threshold=p.change_threshold,
+                                uni_count_threshold=p.uni_count_threshold,
+                                bi_count_threshold=p.bi_count_threshold,
+                                on_is_increase=p.on_is_increase)
+    except ValueError as exc:
+        raise ValueError(f"recording {recording.recording_id}: {exc}") from None
     raise ValueError(f"unknown event kind {kind!r} (expected one of {EVENT_KINDS})")
 
 
@@ -231,11 +235,13 @@ def _stream_states(stream: EventStream, indices: np.ndarray, window_us: int):
         yield grid, grid.sum(axis=0)
 
 
-def _frame_states(recording: Recording, times: np.ndarray):
-    """(scaled codes, pixel occupancy) of the depth frame nearest each instant."""
-    for t_now in times:
-        frame = recording.frames[min(int(t_now) // recording.pulse_period,
-                                     recording.n_frames - 1)]
+def _frame_states(recording: Recording, instants: np.ndarray):
+    """(scaled codes, pixel occupancy) of the depth frame each instant reads."""
+    for i in instants:
+        # instant i = k * every - 1 reads frame k * every, the frame at
+        # t = k * every * pulse_period, or the last frame when t falls past
+        # the end (at 80 frames and cadence 8, instant 79 reads frame 79)
+        frame = recording.frames[min(i + 1, recording.n_frames - 1)]
         yield frame[None] / FRAME_CODE_SCALE, frame > 0
 
 
@@ -275,8 +281,8 @@ class SampleRegions:
     @cached_property
     def marginals(self) -> tuple[np.ndarray, np.ndarray]:
         """Every crop's column sums (n, C, max Ax) and row sums (n, C, max Ay),
-        zero-padded; taken once, per crop shape with marginal_sums, and
-        kept as int32 for binary crops."""
+        zero-padded; taken once, per crop shape, and summed as int32 for
+        binary crops and float64 for frame crops."""
         n, channels = len(self.shapes), self.channels
         height, width = self.shapes.max(axis=0, initial=0)
         dtype = np.int32 if self.packed else np.float64
@@ -292,9 +298,9 @@ class SampleRegions:
                                   + np.arange((length + 7) // 8 if self.packed else length)]
                 if self.packed:
                     taken = np.unpackbits(taken, axis=1, count=length)
-                cols, sums = marginal_sums(taken.reshape(-1, channels, ay, ax))
-                col_sums[rows, :, :ax] = cols
-                row_sums[rows, :, :ay] = sums
+                taken = taken.reshape(-1, channels, ay, ax)
+                col_sums[rows, :, :ax] = taken.sum(axis=2, dtype=dtype)
+                row_sums[rows, :, :ay] = taken.sum(axis=3, dtype=dtype)
         return col_sums, row_sums
 
 
@@ -302,7 +308,9 @@ def select_regions(sources: list, *, sample_every: int,
                    window_us: int = PipelineParams.feast_window_us,
                    activity_fraction: float = DEFAULT_ACTIVITY_FRACTION) -> SampleRegions:
     """Crop the active region at every instant of Recordings (frame pipeline,
-    sampled every sample_every frames) or EventStreams (every sample_every events)."""
+    sampled every sample_every frames) or EventStreams (every sample_every
+    events).  A source's instants are the indices sample_every - 1,
+    2 * sample_every - 1, ... of its frames or events."""
     if not sources:
         raise ValueError("sample building needs at least one source")
     if not 0 <= activity_fraction <= 1:
@@ -311,19 +319,20 @@ def select_regions(sources: list, *, sample_every: int,
         raise ValueError(f"sample_every and window_us must be positive, "
                          f"got {sample_every} and {window_us}")
     from_frames = isinstance(sources[0], Recording)
-    instants = [frame_sample_times(src.n_frames, src.pulse_period, sample_every) if from_frames
-                else event_sample_indices(len(src), sample_every) for src in sources]
+    instants = [np.arange(sample_every - 1, src.n_frames if from_frames else len(src),
+                          sample_every) for src in sources]
     states = chain.from_iterable(
-        _frame_states(source, times) if from_frames else _stream_states(source, times, window_us)
-        for source, times in zip(sources, instants))
+        _frame_states(src, idx) if from_frames else _stream_states(src, idx, window_us)
+        for src, idx in zip(sources, instants))
     # the crops' bytes appended to one buffer that then backs the array: no
     # list of crops and no second copy of them
     shapes, data = [], bytearray()
     for values, activity in states:
-        crop = region_from_activity(activity, activity_fraction).crop(values)
+        rows, cols = region_from_activity(activity, activity_fraction)
+        crop = values[:, rows, cols]
         shapes += crop.shape[1:]
         data += crop.tobytes() if from_frames else np.packbits(crop).tobytes()
-    return SampleRegions([len(times) for times in instants],
+    return SampleRegions([len(idx) for idx in instants],
                          1 if from_frames else sources[0].polarity_count,
                          np.array(shapes, dtype=np.int32).reshape(-1, 2),
                          np.frombuffer(data, np.float64 if from_frames else np.uint8))

@@ -1,15 +1,14 @@
-"""Region selection, pooling, sampling cadence, ridge classifier, evaluation."""
+"""Region selection, pooling, ridge classifier, evaluation."""
 
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from spadevents.classify import (PoolConfig, Region, RidgeAccumulator,
-                                 SampleSet, TrialResult, bilinear_pool_rows, evaluate_samples,
-                                 event_sample_indices, frame_sample_times, marginal_sums, one_hot,
-                                 predict_batch, region_from_activity, train_classifier,
-                                 zoh_indices, zoh_pool_rows, TRIAL_COLUMNS)
+from spadevents.classify import (PoolConfig, RidgeAccumulator, SampleSet, TrialResult,
+                                 bilinear_pool_rows, evaluate_samples, one_hot, predict_batch,
+                                 region_from_activity, train_classifier, zoh_indices,
+                                 zoh_pool_rows, TRIAL_COLUMNS)
 from spadevents.core import make_events
 from spadevents.dataio import split_indices
 from test_core import ReferenceSurface
@@ -22,7 +21,8 @@ def pool_stack(values, method, size):
     stack = values.reshape(-1, channels, ay, ax)
     shapes = np.tile(np.array([ay, ax], dtype=np.int32), (len(stack), 1))
     if method == "1d":
-        out = zoh_pool_rows(*marginal_sums(stack), shapes, size)
+        out = zoh_pool_rows(stack.sum(axis=2, dtype=np.float64),
+                            stack.sum(axis=3, dtype=np.float64), shapes, size)
     else:
         out = bilinear_pool_rows(stack.reshape(-1), np.arange(len(stack)) * (channels * ay * ax),
                                  shapes, channels, size)
@@ -41,39 +41,28 @@ class TestRegionSelection:
     def test_single_active_pixel(self):
         activity = np.zeros((8, 8))
         activity[3, 5] = 1
-        region = region_from_activity(activity)
-        assert (region.x0, region.y0, region.x1, region.y1) == (5, 3, 6, 4)
-        assert region.width == 1 and region.height == 1
+        assert region_from_activity(activity) == (slice(3, 4), slice(5, 6))
 
     def test_all_zero_falls_back_to_full_grid(self):
-        region = region_from_activity(np.zeros((6, 9)))
-        assert (region.x0, region.y0, region.x1, region.y1) == (0, 0, 9, 6)
+        assert region_from_activity(np.zeros((6, 9))) == (slice(0, 6), slice(0, 9))
 
     def test_active_block_bounding_box(self):
         activity = np.zeros((20, 20))
         activity[4:10, 7:17] = 1  # 6 rows x 10 cols
-        region = region_from_activity(activity)
-        assert (region.y0, region.y1) == (4, 10)
-        assert (region.x0, region.x1) == (7, 17)
+        assert region_from_activity(activity) == (slice(4, 10), slice(7, 17))
 
     def test_weak_marginals_excluded(self):
         activity = np.zeros((10, 10))
         activity[5, :] = 10.0
         activity[0, 0] = 0.5   # row marginal 0.5 < 0.1 * 100
-        region = region_from_activity(activity, activity_fraction=0.1)
-        assert (region.y0, region.y1) == (5, 6)
+        rows, _ = region_from_activity(activity, activity_fraction=0.1)
+        assert rows == slice(5, 6)
 
     def test_select_region_from_surface(self):
         surf = ReferenceSurface(2, 12, 12)
         surf.write(make_events([100, 100], [6, 6], [4, 5], [0, 1]))
         region = region_from_activity(surf.binary(t_now=150, window_us=100).sum(axis=0))
-        assert (region.x0, region.x1) == (4, 6)
-        assert (region.y0, region.y1) == (6, 7)
-
-    def test_crop(self):
-        grid = np.arange(2 * 4 * 4).reshape(2, 4, 4)
-        region = Region(x0=1, y0=2, x1=3, y1=4)
-        assert region.crop(grid).shape == (2, 2, 2)
+        assert region == (slice(6, 7), slice(4, 6))
 
 
 class TestPool1d:
@@ -220,25 +209,6 @@ class TestBatchedPooling:
                         expect = oracle_pool(values, config)
                         assert out.dtype == expect.dtype and out.shape == expect.shape
                         assert out.tobytes() == expect.tobytes(), (ay, ax, size, values.dtype)
-
-
-class TestSamplingCadence:
-    def test_frame_instants_example(self):
-        times = frame_sample_times(80, pulse_period=10, every=8)
-        assert times.tolist() == [80, 160, 240, 320, 400, 480, 560, 640, 720, 800]
-
-    def test_event_instants_oobu_example(self):
-        t = np.arange(402) * 3
-        ev = make_events(t, np.zeros(402), np.zeros(402), np.zeros(402))
-        times = ev["t"][event_sample_indices(len(ev), every=201)]
-        assert len(times) == 2
-        assert times.tolist() == [t[200], t[401]]
-
-    def test_short_stream_yields_no_samples(self):
-        assert len(event_sample_indices(50, every=51)) == 0
-
-    def test_frame_instants_short(self):
-        assert frame_sample_times(7, pulse_period=10, every=8).tolist() == []
 
 
 def hand_inverse_2x2(m):
@@ -476,6 +446,18 @@ class TestEvaluate:
                             recording_index=rec_index, recording_labels=labels)
         with pytest.raises(ValueError, match=f"trial seed 7: .* 0 of the {len(rec_index)} "):
             evaluate_samples(samples, n_classes=2, seeds=[7])
+
+    def test_singular_readout_named(self):
+        # all-zero features and no regularization: the Gram matrix is zero
+        labels = np.arange(10) % 2
+        rec_index = np.repeat(np.arange(10), 3)
+        samples = SampleSet(features=np.zeros((30, 2)), labels=labels[rec_index],
+                            recording_index=rec_index, recording_labels=labels)
+        n_train = 3 * len(split_indices(10, 0.9, 5)[0])
+        with pytest.raises(ValueError, match=f"^trial seed 5: the ridge system of {n_train} "
+                                             f"samples and 2 features is singular at "
+                                             f"ridge_lambda = 0.0$"):
+            evaluate_samples(samples, n_classes=2, seeds=[5], ridge_lambda=0.0)
 
     def test_trial_without_test_recording_named(self):
         zeros = np.zeros(3, dtype=np.int64)

@@ -14,7 +14,7 @@ from spadevents import cli, feast, pipeline
 from spadevents.classify import PoolConfig
 from spadevents.cli import main
 from spadevents.config import ExperimentConfig, make_config, parse_kv_text
-from spadevents.core import FormatError
+from spadevents.core import FormatError, Recording
 from spadevents.dataio import (SynthConfig, load_manifest, load_manifest_recordings,
                                load_recording, save_recording, split_indices, synth_generate)
 from spadevents.eventgen import onoff_convert, oobu_convert, read_stream, write_stream
@@ -315,6 +315,29 @@ class TestConvertCommand:
         assert not (tmp_path / "ev").exists()
 
 
+    # a one-frame recording has no On-Off change; a 3-row one no First-AND field
+    @pytest.mark.parametrize("shape, command, message", [
+        ((1, 16, 16), ["convert", "--kind", "onoff"], "On-Off conversion needs at least two"),
+        ((1, 16, 16), ["convert", "--kind", "onoff", "--jobs", "2"], "On-Off conversion needs"),
+        ((1, 16, 16), ["datarate", "--kinds", "oobu"], "On-Off conversion needs at least two"),
+        ((1, 16, 16), ["evaluate", "--kind", "onoff"], "On-Off conversion needs at least two"),
+        ((3, 3, 16), ["convert", "--kind", "firstand"], "frames 3x16 smaller than the 4x4"),
+        ((3, 3, 16), ["evaluate", "--kind", "firstand"], "frames 3x16 smaller than the 4x4"),
+    ], ids=["convert", "convert-in-workers", "datarate", "evaluate", "convert-firstand",
+            "evaluate-firstand"])
+    def test_conversion_refusal_names_the_recording(self, shape, command, message, tmp_path,
+                                                    capsys):
+        for name in ("fine", "odd"):
+            frames = np.full((2, 16, 16) if name == "fine" else shape, 1500, dtype=np.uint16)
+            save_recording(Recording(frames=frames), tmp_path / f"{name}.spdrec")
+        (tmp_path / "manifest.tsv").write_text("fine.spdrec\t0\tfine\nodd.spdrec\t1\todd\n")
+        out = tmp_path / "out"
+        rc = main([*command, "--manifest", str(tmp_path / "manifest.tsv"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: recording odd: {message}")
+        assert not out.exists() and not out.with_name(out.name + ".partial").exists()
+
     def test_unwritable_stream_refusal_names_its_file(self, tmp_path, capsys):
         _, recordings = synth_generate(SynthConfig(n_classes=1, recordings_per_class=3,
                                                    frames_per_recording=6, grid_width=12,
@@ -434,6 +457,20 @@ class TestEvaluateCommand:
         assert rc == 1
         assert err.startswith("error:") and "trial seed 13:" in err and "0 of the 1" in err
         assert not (tmp_path / "eval").exists()
+
+    def test_singular_readout_is_an_error(self, tmp_path, capsys):
+        # 3 training samples of 4 features each: without regularization the
+        # 3 x 3 dual system is singular
+        rc = main(["evaluate", "--kind", "firstand", "--ridge-lambda", "0", "--pool-size", "1",
+                   "--n-trials", "1", "--synth-classes", "3", "--synth-recordings-per-class",
+                   "3", "--synth-frames", "30", "--synth-grid", "16",
+                   "--out", str(tmp_path / "eval")])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: trial seed 0: the ridge system of 3 samples and 4 "
+                              "features is singular at ridge_lambda = 0.0")
+        assert not (tmp_path / "eval").exists()
+        assert not (tmp_path / "eval.partial").exists()
 
     def test_trial_without_test_recording_is_an_error(self, tmp_path, capsys):
         # one recording: the split keeps it for training and tests on nothing

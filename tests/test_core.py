@@ -159,9 +159,14 @@ class TestDomainTypes:
         good = make_events([1, 1, 1, 2], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0])
         s = EventStream(kind=StreamKind.OOBU, grid_width=2, grid_height=2, events=good)
         assert s.is_canonical()
-        bad = make_events([2, 1], [0, 0], [0, 0], [0, 0])
+        bad = make_events([1, 1], [1, 0], [0, 0], [0, 0])
         s = EventStream(kind=StreamKind.OOBU, grid_width=2, grid_height=2, events=bad)
         assert not s.is_canonical()
+
+    def test_decreasing_times_rejected(self):
+        ev = make_events([100, 5, 50, 7], [0, 1, 2, 3], [0, 0, 0, 0], [0, 0, 0, 0])
+        with pytest.raises(ValueError, match="event times must not decrease"):
+            EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)
 
     def test_canonical_sort_matches_check(self):
         rng = np.random.default_rng(5)

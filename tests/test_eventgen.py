@@ -521,6 +521,18 @@ class TestRatioDemo:
         with pytest.raises(ValueError, match="3 classes"):
             count_ratio_demo(streams, [0, 0, 1, 1])
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_two_threshold_search_matches_loop(self, seed):
+        # few distinct values give many tied splits; some ratios are infinite
+        rng = np.random.default_rng(seed)
+        for _ in range(50):
+            n = int(rng.integers(3, 40))
+            values = rng.integers(0, int(rng.integers(1, 12)), n) / 4.0
+            values[rng.random(n) < 0.15] = np.inf
+            labels = rng.integers(0, 3, n)
+            assert best_two_threshold_split(values, labels) == reference_two_threshold_split(
+                values, labels)
+
     def test_two_threshold_search_against_exhaustive_labeling(self):
         # brute-force oracle: try every (low, high) cut over value midpoints
         rng = np.random.default_rng(61)
@@ -542,6 +554,37 @@ class TestRatioDemo:
                         correct += np.bincount(seg).max()
                 best = max(best, correct / len(values))
         assert acc == pytest.approx(best)
+
+
+def reference_two_threshold_split(values, labels):
+    """best_two_threshold_split as one loop over both cuts, before the
+    second cut was vectorised: ties go to the first (i, j) in loop order."""
+    v = np.asarray(values, dtype=np.float64)
+    classes, lab_idx = np.unique(np.asarray(labels), return_inverse=True)
+    uniq, inv = np.unique(v, return_inverse=True)
+    counts = np.zeros((len(uniq), len(classes)), dtype=np.int64)
+    np.add.at(counts, (inv, lab_idx), 1)
+    prefix = np.vstack([np.zeros((1, len(classes)), dtype=np.int64), np.cumsum(counts, axis=0)])
+
+    def cut_value(i):
+        if i == 0:
+            return float("-inf")
+        if i == len(uniq):
+            return float("inf")
+        lo, hi = uniq[i - 1], uniq[i]
+        return float(lo) if not np.isfinite(hi) else float((lo + hi) / 2.0)
+
+    n = len(v)
+    best_acc, best_cuts = -1.0, (float("-inf"), float("inf"))
+    for i in range(len(uniq) + 1):
+        for j in range(i, len(uniq) + 1):
+            seg1 = prefix[i] - prefix[0]
+            seg2 = prefix[j] - prefix[i]
+            seg3 = prefix[-1] - prefix[j]
+            acc = (seg1.max() + seg2.max() + seg3.max()) / n
+            if acc > best_acc:
+                best_acc, best_cuts = float(acc), (cut_value(i), cut_value(j))
+    return best_acc, best_cuts
 
 
 class TestDataRate:
@@ -594,9 +637,10 @@ class TestStreamFiles:
             loaded = self.roundtrip(stream, tmp_path)
             assert np.array_equal(loaded.events["t"], t)
 
-    @pytest.mark.parametrize("t", [[0, 70000], [70000], [0, 65536], [5, 3]])
+    @pytest.mark.parametrize("t", [[0, 70000], [70000], [0, 65536], [-5, 3]])
     def test_unrepresentable_timestamps_refused(self, tmp_path, t):
-        # t = [0, 70000] would read back as [0, 4464]
+        # t = [0, 70000] would read back as [0, 4464], and a negative time
+        # not at all
         n = len(t)
         ev = make_events(np.array(t, dtype=np.int64), [0] * n, [0] * n, [0] * n)
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=4, grid_height=4, events=ev)

@@ -7,8 +7,7 @@ import numpy as np
 import pytest
 
 from spadevents import feast, pipeline
-from spadevents.classify import (DEFAULT_ACTIVITY_FRACTION, PoolConfig, event_sample_indices,
-                                 frame_sample_times, region_from_activity)
+from spadevents.classify import DEFAULT_ACTIVITY_FRACTION, PoolConfig, region_from_activity
 from spadevents.core import EventStream, Recording, StreamKind, make_events
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.feast import binarize, event_rois, initial_features
@@ -76,7 +75,7 @@ def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.f
     """The per-instant stream sample builder as it stood before the shared loop."""
     channels = stream.polarity_count
     width = pool_config.vector_length(channels)
-    instants = event_sample_indices(len(stream), every)
+    instants = np.arange(every - 1, len(stream), every)
     if len(instants) == 0:
         return np.empty((0, width), dtype=np.float64)
     surface = ReferenceSurface(channels, stream.grid_height, stream.grid_width)
@@ -88,24 +87,25 @@ def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.f
         done = idx + 1
         t_now = int(ev["t"][idx])
         grid = surface.binary(t_now, window_us)
-        region = region_from_activity(grid.sum(axis=0), activity_fraction)
-        rows[row] = oracle_pool(region.crop(grid), pool_config)
+        ys, xs = region_from_activity(grid.sum(axis=0), activity_fraction)
+        rows[row] = oracle_pool(grid[:, ys, xs], pool_config)
     return rows
 
 
 def reference_frame_rows(recording, pool_config, every,
                          activity_fraction=DEFAULT_ACTIVITY_FRACTION):
-    """The per-instant frame sample builder as it stood before the shared loop."""
+    """The per-instant frame sample builder as it stood before the shared loop,
+    with its instants at microsecond times k * every * pulse_period."""
     width = pool_config.vector_length(1)
-    times = frame_sample_times(recording.n_frames, recording.pulse_period, every)
+    times = np.arange(1, recording.n_frames // every + 1) * every * recording.pulse_period
     if len(times) == 0:
         return np.empty((0, width), dtype=np.float64)
     rows = np.empty((len(times), width), dtype=np.float64)
     for row, t_now in enumerate(times):
         idx = min(int(t_now) // recording.pulse_period, recording.n_frames - 1)
         frame = recording.frames[idx]
-        region = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
-        values = region.crop(frame[None, :, :]).astype(np.float64) / FRAME_CODE_SCALE
+        ys, xs = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
+        values = frame[None, ys, xs].astype(np.float64) / FRAME_CODE_SCALE
         rows[row] = oracle_pool(values, pool_config)
     return rows
 
@@ -130,6 +130,43 @@ def oracle_sources(tiny_dataset):
                         polarity_count=4)
     sources["feature"] = (features + [empty], 201)
     return sources
+
+
+class TestInstants:
+    """Which frame or event each classification instant of select_regions reads."""
+
+    @staticmethod
+    def frames_read(n_frames, every):
+        # frame k holds code k + 1 everywhere, so every crop is its whole frame
+        codes = np.arange(1, n_frames + 1, dtype=np.uint16)[:, None, None]
+        recording = Recording(frames=np.broadcast_to(codes, (n_frames, 3, 4)))
+        regions = select_regions([recording], sample_every=every)
+        assert regions.counts == [n_frames // every]
+        read = np.rint(regions.data.reshape(-1, 12) * FRAME_CODE_SCALE).astype(int) - 1
+        assert (read == read[:, :1]).all()
+        return read[:, 0].tolist()
+
+    def test_frame_instants_read_every_kth_frame_clamped_to_the_last(self):
+        # the tenth instant, at t = 80 pulse periods, falls past the last frame
+        assert self.frames_read(80, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 79]
+        assert self.frames_read(81, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 80]
+        assert self.frames_read(8, 8) == [7]
+        assert self.frames_read(7, 8) == []
+        assert self.frames_read(3, 1) == [1, 2, 2]
+
+    @pytest.mark.parametrize("n_events, every, lit", [(402, 201, [201, 402]), (400, 201, [201]),
+                                                      (50, 51, [])])
+    def test_event_instants_read_every_kth_event(self, n_events, every, lit):
+        # one event per cell, all within the window: the surface at instant
+        # i lights the i + 1 cells of events 0..i
+        cells = np.arange(n_events)
+        events = make_events(cells * 3, cells // 21, cells % 21, np.zeros(n_events))
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=21, grid_height=20,
+                             events=events)
+        regions = select_regions([stream], sample_every=every, activity_fraction=0.0)
+        assert regions.counts == [len(lit)]
+        col_sums, _ = regions.marginals
+        assert col_sums.sum(axis=(1, 2)).tolist() == lit
 
 
 class TestSampleBuilding:
@@ -217,22 +254,18 @@ class TestSampleBuilding:
             samples = build_sample_set(regions, [0] * len(sources), config)
             assert samples.features.tobytes() == expect.tobytes(), size
 
-    def test_marginals_taken_once_per_regions(self, oracle_sources, monkeypatch):
-        marginal_sums, taken = pipeline.marginal_sums, []
-
-        def counting(values):
-            taken.append(len(values))
-            return marginal_sums(values)
-
-        monkeypatch.setattr(pipeline, "marginal_sums", counting)
-        sources, every = oracle_sources["oobu"]
+    @pytest.mark.parametrize("kind, dtype", [("frames", np.float64), ("oobu", np.int32)])
+    def test_marginals_taken_once_per_regions(self, oracle_sources, kind, dtype):
+        sources, every = oracle_sources[kind]
         regions = select_regions(sources, sample_every=every)
         build_sample_set(regions, [0] * len(sources), PoolConfig(method="2d", size=4))
-        assert taken == []
-        for size in (1, 4, 12, 24):
+        assert "marginals" not in vars(regions)
+        build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=1))
+        marginals = vars(regions)["marginals"]
+        assert [sums.dtype for sums in marginals] == [dtype, dtype]
+        for size in (4, 12, 24):
             build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=size))
-            assert sum(taken) == len(regions.shapes)
-            assert len(taken) == len(np.unique(regions.shapes, axis=0))
+            assert vars(regions)["marginals"] is marginals
 
     @pytest.mark.parametrize("kind", ["frames", "onoff"])
     def test_cadence_beyond_every_source_refused(self, tiny_dataset, kind, monkeypatch):
