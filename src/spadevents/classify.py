@@ -315,14 +315,15 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
             raise ValueError(f"trial seed {seed}: its training split holds 0 of the "
                              f"{len(rec_of_sample)} samples")
         test_mask = ~train_mask   # the split is disjoint and exhaustive
-        train = samples.features[train_mask]
         try:
-            weights = train_classifier(train, one_hot(samples.labels[train_mask], n_classes),
+            weights = train_classifier(samples.features[train_mask],
+                                       one_hot(samples.labels[train_mask], n_classes),
                                        ridge_lambda)
         except np.linalg.LinAlgError:
-            raise ValueError(f"trial seed {seed}: the ridge system of {len(train)} samples "
-                             f"and {train.shape[1]} features is singular at ridge_lambda = "
-                             f"{ridge_lambda}") from None
+            raise ValueError(f"trial seed {seed}: the ridge system of "
+                             f"{np.count_nonzero(train_mask)} samples and "
+                             f"{samples.features.shape[1]} features is singular at "
+                             f"ridge_lambda = {ridge_lambda}") from None
         pred = predict_batch(weights, samples.features[test_mask])
         truth = samples.labels[test_mask]
         frame_acc = float(np.mean(pred == truth)) if len(truth) else 0.0
