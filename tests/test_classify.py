@@ -1,4 +1,4 @@
-"""Region selection, pooling, ridge classifier, evaluation."""
+"""Region selection, pooling, sampling cadence, ridge classifier, evaluation."""
 
 import tracemalloc
 
@@ -9,8 +9,9 @@ from spadevents.classify import (PoolConfig, RidgeAccumulator, SampleSet, TrialR
                                  bilinear_pool_rows, evaluate_samples, one_hot, predict_batch,
                                  region_from_activity, train_classifier, zoh_indices,
                                  zoh_pool_rows, TRIAL_COLUMNS)
-from spadevents.core import make_events
+from spadevents.core import EventStream, Recording, StreamKind, make_events
 from spadevents.dataio import split_indices
+from spadevents.pipeline import FRAME_CODE_SCALE, select_regions
 from test_core import ReferenceSurface
 
 
@@ -209,6 +210,52 @@ class TestBatchedPooling:
                         expect = oracle_pool(values, config)
                         assert out.dtype == expect.dtype and out.shape == expect.shape
                         assert out.tobytes() == expect.tobytes(), (ay, ax, size, values.dtype)
+
+
+class TestSamplingCadence:
+    """Which frame or event each classification instant of select_regions reads."""
+
+    @staticmethod
+    def frames_read(n_frames, every):
+        # frame k holds code k + 1 everywhere, so every crop is its whole frame
+        codes = np.arange(1, n_frames + 1, dtype=np.uint16)[:, None, None]
+        recording = Recording(frames=np.broadcast_to(codes, (n_frames, 3, 4)))
+        regions = select_regions([recording], sample_every=every)
+        assert regions.counts == [n_frames // every]
+        read = np.rint(regions.data.reshape(-1, 12) * FRAME_CODE_SCALE).astype(int) - 1
+        assert (read == read[:, :1]).all()
+        return read[:, 0].tolist()
+
+    @staticmethod
+    def events_lit(n_events, every):
+        # one event per cell, all within the window: the surface at instant
+        # i lights the i + 1 cells of events 0..i
+        cells = np.arange(n_events)
+        events = make_events(cells * 3, cells // 21, cells % 21, np.zeros(n_events))
+        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=21, grid_height=20,
+                             events=events)
+        regions = select_regions([stream], sample_every=every, activity_fraction=0.0)
+        col_sums, _ = regions.marginals
+        assert regions.counts == [len(col_sums)]
+        return col_sums.sum(axis=(1, 2)).tolist()
+
+    def test_frame_instants_example(self):
+        # the tenth instant, at t = 80 pulse periods, falls past the last frame
+        assert self.frames_read(80, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 79]
+        assert self.frames_read(81, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 80]
+        assert self.frames_read(8, 8) == [7]
+        assert self.frames_read(3, 1) == [1, 2, 2]
+
+    def test_event_instants_oobu_example(self):
+        # instants at events 200 and 401
+        assert self.events_lit(402, 201) == [201, 402]
+        assert self.events_lit(400, 201) == [201]
+
+    def test_short_stream_yields_no_samples(self):
+        assert self.events_lit(50, 51) == []
+
+    def test_frame_instants_short(self):
+        assert self.frames_read(7, 8) == []
 
 
 def hand_inverse_2x2(m):

@@ -132,43 +132,6 @@ def oracle_sources(tiny_dataset):
     return sources
 
 
-class TestInstants:
-    """Which frame or event each classification instant of select_regions reads."""
-
-    @staticmethod
-    def frames_read(n_frames, every):
-        # frame k holds code k + 1 everywhere, so every crop is its whole frame
-        codes = np.arange(1, n_frames + 1, dtype=np.uint16)[:, None, None]
-        recording = Recording(frames=np.broadcast_to(codes, (n_frames, 3, 4)))
-        regions = select_regions([recording], sample_every=every)
-        assert regions.counts == [n_frames // every]
-        read = np.rint(regions.data.reshape(-1, 12) * FRAME_CODE_SCALE).astype(int) - 1
-        assert (read == read[:, :1]).all()
-        return read[:, 0].tolist()
-
-    def test_frame_instants_read_every_kth_frame_clamped_to_the_last(self):
-        # the tenth instant, at t = 80 pulse periods, falls past the last frame
-        assert self.frames_read(80, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 79]
-        assert self.frames_read(81, 8) == [8, 16, 24, 32, 40, 48, 56, 64, 72, 80]
-        assert self.frames_read(8, 8) == [7]
-        assert self.frames_read(7, 8) == []
-        assert self.frames_read(3, 1) == [1, 2, 2]
-
-    @pytest.mark.parametrize("n_events, every, lit", [(402, 201, [201, 402]), (400, 201, [201]),
-                                                      (50, 51, [])])
-    def test_event_instants_read_every_kth_event(self, n_events, every, lit):
-        # one event per cell, all within the window: the surface at instant
-        # i lights the i + 1 cells of events 0..i
-        cells = np.arange(n_events)
-        events = make_events(cells * 3, cells // 21, cells % 21, np.zeros(n_events))
-        stream = EventStream(kind=StreamKind.ON_OFF, grid_width=21, grid_height=20,
-                             events=events)
-        regions = select_regions([stream], sample_every=every, activity_fraction=0.0)
-        assert regions.counts == [len(lit)]
-        col_sums, _ = regions.marginals
-        assert col_sums.sum(axis=(1, 2)).tolist() == lit
-
-
 class TestSampleBuilding:
     def test_row_count_follows_cadence(self):
         n = 402
@@ -254,18 +217,18 @@ class TestSampleBuilding:
             samples = build_sample_set(regions, [0] * len(sources), config)
             assert samples.features.tobytes() == expect.tobytes(), size
 
-    @pytest.mark.parametrize("kind, dtype", [("frames", np.float64), ("oobu", np.int32)])
-    def test_marginals_taken_once_per_regions(self, oracle_sources, kind, dtype):
-        sources, every = oracle_sources[kind]
-        regions = select_regions(sources, sample_every=every)
-        build_sample_set(regions, [0] * len(sources), PoolConfig(method="2d", size=4))
-        assert "marginals" not in vars(regions)
-        build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=1))
-        marginals = vars(regions)["marginals"]
-        assert [sums.dtype for sums in marginals] == [dtype, dtype]
-        for size in (4, 12, 24):
-            build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=size))
-            assert vars(regions)["marginals"] is marginals
+    def test_marginals_taken_once_per_regions(self, oracle_sources):
+        for kind, dtype in (("frames", np.float64), ("oobu", np.int32)):
+            sources, every = oracle_sources[kind]
+            regions = select_regions(sources, sample_every=every)
+            build_sample_set(regions, [0] * len(sources), PoolConfig(method="2d", size=4))
+            assert "marginals" not in vars(regions), kind
+            build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=1))
+            marginals = vars(regions)["marginals"]
+            assert [sums.dtype for sums in marginals] == [dtype, dtype], kind
+            for size in (4, 12, 24):
+                build_sample_set(regions, [0] * len(sources), PoolConfig(method="1d", size=size))
+                assert vars(regions)["marginals"] is marginals, (kind, size)
 
     @pytest.mark.parametrize("kind", ["frames", "onoff"])
     def test_cadence_beyond_every_source_refused(self, tiny_dataset, kind, monkeypatch):
