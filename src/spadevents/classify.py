@@ -39,18 +39,20 @@ class PoolConfig:
 
 
 def region_from_activity(activity: np.ndarray, activity_fraction: float = DEFAULT_ACTIVITY_FRACTION
-                         ) -> tuple[slice, slice]:
-    """The (rows, cols) slices bounding the rows/columns whose marginal clears
-    a fraction of its max.
+                         ) -> tuple[np.ndarray, np.ndarray]:
+    """The (rows, cols) bounds of each map of an (n, H, W) activity stack:
+    (n, 2) arrays of [start, stop) around the rows/columns whose marginal
+    clears a fraction of its max.
 
     An all-zero activity map falls back to the full grid (every marginal
     trivially clears a zero threshold).
     """
-    rows = activity.sum(axis=1)
-    cols = activity.sum(axis=0)
-    row_ok = np.nonzero(rows >= activity_fraction * rows.max())[0]
-    col_ok = np.nonzero(cols >= activity_fraction * cols.max())[0]
-    return slice(int(row_ok[0]), int(row_ok[-1]) + 1), slice(int(col_ok[0]), int(col_ok[-1]) + 1)
+    bounds = []
+    for marginals in (activity.sum(axis=2), activity.sum(axis=1)):
+        ok = marginals >= activity_fraction * marginals.max(axis=1, keepdims=True)
+        bounds.append(np.stack([ok.argmax(axis=1), ok.shape[1] - ok[:, ::-1].argmax(axis=1)],
+                               axis=1))
+    return bounds[0], bounds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +312,9 @@ def evaluate_samples(samples: SampleSet, n_classes: int, seeds: list[int],
         if not len(test_recs):
             raise ValueError(f"trial seed {seed}: its test split holds none of the "
                              f"{samples.n_recordings} recordings")
-        train_mask = np.isin(rec_of_sample, train_recs)
+        in_train = np.zeros(samples.n_recordings, dtype=bool)
+        in_train[train_recs] = True
+        train_mask = in_train[rec_of_sample]
         if not train_mask.any():
             raise ValueError(f"trial seed {seed}: its training split holds 0 of the "
                              f"{len(rec_of_sample)} samples")

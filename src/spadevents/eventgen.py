@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import (AER_MAX_COL, AER_MAX_ROW, AER_TIME_MASK, EVENT_DTYPE, FormatError,
+from .core import (AER_MAX_COL, AER_MAX_ROW, AER_TIME_MASK, FormatError,
                    EventStream, Recording, StreamKind, encode_aer_array, decode_aer_array,
                    make_events, read_framed, write_framed)
 
@@ -160,19 +160,21 @@ def firstand_convert(recording: Recording, params: FirstAndParams | None = None)
     hr, wr = winners.shape[1:]
     next_index, emitted = _counter_table(params.success_threshold)
     index = np.ones(hr * wr, dtype=np.intp)  # 5 * state + 1 at state 0 (stored N, counter 0)
-    cap = params.fifo_capacity_per_pulse
-
-    chunks = []
+    # the RF state is sequential over pulses; everything else is one pass
+    features = np.empty((len(winners), hr * wr), dtype=np.int8)
     for k, winner in enumerate(winners.reshape(len(winners), hr * wr)):
         index += winner
-        feature = emitted.take(index)
-        index = next_index.take(index)
-        cells = np.flatnonzero(feature >= 0)[:cap]
-        if len(cells):
-            chunks.append(make_events(np.full(len(cells), k * recording.pulse_period, np.int64),
-                                      cells // wr, cells % wr, feature[cells]))
+        features[k] = emitted[index]
+        index = next_index[index]
 
-    events = np.concatenate(chunks) if chunks else np.empty(0, dtype=EVENT_DTYPE)
+    fired = features >= 0
+    cap = params.fifo_capacity_per_pulse
+    if cap is not None:
+        fired &= np.cumsum(fired, axis=1, dtype=np.int32) <= cap
+    flat = np.flatnonzero(fired)
+    pulses, cells = np.divmod(flat, hr * wr)
+    events = make_events(pulses * recording.pulse_period, cells // wr, cells % wr,
+                         features.reshape(-1)[flat])
     return EventStream(kind=StreamKind.FIRST_AND, grid_width=wr, grid_height=hr, events=events)
 
 

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .core import (NEVER, EventStream, FormatError, StreamKind, make_events, read_framed,
                    surface_lit, write_framed)
@@ -134,7 +133,10 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray
     The ROIs do not depend on any weights, so they are extracted once, one
     step per run of equal timestamps: the cells lit on the surface before
     the run, OR the run's own cells whose first index in the run precedes
-    the event.
+    the event.  The surface is flat, over a (P, H + 2r, W + 2r) grid whose
+    halo of r never-fired cells keeps every window on it, so an event's
+    window is its flat corner plus one fixed offset vector, already in the
+    (polarity, row, col) order of the rows.
     """
     if roi_side % 2 != 1 or roi_side < 1:
         raise ValueError(f"roi_side must be odd and positive, got {roi_side}")
@@ -143,29 +145,27 @@ def event_rois(stream: EventStream, roi_side: int, window_us: int) -> np.ndarray
     ev = stream.events
     n = len(ev)
     r = roi_side // 2
-    # a halo of r never-fired cells turns every window into a plain slice
-    shape = (stream.polarity_count, stream.grid_height + 2 * r, stream.grid_width + 2 * r)
-    last = np.full(shape, NEVER, dtype=np.int64)
-    first = np.full(shape, n, dtype=np.int64)    # n marks "no event in this run"
-    last_windows = sliding_window_view(last, (roi_side, roi_side), axis=(1, 2))
-    first_windows = sliding_window_view(first, (roi_side, roi_side), axis=(1, 2))
+    height, width = stream.grid_height + 2 * r, stream.grid_width + 2 * r
+    span = np.arange(roi_side)
+    offsets = (np.arange(stream.polarity_count)[:, None, None] * (height * width)
+               + span[:, None] * width + span).reshape(-1)
+    last = np.full(stream.polarity_count * height * width, NEVER, dtype=np.int64)
+    first = np.full(len(last), n, dtype=np.int64)    # n marks "no event in this run"
     ts = ev["t"]
-    ys = ev["y"].astype(np.intp)
-    xs = ev["x"].astype(np.intp)
-    ps = ev["p"].astype(np.intp)
+    corners = ev["y"].astype(np.intp) * width + ev["x"]
+    cells = corners + ev["p"].astype(np.intp) * (height * width) + (r * width + r)
     starts = np.flatnonzero(np.diff(ts, prepend=ts[:1] - 1))
-    out = np.empty((n, len(last) * roi_side * roi_side), dtype=np.uint8)
-    for a, b in zip(starts, np.append(starts[1:], n)):
-        t = int(ts[a])
-        y, x = ys[a:b], xs[a:b]
-        cells = (ps[a:b], y + r, x + r)
+    out = np.empty((n, len(offsets)), dtype=bool)
+    for a, b in zip(starts.tolist(), np.append(starts[1:], n).tolist()):
+        run = cells[a:b]
         index = np.arange(a, b)
-        np.minimum.at(first, cells, index)
-        lit = surface_lit(last_windows[:, y, x], t, window_us)
-        lit |= first_windows[:, y, x] < index[:, None, None]
-        out[a:b] = lit.transpose(1, 0, 2, 3).reshape(b - a, -1)
-        last[cells] = t
-        first[cells] = n
+        np.minimum.at(first, run, index)
+        windows = corners[a:b, None] + offsets
+        lit = surface_lit(last[windows], int(ts[a]), window_us)
+        lit |= first[windows] < index[:, None]
+        out[a:b] = lit
+        last[run] = ts[a]
+        first[run] = n
     return np.packbits(out, axis=1)
 
 

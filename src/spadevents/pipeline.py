@@ -17,7 +17,6 @@ import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, partial
-from itertools import chain
 
 import numpy as np
 
@@ -218,31 +217,32 @@ def infer_feature_streams(streams: list[EventStream], features: BinaryFeatureSet
 # ---------------------------------------------------------------------------
 
 
-def _stream_states(stream: EventStream, indices: np.ndarray, window_us: int):
-    """(binary surface, activity) at each sampled event index, the surface
-    replayed up to and including that event."""
-    last_t = np.full((stream.polarity_count, stream.grid_height, stream.grid_width), NEVER,
-                     dtype=np.int64)
+# Bytes of the bool surfaces (or frame masks) that select_regions takes at
+# once: a block of instants replays into them and is bounded in one pass.
+_BLOCK_BYTES = 2 ** 18
+
+
+def _stream_blocks(stream: EventStream, instants: np.ndarray, window_us: int):
+    """Per block of instants: the binary surfaces (n, P, H, W) replayed up
+    to and including each instant's event."""
+    shape = (stream.polarity_count, stream.grid_height, stream.grid_width)
+    size = math.prod(shape)
     ev = stream.events
+    ts = ev["t"]
+    cells = (ev["p"].astype(np.intp) * shape[1] + ev["y"]) * shape[2] + ev["x"]
+    last_t = np.full(size, NEVER, dtype=np.int64)
+    step = max(1, _BLOCK_BYTES // size)
     done = 0
-    for idx in indices:
-        # one write per stretch: the stretch is time-sorted, so a cell's
-        # latest event lands last
-        stretch = ev[done:idx + 1]
-        last_t[stretch["p"], stretch["y"], stretch["x"]] = stretch["t"]
-        done = idx + 1
-        grid = surface_lit(last_t, int(ev["t"][idx]), window_us).view(np.uint8)
-        yield grid, grid.sum(axis=0)
-
-
-def _frame_states(recording: Recording, instants: np.ndarray):
-    """(scaled codes, pixel occupancy) of the depth frame each instant reads."""
-    for i in instants:
-        # instant i = k * every - 1 reads frame k * every, the frame at
-        # t = k * every * pulse_period, or the last frame when t falls past
-        # the end (at 80 frames and cadence 8, instant 79 reads frame 79)
-        frame = recording.frames[min(i + 1, recording.n_frames - 1)]
-        yield frame[None] / FRAME_CODE_SCALE, frame > 0
+    for start in range(0, len(instants), step):
+        block = instants[start:start + step].tolist()
+        surfaces = np.empty((len(block), size), dtype=bool)
+        for j, idx in enumerate(block):
+            # one write per stretch: the stretch is time-sorted, so a cell's
+            # latest event lands last
+            last_t[cells[done:idx + 1]] = ts[done:idx + 1]
+            done = idx + 1
+            surfaces[j] = surface_lit(last_t, int(ts[idx]), window_us)
+        yield surfaces.reshape(len(block), *shape)
 
 
 @dataclass(eq=False)
@@ -321,17 +321,28 @@ def select_regions(sources: list, *, sample_every: int,
     from_frames = isinstance(sources[0], Recording)
     instants = [np.arange(sample_every - 1, src.n_frames if from_frames else len(src),
                           sample_every) for src in sources]
-    states = chain.from_iterable(
-        _frame_states(src, idx) if from_frames else _stream_states(src, idx, window_us)
-        for src, idx in zip(sources, instants))
     # the crops' bytes appended to one buffer that then backs the array: no
     # list of crops and no second copy of them
     shapes, data = [], bytearray()
-    for values, activity in states:
-        rows, cols = region_from_activity(activity, activity_fraction)
-        crop = values[:, rows, cols]
-        shapes += crop.shape[1:]
-        data += crop.tobytes() if from_frames else np.packbits(crop).tobytes()
+    for src, idx in zip(sources, instants):
+        if from_frames:
+            # instant i = k * every - 1 reads frame k * every, the frame at
+            # t = k * every * pulse_period, or the last frame when t falls past
+            # the end (at 80 frames and cadence 8, instant 79 reads frame 79)
+            read = np.minimum(idx + 1, src.n_frames - 1)
+            step = max(1, _BLOCK_BYTES // (src.height * src.width))
+            blocks = (src.frames[read[start:start + step]] for start in range(0, len(read), step))
+        else:
+            blocks = _stream_blocks(src, idx, window_us)
+        for values in blocks:
+            activity = values > 0 if from_frames else values.sum(axis=1, dtype=np.uint16)
+            rows, cols = region_from_activity(activity, activity_fraction)
+            for value, (y0, y1), (x0, x1) in zip(values, rows.tolist(), cols.tolist()):
+                shapes += (y1 - y0, x1 - x0)
+                if from_frames:
+                    data += (value[y0:y1, x0:x1] / FRAME_CODE_SCALE).tobytes()
+                else:
+                    data += np.packbits(value[:, y0:y1, x0:x1]).tobytes()
     return SampleRegions([len(idx) for idx in instants],
                          1 if from_frames else sources[0].polarity_count,
                          np.array(shapes, dtype=np.int32).reshape(-1, 2),

@@ -42,8 +42,8 @@ def test_record_summarises_every_workload_and_seed(bench_record, tmp_path, monke
     assert {k: out[k] for k in ("git_sha", "src_sha256", "cpu_count", "seconds")} == \
            {"git_sha": "abc", "src_sha256": "def", "cpu_count": 2, "seconds": 5}
     a = out["workloads"]["a"]["2024"]
-    assert a["end_to_end"]["run_s"] == {"unit": "s", "median": 5.0, "min": 1.0, "max": 9.0,
-                                        "runs": [1.0, 5.0, 9.0]}
+    assert a["end_to_end"]["run_s"] == {"unit": "s", "median": 5.0, "q1": 3.0, "q3": 7.0,
+                                        "min": 1.0, "max": 9.0, "runs": [1.0, 5.0, 9.0]}
     assert a["per_layer"] == {"x.self_s": {"unit": "s", "value": 13.0}}
     assert a["correct"] and out["workloads"]["b"]["2024"]["correct"] is False
 
@@ -187,3 +187,51 @@ def test_compare_judges_a_paired_record_by_its_pairs(bench_record, tmp_path, cap
                                                f"{pair['median']:.3f}"]
     assert f"(paired, {pair['wins']}/3 won)" in lines[1]
     assert rows[("w", "2024", "acc")][2] == "1.000"    # no pairs: the old record's median
+
+
+def test_spread_quartiles(bench_record):
+    values = [{"unit": "s", "value": v} for v in (4.0, 1.0, 3.0, 2.0, 5.0, 9.0, 6.0, 7.0, 8.0,
+                                                    10.0)]
+    out = bench_record.spread(values)
+    assert (out["q1"], out["median"], out["q3"]) == (3.25, 5.5, 7.75)
+    assert bench_record.spread(values[:1])["q1"] == bench_record.spread(values[:1])["q3"] == 4.0
+
+
+def quartile_record(bench_record, head_runs, base_runs, ratios):
+    """A paired record whose sides hold run_s spreads, quartiles included, of their runs."""
+    record = paired_record(0.0, 0.0, ratios)
+    for side, runs in ((record, head_runs), (record["base"], base_runs)):
+        summary = bench_record.spread([{"unit": "s", "value": v} for v in runs])
+        for seed in ("2024", "4242"):
+            side["workloads"]["w"][seed] = dict(side["workloads"]["w"][seed],
+                                                end_to_end={"run_s": summary,
+                                                            "acc": {"median": 0.5}})
+    return record
+
+
+BASE_RUNS = [1.00, 1.01, 1.02, 1.03, 1.04, 1.05, 1.06, 1.07, 1.08, 1.09]   # IQR 0.045
+
+
+@pytest.mark.parametrize("head_runs, ratios, mark", [
+    # 9 of 10 pairs won, the median 0.2 below the base's, past its IQR
+    ([v - 0.2 for v in BASE_RUNS], [0.8] * 9 + [1.01], "gain"),
+    # only 8 of 10 pairs won
+    ([v - 0.2 for v in BASE_RUNS], [0.8] * 8 + [1.01] * 2, "no gain"),
+    # every pair won, but the median moved by less than the base's IQR
+    ([v - 0.03 for v in BASE_RUNS], [0.97] * 10, "no gain"),
+])
+def test_compare_marks_the_gain_rule(bench_record, tmp_path, capsys, head_runs, ratios, mark):
+    new = quartile_record(bench_record, head_runs, BASE_RUNS, ratios)
+    assert run_compare(bench_record, tmp_path, new["base"], new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = next(line for line in lines if line.split()[:3] == ["w", "2024", "run_s"])
+    assert row.endswith(f"won)  {mark}")
+
+
+def test_compare_without_quartiles_still_compares(bench_record, tmp_path, capsys):
+    # records written before quartiles were kept still compare
+    new = paired_record(0.7, 1.0, [0.7] * 10)
+    assert run_compare(bench_record, tmp_path, fake_record(1.0), new) == 0
+    lines = capsys.readouterr().out.splitlines()
+    row = next(line for line in lines if line.split()[:3] == ["w", "2024", "run_s"])
+    assert row.endswith("(paired, 10/10 won)  gain n/a")

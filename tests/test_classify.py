@@ -38,32 +38,59 @@ def pool_2d(values, size):
     return pool_stack(values, "2d", size)
 
 
+def region_of(activity, **kwargs):
+    """region_from_activity of a single map, called on a stack of one, as slices."""
+    rows, cols = region_from_activity(activity[None], **kwargs)
+    return slice(*rows[0].tolist()), slice(*cols[0].tolist())
+
+
 class TestRegionSelection:
     def test_single_active_pixel(self):
         activity = np.zeros((8, 8))
         activity[3, 5] = 1
-        assert region_from_activity(activity) == (slice(3, 4), slice(5, 6))
+        assert region_of(activity) == (slice(3, 4), slice(5, 6))
 
     def test_all_zero_falls_back_to_full_grid(self):
-        assert region_from_activity(np.zeros((6, 9))) == (slice(0, 6), slice(0, 9))
+        assert region_of(np.zeros((6, 9))) == (slice(0, 6), slice(0, 9))
 
     def test_active_block_bounding_box(self):
         activity = np.zeros((20, 20))
         activity[4:10, 7:17] = 1  # 6 rows x 10 cols
-        assert region_from_activity(activity) == (slice(4, 10), slice(7, 17))
+        assert region_of(activity) == (slice(4, 10), slice(7, 17))
 
     def test_weak_marginals_excluded(self):
         activity = np.zeros((10, 10))
         activity[5, :] = 10.0
         activity[0, 0] = 0.5   # row marginal 0.5 < 0.1 * 100
-        rows, _ = region_from_activity(activity, activity_fraction=0.1)
+        rows, _ = region_of(activity, activity_fraction=0.1)
         assert rows == slice(5, 6)
 
     def test_select_region_from_surface(self):
         surf = ReferenceSurface(2, 12, 12)
         surf.write(make_events([100, 100], [6, 6], [4, 5], [0, 1]))
-        region = region_from_activity(surf.binary(t_now=150, window_us=100).sum(axis=0))
+        region = region_of(surf.binary(t_now=150, window_us=100).sum(axis=0))
         assert region == (slice(6, 7), slice(4, 6))
+
+
+    def test_stack_matches_per_map_oracle(self):
+        """Every map of a stack is bounded as the single-map rule (the
+        per-instant code before stacks) bounds it alone."""
+        def reference(activity, fraction):
+            rows, cols = activity.sum(axis=1), activity.sum(axis=0)
+            row_ok = np.nonzero(rows >= fraction * rows.max())[0]
+            col_ok = np.nonzero(cols >= fraction * cols.max())[0]
+            return ((int(row_ok[0]), int(row_ok[-1]) + 1), (int(col_ok[0]), int(col_ok[-1]) + 1))
+
+        rng = np.random.default_rng(11)
+        for fraction in (0.0, 0.1, 0.5, 1.0):
+            stack = rng.integers(0, 5, (40, 7, 9)) * (rng.random((40, 7, 9)) < 0.2)
+            stack[:3] = 0   # all-zero maps fall back to the full grid
+            rows, cols = region_from_activity(stack, fraction)
+            assert rows.shape == cols.shape == (40, 2)
+            got = list(zip(map(tuple, rows.tolist()), map(tuple, cols.tolist())))
+            assert got == [reference(a, fraction) for a in stack], fraction
+        rows, cols = region_from_activity(np.zeros((0, 4, 5)))
+        assert rows.shape == cols.shape == (0, 2)
 
 
 class TestPool1d:

@@ -6,7 +6,7 @@ import pytest
 from spadevents.core import (NEVER, EventStream, Recording, StreamKind, decode_aer_array,
                              encode_aer_array, make_events, surface_lit)
 from spadevents.feast import event_rois
-from spadevents.pipeline import _stream_states
+from spadevents.pipeline import select_regions
 
 
 class ReferenceSurface:
@@ -24,6 +24,17 @@ class ReferenceSurface:
     def binary(self, t_now, window_us):
         last = self.last_t
         return (((t_now - last) < window_us) & (last != NEVER)).astype(np.uint8)
+
+
+def replayed_surfaces(stream, every, window_us):
+    """The binary surface at each of select_regions' instants (every every-th
+    event), read whole: at activity fraction 0 every region is the full grid."""
+    regions = select_regions([stream], sample_every=every, window_us=window_us,
+                             activity_fraction=0.0)
+    shape = (stream.polarity_count, stream.grid_height, stream.grid_width)
+    assert (regions.shapes == shape[1:]).all()
+    values, starts = regions.crops(0, len(regions.shapes))
+    return [values[start:start + np.prod(shape)].reshape(shape) for start in starts]
 
 
 def assemble_word_bits(row, col, feature_class, pulse):
@@ -209,15 +220,16 @@ class TestTimeSurface:
     def test_single_update(self):
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
                              events=make_events([100], [4], [3], [1]))
-        (grid, activity), = _stream_states(stream, [0], 50)
+        grid, = replayed_surfaces(stream, 1, 50)
         assert grid[1, 4, 3] == 1 and grid.sum() == 1
-        assert activity.tolist() == grid.sum(axis=0).tolist()
+        # the active region is the one lit cell
+        assert select_regions([stream], sample_every=1, window_us=50).shapes.tolist() == [[1, 1]]
 
     def test_overwrite_same_cell(self):
         # read at 2150 with a 2000 us window: lit only from the write at 200
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=8, grid_height=8,
                              events=make_events([100, 200, 2150], [4, 4, 0], [3, 3, 0], [1, 1, 0]))
-        (grid, _), = _stream_states(stream, [2], 2000)
+        grid, = replayed_surfaces(stream, 3, 2000)
         assert grid[1, 4, 3] == 1
 
     def test_window_boundary_is_strict(self):
@@ -271,16 +283,17 @@ class TestTimeSurface:
         assert np.array_equal(event_rois(stream, 3, 50), first)
 
     def test_update_many_matches_sequential(self):
-        # _stream_states writes each stretch up to an instant in one
+        # select_regions writes each stretch up to an instant in one
         # assignment; the reference writes one event at a time
         rng = np.random.default_rng(13)
         ev = make_events(np.sort(rng.integers(0, 100, 200)), rng.integers(0, 6, 200),
                          rng.integers(0, 6, 200), rng.integers(0, 2, 200))
         stream = EventStream(kind=StreamKind.ON_OFF, grid_width=6, grid_height=6, events=ev)
-        indices = [0, 17, 18, 120, 199]
-        reference = ReferenceSurface(2, 6, 6)
-        done = 0
-        for idx, (grid, _) in zip(indices, _stream_states(stream, indices, 30)):
-            reference.write(ev[done:idx + 1])
-            done = idx + 1
-            assert np.array_equal(grid, reference.binary(int(ev["t"][idx]), 30))
+        for every in (1, 7, 40):
+            reference = ReferenceSurface(2, 6, 6)
+            done = 0
+            grids = replayed_surfaces(stream, every, 30)
+            for idx, grid in zip(range(every - 1, len(ev), every), grids, strict=True):
+                reference.write(ev[done:idx + 1])
+                done = idx + 1
+                assert np.array_equal(grid, reference.binary(int(ev["t"][idx]), 30))

@@ -338,6 +338,21 @@ class TestFirstAndConvert:
             assert (fast.grid_height, fast.grid_width) == (h - 3, w - 3)
             assert np.array_equal(fast.events, slow.events), (trial, params)
 
+    @pytest.mark.parametrize("threshold", range(1, 8))
+    @pytest.mark.parametrize("cap", [None, 0, 1, 3])
+    def test_every_threshold_and_cap_match_reference_simulator(self, threshold, cap):
+        rng = np.random.default_rng(threshold)
+        frames = rng.integers(0, 4, size=(14, 7, 9)) * (rng.random((14, 7, 9)) < 0.8)
+        frames[:, 1:5, 2:6] = 3   # one latched RF that emits whenever the counter allows
+        params = FirstAndParams(success_threshold=threshold, fifo_capacity_per_pulse=cap)
+        for recording in (recording_from(frames), recording_from(frames[:0]),
+                          recording_from(frames[:1])):
+            fast = firstand_convert(recording, params=params)
+            slow = firstand_convert_reference(recording, params=params)
+            assert (fast.grid_height, fast.grid_width) == (4, 6)
+            assert fast.events.tobytes() == slow.events.tobytes(), recording.n_frames
+        assert cap == 0 or len(firstand_convert(recording_from(frames), params=params)) > 0
+
     def test_frames_smaller_than_rf_rejected(self):
         with pytest.raises(ValueError, match="smaller"):
             firstand_convert(recording_from(np.zeros((1, 3, 3))))

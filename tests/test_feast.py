@@ -9,7 +9,7 @@ from spadevents import feast
 from spadevents.core import (BadMagicError, DimensionError, EventStream, FormatError,
                              StreamKind, TruncatedError, make_events)
 from spadevents.dataio import SynthConfig, synth_generate
-from spadevents.eventgen import oobu_convert
+from spadevents.eventgen import FirstAndParams, firstand_convert, onoff_convert, oobu_convert
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                               event_rois, feast_infer, feast_train, initial_features,
                               load_features, save_features)
@@ -108,6 +108,22 @@ def oobu_streams():
                          grid_width=16, grid_height=16, seed=11)
     _, recordings = synth_generate(config)
     return [oobu_convert(rec) for rec in recordings]
+
+
+@pytest.fixture(scope="module")
+def kind_streams():
+    """A short stream of each kind, and a feature stream inferred from the OOBU one."""
+    config = SynthConfig(n_classes=2, recordings_per_class=1, frames_per_recording=24,
+                         grid_width=14, grid_height=14, seed=4)
+    _, (recording, _) = synth_generate(config)
+    # at the default success threshold this short recording emits no First-AND event
+    firstand = firstand_convert(recording, FirstAndParams(success_threshold=2))
+    streams = {"firstand": firstand, "onoff": onoff_convert(recording),
+               "oobu": oobu_convert(recording)}
+    features = binarize(initial_features(FeastParams(n_neurons=5, polarity_count=4, seed=1)), 9)
+    streams["feature"] = infer(streams["oobu"], features)
+    assert all(len(stream) > 50 for stream in streams.values())
+    return streams
 
 
 def stream_of(t, y, x, p, grid=8, polarity_count=2):
@@ -507,6 +523,39 @@ class TestBatchedRois:
                 own = stream.events["p"].astype(np.intp) * side * side + r * side + r
                 got[np.arange(len(stream)), own] = 1
             assert np.array_equal(got, reference_rois(stream, side, window, inclusive))
+
+    @pytest.mark.parametrize("side", [1, 3, 5, 7])
+    @pytest.mark.parametrize("window", [1, 30, 2000])
+    def test_every_stream_kind_matches_per_event_reference(self, kind_streams, side, window):
+        for name, stream in kind_streams.items():
+            assert np.array_equal(unpacked_rois(stream, side, window),
+                                  reference_rois(stream, side, window, inclusive=False)), name
+
+    def test_256_polarity_feature_stream_at_side_1(self):
+        rng = np.random.default_rng(256)
+        n = 600
+        stream = stream_of(np.sort(rng.integers(0, 400, n)), rng.integers(0, 6, n),
+                           rng.integers(0, 6, n), rng.integers(0, 256, n), grid=6,
+                           polarity_count=256)
+        for window in (1, 30, 2000):
+            assert np.array_equal(unpacked_rois(stream, 1, window),
+                                  reference_rois(stream, 1, window, inclusive=False))
+
+    @pytest.mark.parametrize("timing", ["one timestamp", "one-event runs"])
+    def test_grid_corners_match_reference(self, timing):
+        # every event on a corner of a 5x7 grid, so each window reaches off it
+        rng = np.random.default_rng(7)
+        n = 80
+        corners = rng.integers(0, 4, n)
+        t = np.zeros(n, np.int64) if timing == "one timestamp" else np.arange(n) * 3
+        events = make_events(t, np.where(corners < 2, 0, 4), np.where(corners % 2, 6, 0),
+                             rng.integers(0, 2, n))
+        stream = EventStream(kind=StreamKind.FEATURE, grid_width=7, grid_height=5,
+                             events=events, polarity_count=2)
+        for side in (1, 3, 5, 7):
+            for window in (1, 30, 2000):
+                assert np.array_equal(unpacked_rois(stream, side, window),
+                                      reference_rois(stream, side, window, inclusive=False))
 
     def test_empty_stream(self):
         stream = stream_of([], [], [], [], polarity_count=3)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from spadevents import feast, pipeline
-from spadevents.classify import DEFAULT_ACTIVITY_FRACTION, PoolConfig, region_from_activity
+from spadevents.classify import DEFAULT_ACTIVITY_FRACTION, PoolConfig
 from spadevents.core import EventStream, Recording, StreamKind, make_events
 from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.feast import binarize, event_rois, initial_features
@@ -16,7 +16,7 @@ from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
                                  feature_rois, infer_feature_streams, parallel_map,
                                  prepare_binary_features, run_pipeline, select_regions,
                                  trial_seeds)
-from test_classify import oracle_pool
+from test_classify import oracle_pool, region_of
 from test_core import ReferenceSurface
 
 
@@ -87,7 +87,7 @@ def reference_stream_rows(stream, pool_config, every, window_us=PipelineParams.f
         done = idx + 1
         t_now = int(ev["t"][idx])
         grid = surface.binary(t_now, window_us)
-        ys, xs = region_from_activity(grid.sum(axis=0), activity_fraction)
+        ys, xs = region_of(grid.sum(axis=0), activity_fraction=activity_fraction)
         rows[row] = oracle_pool(grid[:, ys, xs], pool_config)
     return rows
 
@@ -104,7 +104,7 @@ def reference_frame_rows(recording, pool_config, every,
     for row, t_now in enumerate(times):
         idx = min(int(t_now) // recording.pulse_period, recording.n_frames - 1)
         frame = recording.frames[idx]
-        ys, xs = region_from_activity((frame > 0).astype(np.int64), activity_fraction)
+        ys, xs = region_of((frame > 0).astype(np.int64), activity_fraction=activity_fraction)
         values = frame[None, ys, xs].astype(np.float64) / FRAME_CODE_SCALE
         rows[row] = oracle_pool(values, pool_config)
     return rows
@@ -216,6 +216,34 @@ class TestSampleBuilding:
                 expect[rows] = oracle_pool(np.stack([crops[row] for row in rows]), config)
             samples = build_sample_set(regions, [0] * len(sources), config)
             assert samples.features.tobytes() == expect.tobytes(), size
+
+    @pytest.mark.parametrize("kind", ["frames", "firstand", "onoff", "oobu", "feature"])
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 1.0])
+    @pytest.mark.parametrize("block_instants", [1, 3])
+    def test_small_blocks_match_reference(self, oracle_sources, kind, fraction, block_instants,
+                                          monkeypatch):
+        """With the block budget cut to one or three instants' surfaces, every
+        source spans several blocks, and the regions stay byte-equal to the
+        per-instant reference builders and to those of the default budget."""
+        sources, every = oracle_sources[kind]
+        every = max(1, every // 8)   # many instants per source
+        whole = select_regions(sources, sample_every=every, activity_fraction=fraction)
+        first = sources[0]
+        surface = (first.height * first.width if kind == "frames"
+                   else first.polarity_count * first.grid_height * first.grid_width)
+        monkeypatch.setattr(pipeline, "_BLOCK_BYTES", block_instants * surface)
+        regions = select_regions(sources, sample_every=every, activity_fraction=fraction)
+        assert max(regions.counts) > 2 * block_instants
+        assert regions.counts == whole.counts
+        assert regions.shapes.tobytes() == whole.shapes.tobytes()
+        assert regions.data.tobytes() == whole.data.tobytes()
+        for method in ("1d", "2d"):
+            config = PoolConfig(method=method, size=3)
+            blocks = [reference_frame_rows(src, config, every, fraction) if kind == "frames"
+                      else reference_stream_rows(src, config, every, activity_fraction=fraction)
+                      for src in sources]
+            samples = build_sample_set(regions, [0] * len(sources), config)
+            assert samples.features.tobytes() == np.concatenate(blocks).tobytes(), method
 
     def test_marginals_taken_once_per_regions(self, oracle_sources):
         for kind, dtype in (("frames", np.float64), ("oobu", np.int32)):

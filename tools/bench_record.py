@@ -14,8 +14,8 @@ repository:
 - the measured checkout's git sha and source digest, Python and numpy
   versions, cpu count;
 - per workload and seed: whether every run was correct, the failed count,
-  the median, minimum and maximum of each end-to-end metric over the
-  untraced runs, and the per-layer metrics of the traced run.
+  the median, quartiles, minimum and maximum of each end-to-end metric over
+  the untraced runs, and the per-layer metrics of the traced run.
 
 ``--base REV`` measures commit REV of this repository in the same session.
 REV's files are extracted with ``git archive`` into a fresh directory in
@@ -33,7 +33,11 @@ BENCHMARK.json at ``--root``, the old and new medians, their ratio and
 whether the new one is worse than the old by more than the metric's bound
 (relative).  Where the new record holds pairs, the old median is its own
 base's and the ratio the median per-pair ratio, so that host drift between
-the sessions of the two records does not read as a change.  It exits 1 if
+the sessions of the two records does not read as a change.  Each paired
+metric is also marked ``gain`` when the change won at least nine tenths of
+the pairs and its median is better than its base's by more than the base's
+interquartile range, ``no gain`` otherwise, and ``gain n/a`` when the base
+carries no quartiles (records written before they were kept).  It exits 1 if
 any ratio is past its bound, or if a workload, seed or metric of the old
 record is missing from the new one, or if a new run was not correct.
 
@@ -72,10 +76,13 @@ def run_harness(root: Path, workload: str, seed: int, seconds: float,
 
 
 def spread(metrics: list[dict]) -> dict:
-    """Median, minimum and maximum of one {"unit", "value"} metric over runs."""
+    """Median, quartiles, minimum and maximum of one {"unit", "value"} metric
+    over runs; a single run is its own quartiles."""
     values = [m["value"] for m in metrics]
-    return {"unit": metrics[0]["unit"], "median": statistics.median(values),
-            "min": min(values), "max": max(values), "runs": values}
+    q1, _, q3 = (statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1
+                 else values * 3)
+    return {"unit": metrics[0]["unit"], "median": statistics.median(values), "q1": q1,
+            "q3": q3, "min": min(values), "max": max(values), "runs": values}
 
 
 def ratio(old: float, new: float) -> float:
@@ -104,6 +111,17 @@ def pair_ratios(head: list[dict], base: list[dict], benchmark: dict) -> dict:
         wins = sum(r < 1 if metric["better"] == "lower" else r > 1 for r in ratios)
         out[name] = {"ratios": ratios, "median": statistics.median(ratios), "wins": wins}
     return out
+
+
+def gain(pair: dict, base: dict, median: float, lower: bool) -> str:
+    """The gain rule on one paired metric: the change won at least nine tenths
+    of the pairs, and its median beats the base's by more than the base's
+    interquartile range."""
+    if "q1" not in base:
+        return "gain n/a"
+    won = 10 * pair["wins"] >= 9 * len(pair["ratios"])
+    margin = base["median"] - median if lower else median - base["median"]
+    return "gain" if won and margin > base["q3"] - base["q1"] else "no gain"
 
 
 def record(root: Path, repeats: int, base: Path | None = None) -> dict:
@@ -185,15 +203,17 @@ def compare(old: dict, new: dict, benchmark: dict) -> tuple[list[str], bool]:
                     bad = True
                     continue
                 b = after["end_to_end"][name]["median"]
+                lower = metric["better"] == "lower"
                 if name in pairs:
-                    a = new["base"]["workloads"][workload][seed]["end_to_end"][name]["median"]
+                    base = new["base"]["workloads"][workload][seed]["end_to_end"][name]
+                    a = base["median"]
                     r = pairs[name]["median"]
-                    note = f"  (paired, {pairs[name]['wins']}/{len(pairs[name]['ratios'])} won)"
+                    note = (f"  (paired, {pairs[name]['wins']}/{len(pairs[name]['ratios'])} won)"
+                            f"  {gain(pairs[name], base, b, lower)}")
                 else:
                     a = before["end_to_end"][name]["median"]
                     r = ratio(a, b)
                     note = ""
-                lower = metric["better"] == "lower"
                 limit = 1 + metric["bound"] if lower else 1 - metric["bound"]
                 worse = r > limit if lower else r < limit
                 bad |= worse
