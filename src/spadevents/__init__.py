@@ -18,7 +18,7 @@ from .feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binariz
                     feast_infer, feast_train, load_features, save_features)
 from .classify import (EvalReport, PoolConfig, predict_batch, region_from_activity,
                        train_classifier)
-from .pipeline import PipelineParams, PipelineSpec, run_pipeline
+from .pipeline import PipelineParams, PipelineSpec, evaluate_cells, run_pipeline
 
 __all__ = [
     "EventStream", "Recording", "StreamKind",
@@ -30,5 +30,5 @@ __all__ = [
     "feast_infer", "feast_train", "load_features", "save_features",
     "EvalReport", "PoolConfig", "predict_batch",
     "region_from_activity", "train_classifier",
-    "PipelineParams", "PipelineSpec", "run_pipeline",
+    "PipelineParams", "PipelineSpec", "evaluate_cells", "run_pipeline",
 ]

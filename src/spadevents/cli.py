@@ -19,7 +19,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +35,8 @@ from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features
 from .pipeline import (EVENT_KINDS, FEATURE_MODES, KINDS, PipelineParams, PipelineSpec,
-                       convert_all, evaluate_sources, feature_rois, pipeline_sources,
-                       prepare_binary_features, run_pipeline, trial_seeds)
+                       convert_all, evaluate_cells, feature_rois, prepare_binary_features,
+                       run_pipeline, trial_seeds)
 from .svgchart import write_line_chart
 
 
@@ -227,45 +227,15 @@ def cmd_evaluate(args, cfg: ExperimentConfig, out: Path):
             f"per-recording {report.per_recording_mean:.4f} +/- {report.per_recording_std:.4f}")
 
 
-def sweep_plan(cfg: ExperimentConfig) -> list[tuple[str, list[PipelineSpec]]]:
-    """Each kind of the config with the spec of each of its (feature mode, N)
-    cells, in cell order; building them checks every cell."""
-    return [(kind, [pipeline_spec_from(cfg, kind, mode, n_neurons)
-                    for mode in (("raw",) if kind == "frames" else cfg.feature_modes)
-                    for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)])
-            for kind in cfg.kinds]
-
-
-def sweep_cells(recordings, n_classes: int, cfg: ExperimentConfig
-                ) -> list[tuple[tuple, EvalReport]]:
-    """(cell key, report) for every (kind, feature mode, N, L, method) cell of
-    the config; the key's fields are _CELL_COLUMNS.
-
-    Streams are converted and their ROIs extracted once per kind, feature
-    sources built and regions selected once per (kind, mode, N); pooling
-    cells pool those regions in batches.  Cell order is the deterministic
-    loop order, independent of cfg.jobs, and ExperimentConfig refuses repeated
-    axis values, so every key is unique.
-    """
-    seeds = trial_seeds(cfg.seed, cfg.n_trials)
-    labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    plan = sweep_plan(cfg)
-    cells = []
-    for kind, bases in plan:
-        streams = rois = None
-        if kind != "frames":
-            streams = convert_all(recordings, kind, cfg, jobs=cfg.jobs)
-            if any(base.feature_mode != "raw" for base in bases):
-                rois = feature_rois(streams, cfg)
-        for base in bases:
-            groups = pipeline_sources(recordings, base, seeds, streams, rois)
-            for pool_size in cfg.pool_sizes:
-                for method in cfg.pool_methods:
-                    spec = replace(base, pool=PoolConfig(method=method, size=pool_size))
-                    cells.append(((kind, base.feature_mode, base.n_neurons, pool_size, method),
-                                  evaluate_sources(groups, labels, spec, n_classes)))
-            del groups   # free the regions before the next cell trains its features
-    return cells
+def sweep_plan(cfg: ExperimentConfig) -> list[PipelineSpec]:
+    """The spec of every (kind, feature mode, N, L, method) cell, in cell order;
+    building them checks every cell.  ExperimentConfig refuses repeated axis
+    values, so every cell appears once."""
+    return [pipeline_spec_from(cfg, kind, mode, n_neurons, PoolConfig(method=method, size=size))
+            for kind in cfg.kinds
+            for mode in (("raw",) if kind == "frames" else cfg.feature_modes)
+            for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts)
+            for size in cfg.pool_sizes for method in cfg.pool_methods]
 
 
 _CELL_COLUMNS = ["kind", "feature_mode", "n_neurons", "pool_size", "pool_method"]
@@ -289,9 +259,13 @@ def write_sweep_charts(cells: list[tuple[tuple, EvalReport]], out: Path) -> None
 
 
 def cmd_sweep(args, cfg: ExperimentConfig, out: Path):
-    sweep_plan(cfg)   # every cell's spec is checked before any data is loaded
+    specs = sweep_plan(cfg)   # every cell's spec is checked before any data is loaded
     recordings, n_classes = load_dataset(cfg)
-    cells = sweep_cells(recordings, n_classes, cfg)
+    reports = evaluate_cells(recordings, specs, n_classes, trial_seeds(cfg.seed, cfg.n_trials),
+                             jobs=cfg.jobs)
+    # each cell's key holds its _CELL_COLUMNS
+    cells = [((s.kind, s.feature_mode, s.n_neurons, s.pool.size, s.pool.method), report)
+             for s, report in zip(specs, reports)]
     n_rows = sum(report.n_trials for _, report in cells)
     # sweep.csv: one row per trial of every cell; summary.csv: one row per cell
     _write_csv(out / "sweep.csv", [*_CELL_COLUMNS, *TRIAL_COLUMNS],

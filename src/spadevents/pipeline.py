@@ -4,10 +4,11 @@ A pipeline turns each recording into classifier samples: convert frames to
 the chosen event stream (or keep raw frames), optionally pass events
 through a binary feature layer, replay them into a time surface, and at
 each classification instant select the active region and pool it into a
-fixed-length vector.  Regions are selected once per source group; each
-pooling cell pools all of them in one vectorised pass.  Randomized
-recording-level splits then only retrain the linear readout, so split
-randomness is the sole source of accuracy variance.
+fixed-length vector.  Randomized recording-level splits then only retrain
+the linear readout, so split randomness is the sole source of accuracy
+variance.  evaluate_cells is the one path from cell specs to reports: its
+consecutive specs share conversion, ROI extraction and region selection,
+and its streams maps a kind to streams the caller already has.
 """
 
 from __future__ import annotations
@@ -113,9 +114,10 @@ class PipelineParams:
         if self.uni_count_threshold < self.bi_count_threshold:
             raise ValueError(f"uni_count_threshold must be at least bi_count_threshold, "
                              f"got {self.uni_count_threshold} and {self.bi_count_threshold}")
-        if not 0 <= self.ridge_lambda < math.inf:
-            raise ValueError(f"ridge_lambda must be finite and non-negative, "
-                             f"got {self.ridge_lambda}")
+        # at 0 an exactly singular Gram matrix need not raise LinAlgError, and its
+        # trial would score as if the readout were sound
+        if not 0 < self.ridge_lambda < math.inf:
+            raise ValueError(f"ridge_lambda must be finite and positive, got {self.ridge_lambda}")
         if not 0 < self.train_fraction < 1:
             raise ValueError(f"train_fraction must lie strictly between 0 and 1, "
                              f"got {self.train_fraction}")
@@ -425,41 +427,32 @@ def trial_seeds(base_seed: int, n_trials: int) -> list[int]:
     return [base_seed + trial for trial in range(n_trials)]
 
 
-def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
-                     streams: list[EventStream] | None = None,
-                     rois: list[np.ndarray] | None = None
-                     ) -> list[tuple[list[int], SampleRegions]]:
-    """Sample regions of the sources, grouped with the trial seeds they serve.
+def _pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: list[int],
+                      streams: list[EventStream] | None, rois: list[np.ndarray] | None
+                      ) -> list[tuple[list[int], SampleRegions]]:
+    """Sample regions of the spec's sources (the recordings for frames, else
+    the streams), grouped with the trial seeds they serve.
 
     Frames, raw streams and random feature streams serve every trial as one
     group.  Trained feature layers learn from the first trial's training
     split and stay frozen for the remaining trials, unless retrain_per_trial
     is set: then every trial trains its own features and gets its own group.
-    The recordings are converted in-process when streams are not given.  A
-    cadence longer than every source (frames, or events) is refused before
-    any feature training.
-    Feature layers read the streams' ROIs from rois (feature_rois of the
-    streams), extracted here when not given; every group and split shares
-    them.  Regions are selected here; pooling does not enter, so one call
-    serves every pooling cell.
+    A cadence longer than every source is refused before any feature
+    training.  Feature layers read rois (feature_rois of the streams).
+    Pooling does not enter, so one call serves every pooling cell.
     """
     every = spec.effective_sample_every()
     select = partial(select_regions, sample_every=every, window_us=spec.feast_window_us,
                      activity_fraction=spec.activity_fraction)
     frames = spec.kind == "frames"
-    if not frames and streams is None:
-        streams = convert_all(recordings, spec.kind, spec)
-    lengths = [rec.n_frames for rec in recordings] if frames else [len(s) for s in streams]
+    sources = recordings if frames else streams
+    lengths = [src.n_frames if frames else len(src) for src in sources]
     if max(lengths, default=every) < every:
         raise ValueError(f"sample_every_{spec.kind} = {every} gives no classification instant: "
                          f"the longest source holds {max(lengths)} "
                          f"{'frames' if frames else 'events'}")
-    if frames:
-        return [(seeds, select(recordings))]
     if spec.feature_mode == "raw":
-        return [(seeds, select(streams))]
-    if rois is None:
-        rois = feature_rois(streams, spec)
+        return [(seeds, select(sources))]
     trained = spec.feature_mode == "trained"
     groups = [[seed] for seed in seeds] if trained and spec.retrain_per_trial else [seeds]
     out = []
@@ -471,8 +464,8 @@ def pipeline_sources(recordings: list[Recording], spec: PipelineSpec, seeds: lis
     return out
 
 
-def evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec: PipelineSpec,
-                     n_classes: int) -> EvalReport:
+def _evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec: PipelineSpec,
+                      n_classes: int) -> EvalReport:
     """Pool each group's regions per spec and evaluate the readout on its trials.
 
     The groups' reports join into one: trials in group order, confusion and
@@ -487,9 +480,46 @@ def evaluate_sources(groups: list[tuple[list[int], SampleRegions]], labels, spec
                    n_no_sample_recordings=sum(rep.n_no_sample_recordings for rep in reports))
 
 
+def evaluate_cells(recordings: list[Recording], specs: list[PipelineSpec], n_classes: int,
+                   seeds: list[int], streams: dict[str, list[EventStream]] | None = None,
+                   jobs: int = 1) -> list[EvalReport]:
+    """One report per spec, in spec order, each over the trial splits of seeds.
+
+    Consecutive specs share work: conversion once per kind and conversion
+    settings (across jobs processes, unless streams maps the kind to the
+    caller's streams), ROIs once per stream set, feast_roi_side and
+    feast_window_us, and regions once per spec without its pool.  One stream
+    set, ROI set and region group is held at a time, freed before the next.
+    """
+    labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
+    given = streams or {}
+    kind_streams = rois = groups = stream_key = roi_key = group_key = None
+    reports = []
+    for spec in specs:
+        base = replace(spec, pool=PoolConfig())
+        if base != group_key:
+            # each held set is dropped before its successor is built, so that
+            # no two of a kind are alive at once
+            groups = None
+            key = (spec.kind, spec.firstand_params(), spec.change_threshold,
+                   spec.uni_count_threshold, spec.bi_count_threshold, spec.on_is_increase)
+            if key != stream_key:
+                kind_streams = rois = roi_key = None
+                if spec.kind != "frames":
+                    kind_streams = (given[spec.kind] if spec.kind in given
+                                    else convert_all(recordings, spec.kind, spec, jobs))
+                stream_key = key
+            roi_settings = (spec.feast_roi_side, spec.feast_window_us)
+            if spec.feature_mode != "raw" and roi_settings != roi_key:
+                rois = None
+                rois, roi_key = feature_rois(kind_streams, spec), roi_settings
+            groups, group_key = _pipeline_sources(recordings, spec, seeds, kind_streams, rois), base
+        reports.append(_evaluate_sources(groups, labels, spec, n_classes))
+    return reports
+
+
 def run_pipeline(recordings: list[Recording], spec: PipelineSpec, n_classes: int,
                  seeds: list[int], streams: list[EventStream] | None = None) -> EvalReport:
-    """Evaluate one pipeline cell over randomized splits (see pipeline_sources)."""
-    labels = np.array([rec.class_id for rec in recordings], dtype=np.int64)
-    groups = pipeline_sources(recordings, spec, seeds, streams)
-    return evaluate_sources(groups, labels, spec, n_classes)
+    """evaluate_cells of one spec; converts in-process when streams are not given."""
+    return evaluate_cells(recordings, [spec], n_classes, seeds,
+                          None if streams is None else {spec.kind: streams})[0]

@@ -22,7 +22,8 @@ from spadevents.eventgen import (FirstAndParams, count_ratio_demo, datarate_stat
                                  firstand_convert, oobu_convert)
 from spadevents.feast import (FeastParams, binarize, event_rois, feast_train,
                               initial_features)
-from spadevents.pipeline import PipelineSpec, convert_all, run_pipeline, trial_seeds
+from spadevents.pipeline import (PipelineSpec, convert_all, evaluate_cells, run_pipeline,
+                                 trial_seeds)
 
 from test_feast import balance_stream
 
@@ -66,20 +67,16 @@ def acceptance_state():
                              for r, s in zip(recordings, streams[kind])]))
         for kind in streams}
 
-    def cell(kind, mode, n_neurons, size, method):
-        spec = PipelineSpec(kind=kind, feature_mode=mode, n_neurons=n_neurons,
-                            pool=PoolConfig(method=method, size=size),
-                            seed=ACCEPTANCE_SEED)
-        report = run_pipeline(recordings, spec, N_CLASSES, TRIALS, streams=streams[kind])
-        return report.per_frame_mean
-
-    acc = {}
-    for kind in ("firstand", "onoff", "oobu"):
-        for size in (1, 12):
-            acc[(kind, "raw", size, "2d")] = cell(kind, "raw", 0, size, "2d")
-    acc[("oobu", "raw", 12, "1d")] = cell("oobu", "raw", 0, 12, "1d")
-    acc[("oobu", "random", 12, "2d")] = cell("oobu", "random", 16, 12, "2d")
-    acc[("oobu", "trained", 12, "2d")] = cell("oobu", "trained", 16, 12, "2d")
+    cells = ([(kind, "raw", 0, size, "2d") for kind in ("firstand", "onoff", "oobu")
+              for size in (1, 12)]
+             + [("oobu", "raw", 0, 12, "1d"), ("oobu", "random", 16, 12, "2d"),
+                ("oobu", "trained", 16, 12, "2d")])
+    specs = [PipelineSpec(kind=kind, feature_mode=mode, n_neurons=n_neurons,
+                          pool=PoolConfig(method=method, size=size), seed=ACCEPTANCE_SEED)
+             for kind, mode, n_neurons, size, method in cells]
+    reports = evaluate_cells(recordings, specs, N_CLASSES, TRIALS, streams=streams)
+    acc = {(kind, mode, size, method): report.per_frame_mean
+           for (kind, mode, _, size, method), report in zip(cells, reports)}
     state["accuracy"] = acc
     state["elapsed"] = time.monotonic() - t0
     return state

@@ -3,7 +3,10 @@
 import csv
 import hashlib
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import fields
 from pathlib import Path
 
@@ -458,17 +461,15 @@ class TestEvaluateCommand:
         assert err.startswith("error:") and "trial seed 13:" in err and "0 of the 1" in err
         assert not (tmp_path / "eval").exists()
 
-    def test_singular_readout_is_an_error(self, tmp_path, capsys):
-        # 3 training samples of 4 features each: without regularization the
-        # 3 x 3 dual system is singular
+    def test_singular_readout_is_an_error(self, tmp_path, capsys, monkeypatch):
+        # without regularization an exactly singular system need not raise
+        # LinAlgError, so a readout without it is refused with the config
+        patch_load_dataset(monkeypatch)
         rc = main(["evaluate", "--kind", "firstand", "--ridge-lambda", "0", "--pool-size", "1",
-                   "--n-trials", "1", "--synth-classes", "3", "--synth-recordings-per-class",
-                   "3", "--synth-frames", "30", "--synth-grid", "16",
-                   "--out", str(tmp_path / "eval")])
+                   "--n-trials", "1", *SMALL, "--out", str(tmp_path / "eval")])
         err = capsys.readouterr().err
         assert rc == 1
-        assert err.startswith("error: trial seed 0: the ridge system of 3 samples and 4 "
-                              "features is singular at ridge_lambda = 0.0")
+        assert err.startswith("error: ridge_lambda must be finite and positive, got 0.0")
         assert not (tmp_path / "eval").exists()
         assert not (tmp_path / "eval.partial").exists()
 
@@ -552,10 +553,31 @@ class TestSweepCommand:
                [[r[c] for c in columns] for r in evaluated]
 
 
+    def test_readout_is_deterministic_across_openblas_threads(self, tmp_path):
+        # the readout runs threaded BLAS; a thread count is fixed when
+        # OpenBLAS loads, so each count gets its own process
+        src = str(Path(cli.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}"
+            path = [src, os.environ["PYTHONPATH"]] if os.environ.get("PYTHONPATH") else [src]
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": os.pathsep.join(path)}
+            subprocess.run([sys.executable, "-m", "spadevents.cli", "sweep", "--out", str(out),
+                            "--synth-classes", "3", "--synth-recordings-per-class", "6",
+                            "--synth-frames", "40", "--synth-grid", "32", "--kinds", "oobu",
+                            "--feature-modes", "raw,random,trained", "--neuron-counts", "4,16",
+                            "--pool-sizes", "4,24", "--pool-methods", "1d,2d",
+                            "--n-trials", "3"], env=env, check=True, capture_output=True)
+            outputs.append((out / "sweep.csv").read_bytes())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count(b"\n") == 1 + (1 + 2 * 2) * 2 * 2 * 3
+
     @pytest.mark.parametrize("retrain", ["false", "true"])
     def test_rows_equal_cell_by_cell_run_pipeline(self, retrain, monkeypatch):
-        # sweep_cells selects each group's regions once and pools every cell
-        # from them; run_pipeline selects afresh for every single cell
+        # one evaluate_cells call over the sweep's plan selects each group's
+        # regions once and pools every cell from them; run_pipeline selects
+        # afresh for every single cell
         cfg = make_config(None, {
             "synth_classes": "3", "synth_recordings_per_class": "3", "synth_frames": "60",
             "synth_grid": "24", "kinds": "frames,firstand,onoff,oobu",
@@ -563,6 +585,8 @@ class TestSweepCommand:
             "feast_active_bits": "8", "pool_sizes": "1,6", "pool_methods": "1d,2d",
             "n_trials": "2", "retrain_per_trial": retrain})
         recordings, n_classes = cli.load_dataset(cfg)
+        seeds = trial_seeds(cfg.seed, cfg.n_trials)
+        specs = cli.sweep_plan(cfg)
         calls = []
 
         def counted(stream, *args):
@@ -571,23 +595,13 @@ class TestSweepCommand:
         with monkeypatch.context() as m:
             m.setattr(feast, "event_rois", counted)
             m.setattr(pipeline, "event_rois", counted)
-            swept = cli.sweep_cells(recordings, n_classes, cfg)
+            grouped = pipeline.evaluate_cells(recordings, specs, n_classes, seeds)
         # one ROI extraction per stream of each event kind serves all its cells
         assert len({id(stream) for stream in calls}) == len(calls) == 3 * len(recordings)
-        seeds = trial_seeds(cfg.seed, cfg.n_trials)
-        expected = []
-        for kind in cfg.kinds:
-            for mode in (["raw"] if kind == "frames" else cfg.feature_modes):
-                for n_neurons in ([0] if mode == "raw" else cfg.neuron_counts):
-                    for size in cfg.pool_sizes:
-                        for method in cfg.pool_methods:
-                            spec = cli.pipeline_spec_from(cfg, kind, mode, n_neurons,
-                                                          PoolConfig(method=method, size=size))
-                            expected.append(((kind, mode, n_neurons, size, method),
-                                             run_pipeline(recordings, spec, n_classes, seeds)))
-        assert len(swept) == (1 + 3 * 3) * 2 * 2
-        assert [key for key, _ in swept] == [key for key, _ in expected]
-        for (key, got), (_, want) in zip(swept, expected):
+        assert len(specs) == len(grouped) == (1 + 3 * 3) * 2 * 2
+        for spec, got in zip(specs, grouped):
+            want = run_pipeline(recordings, spec, n_classes, seeds)
+            key = (spec.kind, spec.feature_mode, spec.n_neurons, spec.pool)
             assert got.trials == want.trials, key
             assert [t.seed for t in got.trials] == seeds, key
             assert np.array_equal(got.confusion, want.confusion), key
@@ -625,32 +639,39 @@ class TestPipelineParamsPlumbing:
     @pytest.mark.parametrize("command, stop_at", [
         (["evaluate", "--kind", "oobu", "--feature-mode", "trained", "--neurons", "2",
           "--pool-size", "4", "--pool-method", "1d"], "run_pipeline"),
-        (["sweep", "--kinds", "oobu", "--feature-modes", "trained", "--neuron-counts", "2",
-          "--pool-sizes", "4", "--pool-methods", "1d"], "evaluate_sources"),
+        pytest.param(["sweep", "--kinds", "oobu", "--feature-modes", "trained",
+                      "--neuron-counts", "2", "--pool-sizes", "4", "--pool-methods", "1d"],
+                     "_evaluate_sources", id="sweep"),
     ])
     def test_every_field_reaches_the_cell(self, command, stop_at, dataset_dir, tmp_path,
                                           monkeypatch):
-        seen = []
+        seen = []   # (function name, the settings it was passed)
 
         def recording(name, fn):
             def wrapper(*args, **kwargs):
-                seen.extend(a for a in args if isinstance(a, PipelineParams))
+                seen.extend((name, a) for a in args if isinstance(a, PipelineParams))
                 if name == stop_at:
                     raise _Captured
                 return fn(*args, **kwargs)
             return wrapper
 
-        for name in ("convert_all", "pipeline_sources", "evaluate_sources", "run_pipeline"):
-            monkeypatch.setattr(cli, name, recording(name, getattr(cli, name)))
+        # evaluate converts in the CLI and stops where it hands the cell to
+        # the pipeline; sweep converts inside evaluate_cells and stops where
+        # a cell's regions meet the readout
+        for module, names in ((cli, ["convert_all", "run_pipeline"]),
+                              (pipeline, ["convert_all", "_pipeline_sources",
+                                          "_evaluate_sources"])):
+            for name in names:
+                monkeypatch.setattr(module, name, recording(name, getattr(module, name)))
         flags = [item for key, value in PIPELINE_OVERRIDES.items()
                  for item in (f"--{key.replace('_', '-')}", value)]
         with pytest.raises(_Captured):
             main([*command, *flags, "--out", str(tmp_path / "o"),
                   "--manifest", str(dataset_dir / "manifest.tsv")])
         expected = make_config(None, PIPELINE_OVERRIDES)
-        specs = [p for p in seen if isinstance(p, PipelineSpec)]
-        assert specs and len(seen) > len(specs)   # the conversion saw them too
-        for params in seen:
+        specs = [p for _, p in seen if isinstance(p, PipelineSpec)]
+        assert specs and "convert_all" in {name for name, _ in seen}   # the conversion saw them
+        for _, params in seen:
             for name in PIPELINE_OVERRIDES:
                 assert getattr(params, name) == getattr(expected, name), name
         cell = specs[-1]
@@ -772,6 +793,7 @@ class TestRunner:
         def convert_all(*args, **kwargs):
             raise AssertionError("streams converted before the feature settings were checked")
         monkeypatch.setattr(cli, "convert_all", convert_all)
+        monkeypatch.setattr(pipeline, "convert_all", convert_all)   # the sweep converts there
         out = tmp_path / "o"
         assert main([*command, "--feast-active-bits", "0", "--out", str(out), *SMALL]) == 1
         err = capsys.readouterr().err
@@ -788,6 +810,7 @@ class TestRunner:
         def convert_all(*args, **kwargs):
             raise AssertionError("streams converted before the neuron count was checked")
         monkeypatch.setattr(cli, "convert_all", convert_all)
+        monkeypatch.setattr(pipeline, "convert_all", convert_all)   # the sweep converts there
         out = tmp_path / "o"
         assert main([*command, "--out", str(out), *SMALL]) == 1
         err = capsys.readouterr().err
@@ -811,6 +834,7 @@ class TestRunner:
         def convert_all(*args, **kwargs):
             raise AssertionError("streams converted before the cadence and window were checked")
         monkeypatch.setattr(cli, "convert_all", convert_all)
+        monkeypatch.setattr(pipeline, "convert_all", convert_all)   # the sweep converts there
         out = tmp_path / "o"
         assert main([*command, *flags, "--out", str(out), *SMALL]) == 1
         err = capsys.readouterr().err
@@ -864,8 +888,9 @@ NUMERIC_KEYS = [f.name for f in fields(ExperimentConfig)
 EDGE_VALUES = ["nan", "inf", "-1", "0", "70000"]
 # values that used to pass config construction and be refused, if at all, only
 # once data was synthesized or converted
-PROBED = [("ridge_lambda", "-1"), ("ridge_lambda", "nan"), ("activity_fraction", "2"),
-          ("train_fraction", "1.5"), ("change_threshold", "0"), ("bi_count_threshold", "5"),
+PROBED = [("ridge_lambda", "-1"), ("ridge_lambda", "nan"), ("ridge_lambda", "0"),
+          ("activity_fraction", "2"), ("train_fraction", "1.5"), ("change_threshold", "0"),
+          ("bi_count_threshold", "5"),
           ("firstand_success_threshold", "9"), ("firstand_fifo_capacity", "-1"),
           ("feast_roi_side", "4"), ("feast_mix_rate", "2"), ("feast_shrink_step", "0"),
           ("synth_frames", "0"), ("synth_grid", "0"), ("synth_classes", "0"),
@@ -902,11 +927,15 @@ def patch_load_dataset(monkeypatch):
 
 def test_sweep_plan_lists_cells_in_sweep_order():
     cfg = make_config(None, {"kinds": "frames,oobu", "feature_modes": "raw,trained",
-                             "neuron_counts": "4,2"})
-    assert [(kind, [(spec.kind, spec.feature_mode, spec.n_neurons) for spec in specs])
-            for kind, specs in cli.sweep_plan(cfg)] == [
-        ("frames", [("frames", "raw", 0)]),
-        ("oobu", [("oobu", "raw", 0), ("oobu", "trained", 4), ("oobu", "trained", 2)])]
+                             "neuron_counts": "4,2", "pool_sizes": "6,1",
+                             "pool_methods": "2d,1d"})
+    pools = [(6, "2d"), (6, "1d"), (1, "2d"), (1, "1d")]
+    assert [(spec.kind, spec.feature_mode, spec.n_neurons, spec.pool.size, spec.pool.method)
+            for spec in cli.sweep_plan(cfg)] == [
+        (kind, mode, n_neurons, size, method)
+        for kind, mode, n_neurons in [("frames", "raw", 0), ("oobu", "raw", 0),
+                                      ("oobu", "trained", 4), ("oobu", "trained", 2)]
+        for size, method in pools]
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -13,7 +13,7 @@ from spadevents.dataio import SynthConfig, synth_generate
 from spadevents.feast import binarize, event_rois, initial_features
 from spadevents.pipeline import (FRAME_CODE_SCALE, PipelineParams, PipelineSpec,
                                  build_sample_set, convert_all, convert_recording,
-                                 feature_rois, infer_feature_streams, parallel_map,
+                                 evaluate_cells, feature_rois, infer_feature_streams, parallel_map,
                                  prepare_binary_features, run_pipeline, select_regions,
                                  trial_seeds)
 from test_classify import oracle_pool, region_of
@@ -274,10 +274,10 @@ class TestSampleBuilding:
         with pytest.raises(ValueError, match=f"sample_every_{kind} = {longest + 1} gives no "
                                              f"classification instant: the longest source "
                                              f"holds {longest} {unit}"):
-            pipeline.pipeline_sources(recordings, spec, [0], streams)
+            run_pipeline(recordings, spec, 3, [0], streams)
         # a cadence as long as the longest source gives it one instant
         spec = replace(spec, feature_mode="raw", **{f"sample_every_{kind}": longest})
-        (_, regions), = pipeline.pipeline_sources(recordings, spec, [0], streams)
+        (_, regions), = pipeline._pipeline_sources(recordings, spec, [0], streams, None)
         assert regions.counts == [int(length == longest) for length in lengths]
 
     def test_no_sources_rejected(self):
@@ -467,14 +467,44 @@ class TestRunPipeline:
         streams = convert_all(recordings, "oobu")
         spec = PipelineSpec(kind="oobu", feature_mode="trained", n_neurons=2,
                             feast_active_bits=8, retrain_per_trial=True)
-        # two trainings on different splits, two inference passes: one extraction
-        groups = pipeline.pipeline_sources(recordings, spec, [0, 1], streams=streams)
-        assert len(groups) == 2
+        random = replace(spec, feature_mode="random", pool=PoolConfig(method="1d", size=4))
+        # the random cell's inference, then two trainings on different splits
+        # and their two inference passes: one extraction per stream
+        reports = evaluate_cells(recordings, [random, spec], 3, [0, 1], {"oobu": streams})
+        assert [report.n_trials for report in reports] == [2, 2]
         assert sorted(map(id, calls)) == sorted(map(id, streams))
+        # streams converted here are extracted once each as well
         calls.clear()
-        pipeline.pipeline_sources(recordings, replace(spec, feature_mode="raw"), [0, 1],
-                                  streams=streams)
+        evaluate_cells(recordings, [random, spec], 3, [0, 1])
+        assert len({id(stream) for stream in calls}) == len(calls) == len(recordings)
+        calls.clear()
+        run_pipeline(recordings, replace(spec, feature_mode="raw"), 3, [0, 1], streams)
         assert calls == []
+
+    def test_cells_share_conversion_and_regions_only_when_their_settings_match(
+            self, tiny_dataset, monkeypatch):
+        converted, selected = [], []
+
+        def convert(recordings, kind, params=None, jobs=1):
+            converted.append(kind)
+            return convert_all(recordings, kind, params, jobs)
+
+        def select(sources, **kwargs):
+            selected.append(kwargs["sample_every"])
+            return select_regions(sources, **kwargs)
+        monkeypatch.setattr(pipeline, "convert_all", convert)
+        monkeypatch.setattr(pipeline, "select_regions", select)
+        recordings = tiny_dataset[:9]
+        onoff = PipelineSpec(kind="onoff", pool=PoolConfig(method="1d", size=4))
+        specs = [onoff, replace(onoff, pool=PoolConfig(method="2d", size=6)),
+                 replace(onoff, sample_every_onoff=40), replace(onoff, change_threshold=3),
+                 replace(onoff, kind="frames"), onoff]
+        reports = evaluate_cells(recordings, specs, 3, [0])
+        assert converted == ["onoff", "onoff", "onoff"]
+        assert selected == [74, 40, 74, 8, 74]
+        assert reports[0].trials == reports[-1].trials
+        assert [r.trials for r in reports] == [run_pipeline(recordings, s, 3, [0]).trials
+                                               for s in specs]
 
     def test_feature_mode_on_frames_rejected(self):
         with pytest.raises(ValueError, match="feature layers"):
