@@ -19,19 +19,20 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import fields
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from .classify import POOL_METHODS, TRIAL_COLUMNS, EvalReport, PoolConfig
-from .config import (ExperimentConfig, config_field_names, config_to_dict, config_to_text,
+from .config import (ExperimentConfig, config_field_names, config_to_text,
                      make_config, synth_config_from)
 from .core import AER_TIME_MASK
-from .dataio import (DatasetManifest, ManifestEntry, augment, load_manifest,
-                     load_manifest_recordings, ratio_demo_synth_config, save_manifest,
-                     save_recording, split_indices, synth_generate, write_dataset)
+from .dataio import (DatasetManifest, ManifestEntry, augment, check_recording_id,
+                     load_manifest, load_manifest_recordings, load_recording,
+                     ratio_demo_synth_config, save_manifest, save_recording, split_indices,
+                     synth_generate, write_dataset)
 from .eventgen import count_ratio_demo, datarate_stats, write_stream
 from .feast import save_features
 from .pipeline import (EVENT_KINDS, FEATURE_MODES, KINDS, PipelineParams, PipelineSpec,
@@ -67,7 +68,7 @@ def write_run_record(out: Path, command: str, cfg: ExperimentConfig, extra: dict
     record = {
         "command": command,
         "version": __version__,
-        "config": config_to_dict(cfg),
+        "config": asdict(cfg),
         "trial_seeds": trial_seeds(cfg.seed, cfg.n_trials),
     }
     if extra:
@@ -140,8 +141,6 @@ def cmd_synth(args, cfg: ExperimentConfig, out: Path):
 
 def _resolve_reader(spec: str):
     if spec == "spdrec":
-        from .dataio import load_recording
-
         def reader(src: Path):
             for p in sorted(Path(src).glob("**/*.spdrec")):
                 yield load_recording(p)
@@ -158,20 +157,18 @@ def _resolve_reader(spec: str):
 def cmd_import(args, cfg: ExperimentConfig, out: Path):
     reader = _resolve_reader(args.reader)
     entries = []
-    n_classes = 0
-    count = 0
+    seen: set[str] = set()
     for rec in reader(Path(args.src)):
-        name = f"{rec.recording_id or f'rec{count:06d}'}.spdrec"
-        save_recording(rec, out / name)
-        entries.append(ManifestEntry(path=name, class_id=rec.class_id,
-                                     recording_id=rec.recording_id or f"rec{count:06d}"))
-        n_classes = max(n_classes, rec.class_id + 1)
-        count += 1
-    if count == 0:
+        recording_id = rec.recording_id or f"rec{len(entries):06d}"
+        check_recording_id(recording_id, seen)   # before its file is written
+        entries.append(ManifestEntry(f"{recording_id}.spdrec", rec.class_id, recording_id))
+        save_recording(rec, out / entries[-1].path)
+    if not entries:
         raise ValueError(f"reader produced no recordings from {args.src}")
+    n_classes = max(e.class_id for e in entries) + 1
     save_manifest(DatasetManifest(entries=entries, n_classes=n_classes), out / "manifest.tsv")
     return ({"reader": args.reader, "src": str(args.src)},
-            f"imported {count} recordings to {args.out}")
+            f"imported {len(entries)} recordings to {args.out}")
 
 
 def cmd_convert(args, cfg: ExperimentConfig, out: Path):

@@ -9,7 +9,7 @@ run record.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, field
+from dataclasses import dataclass, fields, field
 from pathlib import Path
 
 from .classify import POOL_METHODS
@@ -105,11 +105,8 @@ _FALSE = {"0", "false", "no", "off"}
 def _parse_value(name: str, kind: type, text: str):
     text = text.strip()
     if kind is bool:
-        low = text.lower()
-        if low in _TRUE:
-            return True
-        if low in _FALSE:
-            return False
+        if text.lower() in _TRUE | _FALSE:
+            return text.lower() in _TRUE
         raise ValueError(f"{name}: expected a boolean, got {text!r}")
     element = _LIST_ELEMENT_TYPES.get(name, kind)
     try:
@@ -150,10 +147,6 @@ def make_config(config_path: str | Path | None = None,
             raise ValueError(f"unknown config key {key!r}")
         parsed[key] = _parse_value(key, type(getattr(defaults, key)), str(text))
     return ExperimentConfig(**parsed)
-
-
-def config_to_dict(cfg: ExperimentConfig) -> dict:
-    return asdict(cfg)
 
 
 def config_to_text(cfg: ExperimentConfig) -> str:

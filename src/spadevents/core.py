@@ -197,21 +197,6 @@ class EventStream:
     def __len__(self) -> int:
         return len(self.events)
 
-    def is_canonical(self) -> bool:
-        """Single-pass check of the (t, y, x, p) stream ordering."""
-        ev = self.events
-        if len(ev) < 2:
-            return True
-        a, b = ev[:-1], ev[1:]
-        lt = a["t"] < b["t"]
-        eq_t = a["t"] == b["t"]
-        lt_y = eq_t & (a["y"] < b["y"])
-        eq_y = eq_t & (a["y"] == b["y"])
-        lt_x = eq_y & (a["x"] < b["x"])
-        eq_x = eq_y & (a["x"] == b["x"])
-        le_p = eq_x & (a["p"] <= b["p"])
-        return bool(np.all(lt | lt_y | lt_x | le_p))
-
 
 def make_events(t, y, x, p) -> np.ndarray:
     """Pack parallel coordinate arrays into an EVENT_DTYPE record array."""

@@ -13,7 +13,8 @@ On-disk recording format ("SPDREC01", all integers little-endian):
 
 A dataset manifest is a text file with one recording per line:
 ``path<TAB>class_id<TAB>recording_id``, class_id in [0, MAX_CLASS_ID].
-Relative paths resolve against the manifest's directory.
+Relative paths resolve against the manifest's directory.  Recording ids name
+output files, so each is unique, non-empty, not ``.`` or ``..``, and has no ``/`` or ``\\``.
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ class ManifestEntry:
     recording_id: str
 
 
+def check_recording_id(recording_id: str, seen: set[str]) -> None:
+    """Refuse an id that is not a plain file name or is in seen; else add it."""
+    if recording_id in ("", ".", "..") or "/" in recording_id or "\\" in recording_id:
+        raise ValueError(f"recording id {recording_id!r} is not a plain file name")
+    if recording_id in seen:
+        raise ValueError(f"recording id {recording_id!r} is repeated")
+    seen.add(recording_id)
+
+
 @dataclass
 class DatasetManifest:
     """Index of a dataset on disk: one entry per recording file."""
@@ -80,10 +90,11 @@ class DatasetManifest:
     n_classes: int
 
     def __post_init__(self):
-        paths = [e.path for e in self.entries]
-        if len(set(paths)) != len(paths):
+        if len({e.path for e in self.entries}) != len(self.entries):
             raise ValueError("manifest paths must be unique")
+        seen: set[str] = set()
         for e in self.entries:
+            check_recording_id(e.recording_id, seen)
             if not 0 <= e.class_id < self.n_classes:
                 raise ValueError(f"entry {e.recording_id}: class_id {e.class_id} not below {self.n_classes}")
 
@@ -103,6 +114,7 @@ def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
     except UnicodeDecodeError as exc:
         raise FormatError(f"{path}: undecodable text ({exc.reason} at byte {exc.start})") from None
     entries = []
+    seen: set[str] = set()
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -120,6 +132,10 @@ def load_manifest(path, n_classes: int | None = None) -> DatasetManifest:
         if class_id > MAX_CLASS_ID:
             raise FormatError(f"{path}:{lineno}: class_id {class_id} is above {MAX_CLASS_ID}, "
                               f"the largest a SPDREC01 recording holds")
+        try:
+            check_recording_id(parts[2], seen)
+        except ValueError as exc:
+            raise FormatError(f"{path}:{lineno}: {exc}") from None
         entries.append(ManifestEntry(path=parts[0], class_id=class_id, recording_id=parts[2]))
     if not entries:
         raise FormatError(f"{path}: manifest is empty")
@@ -137,42 +153,25 @@ def load_manifest_recordings(manifest: DatasetManifest, base_dir) -> list[Record
 # Augmentation: x8 via the dihedral group (4 rotations x optional mirror)
 # ---------------------------------------------------------------------------
 
-AUGMENT_OPS = [(rot, mirror) for rot in (0, 90, 180, 270) for mirror in (False, True)]
 
-
-def _transform_frames(frames: np.ndarray, rot: int, mirror: bool) -> np.ndarray:
-    out = frames
-    if mirror:
-        out = np.flip(out, axis=2)
-    k = rot // 90
-    if k:
-        out = np.rot90(out, k=k, axes=(1, 2))
-    return np.ascontiguousarray(out)
-
-
-def augment_recording(recording: Recording) -> list[Recording]:
-    """All eight mirror/rotation variants of one recording, labels preserved.
+def augment(recordings: list[Recording]) -> list[Recording]:
+    """All eight mirror/rotation variants of every recording, labels kept:
+    n in, 8n out (3000 -> 24000), ids suffixed .r{rot} plus m if mirrored.
 
     90/270 degree rotations require a square grid so every variant keeps the
     original (width, height).
     """
-    if recording.width != recording.height:
-        raise ValueError(f"augmentation with 90/270 rotations needs a square grid, "
-                         f"got {recording.width}x{recording.height}")
-    out = []
-    for rot, mirror in AUGMENT_OPS:
-        suffix = f"r{rot}" + ("m" if mirror else "")
-        out.append(replace(recording,
-                           frames=_transform_frames(recording.frames, rot, mirror),
-                           recording_id=f"{recording.recording_id}.{suffix}"))
-    return out
-
-
-def augment(recordings: list[Recording]) -> list[Recording]:
-    """Mirror-and-rotate every recording: n in, 8n out (3000 -> 24000)."""
     out = []
     for rec in recordings:
-        out.extend(augment_recording(rec))
+        if rec.width != rec.height:
+            raise ValueError(f"augmentation with 90/270 rotations needs a square grid, "
+                             f"got {rec.width}x{rec.height}")
+        for rot in (0, 90, 180, 270):
+            for mirror in (False, True):
+                frames = np.flip(rec.frames, axis=2) if mirror else rec.frames
+                frames = np.ascontiguousarray(np.rot90(frames, k=rot // 90, axes=(1, 2)))
+                suffix = f"r{rot}" + ("m" if mirror else "")
+                out.append(replace(rec, frames=frames, recording_id=f"{rec.recording_id}.{suffix}"))
     return out
 
 
@@ -339,9 +338,6 @@ def synth_recording(config: SynthConfig, class_id: int, rec_index: int,
     rng = np.random.default_rng([config.seed, class_id, rec_index])
     shape = shapes[class_id]
     sh, sw = shape.shape
-    if sh > config.grid_height or sw > config.grid_width:
-        raise ValueError(f"silhouette {sh}x{sw} larger than grid "
-                         f"{config.grid_height}x{config.grid_width}")
     lateral = int(rng.integers(0, config.grid_width - sw + 1))
     # start fully above the grid so the target enters, crosses and may exit
     start = -float(sh) + float(rng.uniform(0.0, 2.0))
@@ -383,14 +379,13 @@ def synth_generate(config: SynthConfig) -> tuple[DatasetManifest, list[Recording
     return DatasetManifest(entries=entries, n_classes=config.n_classes), recordings
 
 
-def write_dataset(manifest: DatasetManifest, recordings: list[Recording], out_dir,
-                  manifest_name: str = "manifest.tsv") -> Path:
-    """Write recordings + manifest under out_dir; returns the manifest path."""
+def write_dataset(manifest: DatasetManifest, recordings: list[Recording], out_dir) -> Path:
+    """Write recordings + manifest.tsv under out_dir; returns the manifest path."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for entry, rec in zip(manifest.entries, recordings):
         save_recording(rec, out / entry.path)
-    manifest_path = out / manifest_name
+    manifest_path = out / "manifest.tsv"
     save_manifest(manifest, manifest_path)
     return manifest_path
 
@@ -415,11 +410,9 @@ def ratio_demo_shapes() -> list[np.ndarray]:
     return [solid, lines, hybrid]
 
 
-def ratio_demo_synth_config(seed: int = 0, recordings_per_class: int = 30,
-                            frames_per_recording: int = 80) -> SynthConfig:
+def ratio_demo_synth_config(seed: int = 0) -> SynthConfig:
     """Canned three-class synthetic set for the polarity-count ratio demo."""
-    return SynthConfig(n_classes=3, recordings_per_class=recordings_per_class,
-                       frames_per_recording=frames_per_recording,
+    return SynthConfig(n_classes=3, recordings_per_class=30, frames_per_recording=80,
                        target_shapes=ratio_demo_shapes(),
                        target_speed=0.5, seed=seed)
 

@@ -33,16 +33,6 @@ from .core import (AER_MAX_COL, AER_MAX_ROW, AER_TIME_MASK, FormatError,
 
 RF_SIDE = 4
 
-# (dy, dx) pixel taps of the border AND gates relative to the RF origin.  The
-# gate index doubles as the event polarity and as the arbiter priority (lower
-# index wins simultaneous completions).
-GATE_TAPS = (
-    tuple((0, dx) for dx in range(RF_SIDE)),            # N = top row
-    tuple((RF_SIDE - 1, dx) for dx in range(RF_SIDE)),  # S = bottom row
-    tuple((dy, RF_SIDE - 1) for dy in range(RF_SIDE)),  # E = right column
-    tuple((dy, 0) for dy in range(RF_SIDE)),            # W = left column
-)
-
 
 # ---------------------------------------------------------------------------
 # First-AND: per-pulse winner and per-RF counter state machine
@@ -183,7 +173,7 @@ def firstand_convert(recording: Recording, params: FirstAndParams | None = None)
 # ---------------------------------------------------------------------------
 
 
-def _change_events(recording: Recording, change_threshold: int, on_is_increase: bool
+def _change_events(recording: Recording, change_threshold: int
                    ) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, ...], np.ndarray]:
     """Change events of every consecutive frame pair.
 
@@ -198,14 +188,11 @@ def _change_events(recording: Recording, change_threshold: int, on_is_increase: 
     frames = recording.frames
     diff = np.subtract(frames[1:], frames[:-1], dtype=np.int32)
     on, off = diff >= change_threshold, diff <= -change_threshold
-    if not on_is_increase:
-        on, off = off, on
     changed = np.flatnonzero(on | off)  # row-major, so (k, y, x) canonical
     return on, off, np.unravel_index(changed, on.shape), off.ravel()[changed].view(np.uint8)
 
 
-def onoff_convert(recording: Recording, change_threshold: int = 2,
-                  on_is_increase: bool = True) -> EventStream:
+def onoff_convert(recording: Recording, change_threshold: int = 2) -> EventStream:
     """Threshold per-pixel depth change between consecutive frames.
 
     Pair (k-1, k) emits at t = k * pulse_period: On (polarity 0) where the
@@ -213,7 +200,7 @@ def onoff_convert(recording: Recording, change_threshold: int = 2,
     -threshold.  No-return codes participate as plain zeros, so a target
     appearing over background produces On events and vice versa.
     """
-    _, _, (ks, ys, xs), pol = _change_events(recording, change_threshold, on_is_increase)
+    _, _, (ks, ys, xs), pol = _change_events(recording, change_threshold)
     events = make_events((ks + 1).astype(np.int64) * recording.pulse_period, ys, xs, pol)
     return EventStream(kind=StreamKind.ON_OFF, grid_width=recording.width,
                        grid_height=recording.height, events=events)
@@ -228,8 +215,7 @@ def _box3_counts(mask: np.ndarray) -> np.ndarray:
 
 
 def oobu_convert(recording: Recording, change_threshold: int = 2,
-                 uni_count_threshold: int = 2, bi_count_threshold: int = 1,
-                 on_is_increase: bool = True) -> EventStream:
+                 uni_count_threshold: int = 2, bi_count_threshold: int = 1) -> EventStream:
     """On-Off stream augmented with bi-polar and uni-polar cluster events.
 
     For every On/Off event, count same-frame-pair On and Off events in the
@@ -242,7 +228,7 @@ def oobu_convert(recording: Recording, change_threshold: int = 2,
     """
     if uni_count_threshold < bi_count_threshold or bi_count_threshold < 0:
         raise ValueError("thresholds must satisfy uni >= bi >= 0")
-    on, off, kyx, pol = _change_events(recording, change_threshold, on_is_increase)
+    on, off, kyx, pol = _change_events(recording, change_threshold)
     c_on = _box3_counts(on)[kyx]
     c_off = _box3_counts(off)[kyx]
     mixed = (c_on > 0) & (c_off > 0)
@@ -416,8 +402,6 @@ def read_stream(path) -> EventStream:
 
 def _unwrap_times(t_raw: np.ndarray) -> np.ndarray:
     """Undo the 16-bit wrap of a nondecreasing timestamp sequence."""
-    if len(t_raw) == 0:
-        return t_raw.astype(np.int64)
     wraps = np.cumsum(np.diff(t_raw) < 0)
     t = t_raw.astype(np.int64)
     t[1:] += wraps * (1 << 16)

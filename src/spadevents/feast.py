@@ -307,7 +307,7 @@ def feast_infer(stream: EventStream, features: BinaryFeatureSet,
         block[np.arange(len(block)), own[start:start + _BLOCK_ROWS]] = 1
         out_p[start:start + _BLOCK_ROWS] = np.argmax(block.astype(np.float32) @ bits, axis=1)
     ev = stream.events
-    events = make_events(ev["t"].copy(), ev["y"].copy(), ev["x"].copy(), out_p)
+    events = make_events(ev["t"], ev["y"], ev["x"], out_p)
     return EventStream(kind=StreamKind.FEATURE, grid_width=stream.grid_width,
                        grid_height=stream.grid_height, events=events,
                        polarity_count=features.n_neurons)

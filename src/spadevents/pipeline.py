@@ -81,7 +81,6 @@ class PipelineParams:
     change_threshold: int = 2
     uni_count_threshold: int = 2
     bi_count_threshold: int = 1
-    on_is_increase: bool = True
 
     # feature layer
     feast_roi_side: int = FeastParams.roi_side
@@ -155,13 +154,11 @@ def convert_recording(recording: Recording, kind: str,
         if kind == "firstand":
             return firstand_convert(recording, params=p.firstand_params())
         if kind == "onoff":
-            return onoff_convert(recording, change_threshold=p.change_threshold,
-                                 on_is_increase=p.on_is_increase)
+            return onoff_convert(recording, change_threshold=p.change_threshold)
         if kind == "oobu":
             return oobu_convert(recording, change_threshold=p.change_threshold,
                                 uni_count_threshold=p.uni_count_threshold,
-                                bi_count_threshold=p.bi_count_threshold,
-                                on_is_increase=p.on_is_increase)
+                                bi_count_threshold=p.bi_count_threshold)
     except ValueError as exc:
         raise ValueError(f"recording {recording.recording_id}: {exc}") from None
     raise ValueError(f"unknown event kind {kind!r} (expected one of {EVENT_KINDS})")
@@ -502,7 +499,7 @@ def evaluate_cells(recordings: list[Recording], specs: list[PipelineSpec], n_cla
             # no two of a kind are alive at once
             groups = None
             key = (spec.kind, spec.firstand_params(), spec.change_threshold,
-                   spec.uni_count_threshold, spec.bi_count_threshold, spec.on_is_increase)
+                   spec.uni_count_threshold, spec.bi_count_threshold)
             if key != stream_key:
                 kind_streams = rois = roi_key = None
                 if spec.kind != "frames":

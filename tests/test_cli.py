@@ -50,11 +50,10 @@ class TestConfig:
 
     def test_list_and_bool_parsing(self):
         cfg = make_config(None, {"kinds": "onoff,oobu", "pool_sizes": "1,12",
-                                 "augment": "true", "on_is_increase": "false"})
+                                 "augment": "true"})
         assert cfg.kinds == ["onoff", "oobu"]
         assert cfg.pool_sizes == [1, 12]
         assert cfg.augment is True
-        assert cfg.on_is_increase is False
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ValueError, match="unknown config key"):
@@ -615,7 +614,7 @@ class TestSweepCommand:
 PIPELINE_OVERRIDES = {
     "firstand_success_threshold": "5", "firstand_fifo_capacity": "3",
     "change_threshold": "3", "uni_count_threshold": "3", "bi_count_threshold": "2",
-    "on_is_increase": "false", "feast_roi_side": "3", "feast_window_us": "1500",
+    "feast_roi_side": "3", "feast_window_us": "1500",
     "feast_mix_rate": "0.002", "feast_shrink_step": "0.003", "feast_grow_step": "0.005",
     "feast_active_bits": "16", "retrain_per_trial": "true", "ridge_lambda": "0.2",
     "train_fraction": "0.8", "activity_fraction": "0.2", "seed": "3",
@@ -756,6 +755,58 @@ class TestImportCommand:
         assert rc == 1
         assert err.startswith("error:") and reader in err
         assert not (tmp_path / "out").exists()
+
+
+ID_READER = '''
+import numpy as np
+from spadevents.core import Recording
+
+def make(src):
+    for recording_id in {ids!r}:
+        yield Recording(frames=np.zeros((3, 6, 6), dtype=np.uint16), pulse_period=10,
+                        class_id=0, recording_id=recording_id)
+'''
+
+
+def files_under(root):
+    return {p for p in root.rglob("*") if p.is_file()}
+
+
+# Recording ids name the files that convert and import write, so a repeated
+# id (one stream would overwrite the other) and one that is not a plain file
+# name (its file would land outside --out) are refused before any write.
+BAD_IDS = [("same", "same"), ("c00", "../escaped")]
+
+
+class TestRecordingIds:
+    @pytest.mark.parametrize("ids", BAD_IDS, ids=["repeated", "escaping"])
+    @pytest.mark.parametrize("command", [["convert", "--kind", "oobu"],
+                                         ["evaluate", "--kind", "onoff", "--n-trials", "1"]],
+                             ids=["convert", "evaluate"])
+    def test_manifest_id_refused(self, ids, command, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "manifest.tsv").read_text().splitlines()
+        lines[:2] = [line.rsplit("\t", 1)[0] + f"\t{rid}" for line, rid in zip(lines, ids)]
+        (dataset_dir / "bad.tsv").write_text("\n".join(lines) + "\n")
+        before = files_under(tmp_path)
+        rc = main([*command, "--out", str(tmp_path / "runs" / "o"),
+                   "--manifest", str(dataset_dir / "bad.tsv")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and "bad.tsv:2: recording id" in err
+        assert files_under(tmp_path) == before
+
+    @pytest.mark.parametrize("ids", [*BAD_IDS, ("../outside",)],
+                             ids=["repeated", "escaping", "escaping-first"])
+    def test_import_id_refused(self, ids, tmp_path, capsys, monkeypatch):
+        (tmp_path / "id_reader.py").write_text(ID_READER.format(ids=ids))
+        monkeypatch.syspath_prepend(str(tmp_path))
+        monkeypatch.delitem(sys.modules, "id_reader", raising=False)
+        monkeypatch.setattr(sys, "dont_write_bytecode", True)
+        before = files_under(tmp_path)
+        rc = main(["import", "--reader", "id_reader:make", "--src", str(tmp_path),
+                   "--out", str(tmp_path / "imp")])
+        err = capsys.readouterr().err
+        assert rc == 1 and err.startswith("error:") and f"recording id {ids[-1]!r}" in err
+        assert files_under(tmp_path) == before
 
 
 class TestRunner:

@@ -7,9 +7,8 @@ import pytest
 
 from spadevents.core import (BadMagicError, DimensionError, FormatError, Recording,
                              TruncatedError)
-from spadevents.dataio import (AUGMENT_OPS, DEFAULT_SILHOUETTE_SIDE, DatasetManifest,
-                               ManifestEntry, SynthConfig, augment, augment_recording,
-                               default_silhouettes, load_manifest, load_manifest_recordings,
+from spadevents.dataio import (DEFAULT_SILHOUETTE_SIDE, DatasetManifest, ManifestEntry,
+                               SynthConfig, augment, default_silhouettes, load_manifest, load_manifest_recordings,
                                load_recording, ratio_demo_shapes, ratio_demo_synth_config,
                                save_recording, split_indices, synth_generate, write_dataset)
 
@@ -118,6 +117,25 @@ class TestManifest:
         with pytest.raises(ValueError, match="unique"):
             DatasetManifest(entries=entries, n_classes=1)
 
+    @pytest.mark.parametrize("recording_id, message", [
+        ("a", "'a' is repeated"), (".", "not a plain file name"),
+        ("..", "not a plain file name"), ("../escaped", "not a plain file name"),
+        ("sub/b", "not a plain file name"), ("sub\\b", "not a plain file name"),
+    ])
+    def test_bad_recording_id_is_format_error(self, tmp_path, recording_id, message):
+        path = tmp_path / "manifest.tsv"
+        path.write_text(f"a.spdrec\t0\ta\nb.spdrec\t0\t{recording_id}\n")
+        with pytest.raises(FormatError, match=f"manifest.tsv:2: recording id .*{message}"):
+            load_manifest(path)
+
+    @pytest.mark.parametrize("recording_id, message", [
+        ("a", "repeated"), ("", "not a plain file name"), ("..", "not a plain file name"),
+    ])
+    def test_bad_recording_id_rejected(self, recording_id, message):
+        entries = [ManifestEntry("a.spdrec", 0, "a"), ManifestEntry("b.spdrec", 0, recording_id)]
+        with pytest.raises(ValueError, match=message):
+            DatasetManifest(entries=entries, n_classes=1)
+
     def test_class_bound_enforced(self):
         with pytest.raises(ValueError):
             DatasetManifest(entries=[ManifestEntry("a", 3, "a")], n_classes=3)
@@ -153,15 +171,16 @@ class TestAugment:
         recs = [small_recording(seed=i, h=4, w=4) for i in range(3)]
         out = augment(recs)
         assert len(out) == 24
-        assert len(AUGMENT_OPS) == 8
         ids = [r.recording_id for r in out]
         assert len(set(ids)) == 24
+        assert ids[:8] == [f"{recs[0].recording_id}.r{rot}{m}"
+                           for rot in (0, 90, 180, 270) for m in ("", "m")]
 
     def test_rot180_is_involution(self):
         rec = small_recording(h=4, w=4)
-        variants = augment_recording(rec)
+        variants = augment([rec])
         rot180 = next(r for r in variants if r.recording_id.endswith(".r180"))
-        back = next(r for r in augment_recording(rot180) if r.recording_id.endswith(".r180"))
+        back = next(r for r in augment([rot180]) if r.recording_id.endswith(".r180"))
         assert np.array_equal(back.frames, rec.frames)
 
     def test_rot90_single_pixel_coordinate(self):
@@ -169,14 +188,14 @@ class TestAugment:
         y, x, value = 1, 3, 77
         frames[0, y, x] = value
         rec = Recording(frames=frames, recording_id="px")
-        rot90 = next(r for r in augment_recording(rec) if r.recording_id.endswith(".r90"))
+        rot90 = next(r for r in augment([rec]) if r.recording_id.endswith(".r90"))
         # counterclockwise quarter turn maps (y, x) -> (W-1-x, y)
         assert rot90.frames[0, 5 - 1 - x, y] == value
         assert np.count_nonzero(rot90.frames) == 1
 
     def test_preserves_code_multiset_per_frame(self):
         rec = small_recording(seed=4, n_frames=4, h=6, w=6)
-        for variant in augment_recording(rec):
+        for variant in augment([rec]):
             for k in range(rec.n_frames):
                 assert np.array_equal(np.sort(variant.frames[k].ravel()),
                                       np.sort(rec.frames[k].ravel()))
@@ -185,12 +204,12 @@ class TestAugment:
 
     def test_labels_preserved(self):
         rec = small_recording(h=4, w=4, class_id=7)
-        assert all(v.class_id == 7 for v in augment_recording(rec))
+        assert all(v.class_id == 7 for v in augment([rec]))
 
     def test_non_square_rejected(self):
         rec = small_recording(h=4, w=6)
         with pytest.raises(ValueError, match="square"):
-            augment_recording(rec)
+            augment([rec])
 
 
 class TestSynth:

@@ -5,11 +5,12 @@ import pytest
 
 from spadevents.core import (EVENT_DTYPE, BadMagicError, DimensionError, EventStream,
                              FormatError, Recording, StreamKind, TruncatedError, make_events)
-from spadevents.eventgen import (GATE_TAPS, RF_SIDE, FirstAndParams, RfState,
+from spadevents.eventgen import (RF_SIDE, FirstAndParams, RfState,
                                  best_two_threshold_split, count_ratio_demo, datarate_stats,
                                  firstand_convert, firstand_rf_step,
                                  firstand_winner_maps, onoff_convert, oobu_convert,
                                  polarity_count_ratio, read_stream, write_stream)
+from test_core import assert_canonical
 
 
 BORDER_TAPS = (
@@ -44,7 +45,7 @@ def recording_from(frames, pulse_period=10, class_id=0):
 def firstand_pulse_winner(frame_codes, rf_origin):
     """Winning gate of one RF for one pulse, or None if no gate completes.
 
-    A gate completes iff all its GATE_TAPS saw a return (code > 0); its
+    A gate completes iff all its BORDER_TAPS saw a return (code > 0); its
     firing time is the max tap code.  Earliest completion wins; ties go to
     the lowest gate index (N > S > E > W priority).
     """
@@ -53,7 +54,7 @@ def firstand_pulse_winner(frame_codes, rf_origin):
     if r0 < 0 or c0 < 0 or r0 + RF_SIDE > h or c0 + RF_SIDE > w:
         raise ValueError(f"receptive field at {rf_origin} does not fit the frame")
     best_gate, best_time = None, None
-    for g, taps in enumerate(GATE_TAPS):
+    for g, taps in enumerate(BORDER_TAPS):
         codes = [int(frame_codes[r0 + dy, c0 + dx]) for dy, dx in taps]
         if min(codes) == 0:
             continue
@@ -93,7 +94,7 @@ def firstand_convert_reference(recording, params=None):
 
 
 def oobu_convert_reference(recording, change_threshold=2, uni_count_threshold=2,
-                           bi_count_threshold=1, on_is_increase=True):
+                           bi_count_threshold=1):
     """Independent oracle: the oobu_convert docstring rule, pixel by pixel.
 
     Frame pair (k-1, k) gives On (0) / Off (1) where the signed change
@@ -104,13 +105,12 @@ def oobu_convert_reference(recording, change_threshold=2, uni_count_threshold=2,
     """
     frames = recording.frames
     n, h, w = frames.shape
-    sign = 1 if on_is_increase else -1
     t, y, x, p = [], [], [], []
     for k in range(1, n):
         polarity = {}
         for r in range(h):
             for c in range(w):
-                change = sign * (int(frames[k, r, c]) - int(frames[k - 1, r, c]))
+                change = int(frames[k, r, c]) - int(frames[k - 1, r, c])
                 if change >= change_threshold:
                     polarity[r, c] = 0
                 elif change <= -change_threshold:
@@ -134,11 +134,6 @@ def oobu_convert_reference(recording, change_threshold=2, uni_count_threshold=2,
                     p.append(pol)
     return EventStream(kind=StreamKind.OOBU, grid_width=w, grid_height=h,
                        events=make_events(np.array(t, dtype=np.int64), y, x, p))
-
-
-class TestGateBank:
-    def test_border_bank_geometry(self):
-        assert GATE_TAPS == BORDER_TAPS
 
 
 class TestPulseWinner:
@@ -288,7 +283,7 @@ class TestFirstAndConvert:
             fast = firstand_convert(rec)
             slow = firstand_convert_reference(rec)
             assert np.array_equal(fast.events, slow.events)
-            assert fast.is_canonical()
+            assert_canonical(fast)
 
     def test_deterministic(self):
         rng = np.random.default_rng(23)
@@ -378,11 +373,6 @@ class TestOnOff:
         frames = np.tile(np.arange(16, dtype=np.uint16).reshape(1, 4, 4), (5, 1, 1))
         assert len(onoff_convert(recording_from(frames))) == 0
 
-    def test_sign_flip_config(self):
-        rec = recording_from([[[10]], [[13]]])
-        s = onoff_convert(rec, change_threshold=2, on_is_increase=False)
-        assert s.events[0]["p"] == 1
-
     def test_no_return_treated_as_zero(self):
         rec = recording_from([[[0]], [[1500]]])
         s = onoff_convert(rec, change_threshold=2)
@@ -395,8 +385,7 @@ class TestOnOff:
     def test_canonical_order(self):
         rng = np.random.default_rng(31)
         rec = recording_from(rng.integers(0, 30, size=(10, 6, 6)).astype(np.uint16))
-        s = onoff_convert(rec)
-        assert s.is_canonical()
+        assert_canonical(onoff_convert(rec))
 
 
 class TestOobu:
@@ -465,7 +454,7 @@ class TestOobu:
         rec = recording_from(rng.integers(0, 25, size=(10, 8, 8)).astype(np.uint16))
         a = oobu_convert(rec)
         b = oobu_convert(rec)
-        assert a.is_canonical()
+        assert_canonical(a)
         assert np.array_equal(a.events, b.events)
 
     def test_fuzz_matches_reference(self):
@@ -479,12 +468,11 @@ class TestOobu:
             change = int(rng.integers(1, 6))
             bi = int(rng.integers(0, 4))
             uni = bi + int(rng.integers(0, 3))
-            on_is_increase = trial % 2 == 0
-            reference = oobu_convert_reference(rec, change, uni, bi, on_is_increase).events
+            reference = oobu_convert_reference(rec, change, uni, bi).events
             fast = oobu_convert(rec, change_threshold=change, uni_count_threshold=uni,
-                                bi_count_threshold=bi, on_is_increase=on_is_increase)
+                                bi_count_threshold=bi)
             assert np.array_equal(fast.events, reference), (trial, change, bi, uni)
-            onoff = onoff_convert(rec, change_threshold=change, on_is_increase=on_is_increase)
+            onoff = onoff_convert(rec, change_threshold=change)
             assert np.array_equal(onoff.events, reference[reference["p"] <= 1]), trial
 
     def test_threshold_order_validation(self):

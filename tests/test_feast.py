@@ -13,7 +13,7 @@ from spadevents.eventgen import FirstAndParams, firstand_convert, onoff_convert,
 from spadevents.feast import (BinaryFeatureSet, ContinuousFeatureSet, FeastParams, binarize,
                               event_rois, feast_infer, feast_train, initial_features,
                               load_features, save_features)
-from test_core import ReferenceSurface
+from test_core import ReferenceSurface, assert_canonical
 
 
 # Per-event reference: a running ReferenceSurface, read through a zero-padded crop
@@ -403,7 +403,7 @@ class TestInference:
         assert np.array_equal(out.events["t"], stream.events["t"])
         assert np.array_equal(out.events["x"], stream.events["x"])
         assert np.array_equal(out.events["y"], stream.events["y"])
-        assert out.is_canonical()
+        assert_canonical(out)
 
     def test_self_cell_guarantees_nonzero_roi(self):
         # even the very first event scores against a visible ROI
